@@ -39,6 +39,9 @@ THRESHOLDS = {
 def _ensure_writable(path, force):
     if os.path.exists(path) and not force:
         raise ValueError(f"{path} exists; pass --force to overwrite")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"{folder}: no such directory")
 
 
 def read_wav(path):
@@ -109,6 +112,9 @@ def read_spectrogram(path):
     data = np.frombuffer(blob[21:], dtype="<c16")
     if data.size != M * N:
         raise ValueError(f"{path}: expected {M * N} coefficients, found {data.size}")
+    bad = data.size - int(np.count_nonzero(np.isfinite(data)))
+    if bad:
+        raise ValueError(f"{path}: {bad} coefficient(s) are NaN or infinite")
     X = Spectrogram(data.reshape(M, N).copy(),
                     StftConfig(window_len, hop, M, N * hop))
     if symmetry_residual(X) > 1e-6:
@@ -201,6 +207,10 @@ def cmd_corrupt(args):
 
 
 def cmd_inpaint(args):
+    # refuse existing outputs before the solve, not after it
+    for path in (args.out, args.spec_out, args.trace):
+        if path:
+            _ensure_writable(path, args.force)
     mask, hop = read_mask(args.mask)
     if args.infile.endswith(".wav"):
         rate, x = read_wav(args.infile)
@@ -242,7 +252,6 @@ def cmd_inpaint(args):
     if args.spec_out:
         write_spectrogram(args.spec_out, out, args.force)
     if args.trace:
-        _ensure_writable(args.trace, args.force)
         with open(args.trace, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["gap_start", "iteration", "objective", "feasibility"])

@@ -194,7 +194,8 @@ def peak_normalize(segment):
 
 
 def _solve_segment(seg, gap_seg, method, scfg, x_true_seg, trace=None):
-    norm, peak = peak_normalize(seg)
+    peak = gap_seg.peak  # measured by extract_segment; 1 for a silent segment
+    norm = Spectrogram(seg.data / peak, seg.config)
     if method == "uphain":
         out, info = uphain_tf(norm, gap_seg.local_mask, scfg, trace=trace,
                               return_info=True)

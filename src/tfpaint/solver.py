@@ -1,10 +1,12 @@
 """Primal-dual solvers for spectrogram inpainting.
 
 The workhorse is a generalized Chambolle-Pock iteration whose primal lives in
-the time domain (a real signal) while both duals live in the TF domain; the
+the time domain (a real signal) while both duals are TF matrices; the
 penalty is the phase-corrected total variation of the analysis coefficients
 and the data constraint is enforced by projection onto the set of matrices
-agreeing with the observation on reliable columns.
+agreeing with the observation on reliable columns.  Inside the loop the data
+dual is carried in the time domain, as its synthesis, and rebuilt as a matrix
+once per inner run (see ``gcpa_inner``).
 
 Three drivers wrap the inner loop:
 
@@ -165,13 +167,30 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
     analysis per iteration.  Divergence (non-finite primal) raises
     DivergenceError with the iteration index.
 
-    Performance: when the observation and starting duals carry the conjugate
-    row symmetry of real audio (they always do in the normal pipeline), the
-    whole iteration runs on the top half of the frequency rows with
-    real-input transforms -- the lower rows are implied.  Inputs without
-    that symmetry fall back to full-spectrum arithmetic.  Fixed phase
-    factors (frame ramp, omega rotation, step scales) are folded into
-    single precomputed matrices either way.
+    Data dual in time.  With v = x - tau*(syn(R*_omega D* Z) + syn(Y)), the
+    data step is Y_half = P_rel(Y + eta*(ana(v) - Xc)), and the primal
+    update needs only syn(Y_half).  The mask removes whole columns and each
+    column is one frame, so syn o P_rel o ana is diagonal in time: it
+    multiplies by d_rel = OLA over the reliable frames of M*w**2, the
+    overlap-add of the squared window.  Hence syn(Y_half) =
+    syn(P_rel Y) + eta*(d_rel*v - b) with b = syn(P_rel Xc), both fixed per
+    call, and Y is never transformed inside the loop.  Relaxation keeps this
+    linear: the reliable part moves by alpha*eta*P_rel(ana(v) - Xc) per
+    step, and the gap part only decays, P_gap Y_k = (1 - alpha)**k P_gap Y0
+    (zero after one step at alpha = 1).  So after K steps
+    Y = P_rel(Y0 + alpha*eta*(ana(S) - K*Xc)) plus the decayed gap part,
+    where S is the sum of the v's.  S is accumulated relative to
+    x_ref = state0.x, with K*(ana(x_ref) - Xc) added back, so the long sum
+    does not cancel digits.  Each iteration is left with one synthesis and
+    one analysis, both in the total-variation branch.
+
+    When the observation and starting duals carry the conjugate row symmetry
+    of real audio (they always do in the normal pipeline), the whole
+    iteration runs on the top half of the frequency rows with real-input
+    transforms -- the lower rows are implied.  Inputs without that symmetry
+    fall back to full-spectrum arithmetic.  Fixed phase factors (frame ramp,
+    omega rotation, step scales) are folded into single precomputed
+    matrices either way.
     """
     scfg = X_corr.config
     Xc_full = np.asarray(X_corr.data)
@@ -247,15 +266,22 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
     Xc = Xc_full[rows]
 
     x = np.array(state0.x, dtype=float)
-    Y = np.array(state0.Y[rows], dtype=complex)
+    Y0 = np.asarray(state0.Y)[rows]
     Z = np.array(state0.Z[rows], dtype=complex)
     thresh = cfg.thresholder
     soft_lam = thresh.lam if thresh.kind == "soft" else None
-    eta_Xc = eta * Xc
-    R_rows = Y.shape[0]
-    DZ = np.empty((R_rows, N), dtype=complex)
+    DZ = np.empty((Z.shape[0], N), dtype=complex)
 
-    syn_Y = syn(Y * ramp_c)
+    # the data dual, carried in time: syn(P_rel Y), syn(P_gap Y0) and its
+    # decay factor, eta*d_rel, eta*b and the sum of v - x_ref
+    eta_d = eta * _overlap_add((w * w_syn)[:, None] * reliable, scfg)
+    eta_b = eta * syn(Xc * reliable * ramp_c)
+    syn_rel = syn(Y0 * reliable * ramp_c)
+    syn_gap = syn(Y0 * ~reliable * ramp_c)
+    gap_decay = 1.0
+    x_ref = x.copy()
+    S = np.zeros_like(x)
+
     # divergence is detected explicitly, so silence the overflow warnings a
     # blown-up iterate would otherwise spray before the check fires
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,15 +292,9 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
             np.negative(Z[:, -1], out=DZ[:, -1])
             back = syn(DZ * rcr)
 
-            R = Y + ana(x - tau * (back + syn_Y), ramp_eta)
-            # Y_half = R - eta * proj(R / eta): the projection returns the
-            # observation on reliable columns and passes R/eta through on
-            # the gap, so split the two cases directly
-            Y_half = R - eta_Xc
-            if zero.size:
-                Rz = R[:, zero]
-                Y_half[:, zero] = Rz - eta * (Rz / eta)
-            syn_Yh = syn(Y_half * ramp_c)
+            v = x - tau * (back + syn_rel + gap_decay * syn_gap)
+            S += v - x_ref
+            syn_Yh = syn_rel + (eta_d * v - eta_b)
             x_half = x - tau * (back + syn_Yh)
 
             A2 = ana(2.0 * x_half - x, ramp_rot_sigma)
@@ -287,13 +307,12 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
                 Z_half = Q - thresh(Q)
 
             if alpha == 1.0:
-                x, Y, Z = x_half, Y_half, Z_half
-                syn_Y = syn_Yh
+                x, Z, syn_rel = x_half, Z_half, syn_Yh
             else:
                 x = x + alpha * (x_half - x)
-                Y = Y + alpha * (Y_half - Y)
                 Z = Z + alpha * (Z_half - Z)
-                syn_Y = syn(Y * ramp_c)
+                syn_rel = syn_rel + alpha * (syn_Yh - syn_rel)
+            gap_decay *= 1.0 - alpha
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(i + 1)
             if trace is not None:
@@ -304,6 +323,9 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
                 feas = float(np.sqrt(np.sum(diff2[:, reliable])))
                 trace(i + 1, obj, feas)
 
+    K = cfg.inner_iters
+    Y = Y0 + alpha * (ana(S, ramp_eta) + K * (ana(x_ref, ramp_eta) - eta * Xc))
+    Y[:, zero] = gap_decay * Y0[:, zero]
     if hermitian:
         return SolverState(x, _expand_half(Y, M), _expand_half(Z, M))
     return SolverState(x, Y, Z)
@@ -332,8 +354,7 @@ def uphain_tf(X_corr, mask, cfg, g=None, trace=None, return_info=False):
     scfg = X_corr.config
     w = _window_samples(g, scfg)
     state = initial_state(X_corr, g=w)
-    xhat = state.x          # latest outer output
-    xhat_prev = None        # one behind
+    xhat = state.x
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
 
     for j in range(cfg.outer_iters + 1):
@@ -342,12 +363,12 @@ def uphain_tf(X_corr, mask, cfg, g=None, trace=None, return_info=False):
         if trace is not None:
             sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
         state = gcpa_inner(state, mask, X_corr, omega, cfg, g=w, trace=sub)
-        xhat_prev2 = xhat_prev
-        xhat_prev = xhat
-        xhat = state.x
+        xhat_prev, xhat = xhat, state.x
         info["outer_iters_used"] = j + 1
-        if xhat_prev2 is not None:
-            change = float(np.linalg.norm(xhat_prev - xhat_prev2))
+        # the starting synthesis is not an output: the first change compared
+        # is the one between the first two inner runs
+        if j >= 1:
+            change = float(np.linalg.norm(xhat - xhat_prev))
             info["final_change"] = change
             if change < cfg.epsilon:
                 info["stopped_early"] = True
@@ -410,7 +431,6 @@ def cpa_tf_only(X_corr, mask, cfg, g=None, trace=None, return_info=False):
     thresh = cfg.thresholder
 
     xhat = _synthesize(X, w, scfg)
-    xhat_prev = None
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
 
     for j in range(cfg.outer_iters + 1):
@@ -432,12 +452,10 @@ def cpa_tf_only(X_corr, mask, cfg, g=None, trace=None, return_info=False):
                     obj = cfg.lam * float(np.sum(np.abs(time_variation(X * rot))))
                     feas = float(np.linalg.norm((X - Xc)[:, reliable]))
                     trace(j * cfg.inner_iters + i + 1, obj, feas)
-        xhat_prev2 = xhat_prev
-        xhat_prev = xhat
-        xhat = _synthesize(X, w, scfg)
+        xhat_prev, xhat = xhat, _synthesize(X, w, scfg)
         info["outer_iters_used"] = j + 1
-        if xhat_prev2 is not None:
-            change = float(np.linalg.norm(xhat_prev - xhat_prev2))
+        if j >= 1:
+            change = float(np.linalg.norm(xhat - xhat_prev))
             info["final_change"] = change
             if change < cfg.epsilon:
                 info["stopped_early"] = True

@@ -316,3 +316,56 @@ def test_compare_command(tmp_path, capsys):
     payload = json.loads(open(js).read())
     assert {s["method"] for s in payload["summary"]} == {"uphain", "tf_only"}
     assert "gap 1" in capsys.readouterr().out
+
+
+def test_inpaint_checks_outputs_before_solving(tmp_path, monkeypatch):
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=13))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+
+    def must_not_solve(*a, **k):
+        raise AssertionError("solved although an output exists")
+
+    monkeypatch.setattr(cli, "inpaint_spectrogram", must_not_solve)
+    out = tmp_path / "r.wav"
+    spec = tmp_path / "r.spgm"
+    trace = tmp_path / "t.csv"
+    args = ["inpaint", "--in", clean, "--mask", mask, "--out", str(out),
+            "--spec-out", str(spec), "--trace", str(trace)]
+    out.write_bytes(b"keep")
+    assert main(args) == 2
+    assert out.read_bytes() == b"keep"
+    assert not spec.exists() and not trace.exists()
+    # an existing later output keeps the earlier ones unwritten too
+    out.unlink()
+    spec.write_bytes(b"keep")
+    assert main(args) == 2
+    assert not out.exists() and not trace.exists()
+    assert spec.read_bytes() == b"keep"
+    # so does an output whose directory is missing (an I/O error, exit 1)
+    spec.unlink()
+    args[-1] = str(tmp_path / "missing" / "t.csv")
+    assert main(args) == 1
+    assert not out.exists() and not spec.exists()
+
+
+def test_inpaint_rejects_nonfinite_spectrogram(tmp_path, capsys):
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=14))
+    mask = str(tmp_path / "m.json")
+    spgm = str(tmp_path / "c.spgm")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    assert main(["corrupt", "--in", clean, "--mask", mask,
+                 "--out", str(tmp_path / "cc.wav"), "--spec-out", spgm]) == 0
+    X = read_spectrogram(spgm)
+    # column 1 lies well outside the segment cut around the central gap
+    assert 1 not in read_mask(mask)[0].zero_cols
+    X.data[100, 1] = np.nan
+    write_spectrogram(spgm, X, force=True)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        read_spectrogram(spgm)
+    capsys.readouterr()
+    out = tmp_path / "r.wav"
+    assert main(["inpaint", "--in", spgm, "--mask", mask, "--out", str(out),
+                 "--inner", "5", "--outer", "1"]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
