@@ -19,8 +19,8 @@ from .evaluate import (
 )
 from .pipeline import METHODS, ColumnMask, apply_mask, find_gaps, inpaint_spectrogram, make_mask
 from .prox import Thresholder
-from .solver import DivergenceError, SolverConfig, default_window
-from .stft import Spectrogram, StftConfig, analyze, symmetry_residual, synthesize
+from .solver import DivergenceError, SolverConfig
+from .stft import Spectrogram, StftConfig, analyze, default_window, symmetry_residual, synthesize
 
 SPGM_MAGIC = b"SPGM1"
 CSV_HEADER = ["method", "gap_cols", "signal", "snr_db", "runtime_s", "lambda"]
@@ -115,12 +115,8 @@ def read_spectrogram(path):
     bad = data.size - int(np.count_nonzero(np.isfinite(data)))
     if bad:
         raise ValueError(f"{path}: {bad} coefficient(s) are NaN or infinite")
-    X = Spectrogram(data.reshape(M, N).copy(),
-                    StftConfig(window_len, hop, M, N * hop))
-    if symmetry_residual(X) > 1e-6:
-        print(f"warning: {path}: coefficients are not conjugate-symmetric; "
-              "this did not come from real audio", file=sys.stderr)
-    return X
+    return Spectrogram(data.reshape(M, N).copy(),
+                       StftConfig(window_len, hop, M, N * hop))
 
 
 def record_row(r):
@@ -221,6 +217,12 @@ def cmd_inpaint(args):
     else:
         rate = args.sr
         Xc = read_spectrogram(args.infile)
+        # the solver restores real audio: it would silently drop the part of
+        # the coefficients that no real signal has
+        residual = symmetry_residual(Xc)
+        if residual > 1e-6:
+            raise ValueError(f"{args.infile}: coefficients are not conjugate-symmetric "
+                             f"(residual {residual:.1e} > 1e-6); not from real audio")
         if Xc.data.shape[1] != mask.n_cols:
             raise ValueError("mask column count does not match the spectrogram")
         if Xc.config.hop != hop:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import apply_mask, find_gaps, inpaint_spectrogram
-from .solver import SolverConfig, default_window
-from .stft import StftConfig, analyze, synthesize
+from .solver import SolverConfig
+from .stft import StftConfig, analyze, default_window, synthesize
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,32 @@ def _gap_len(mask):
     return len(gaps[0]) if gaps else 0
 
 
+def _mean_records(signals, mask, configs, method, window_len, hop, channels):
+    """One record per solver config: SNR and runtime averaged over the
+    signals, iters_outer_used the rounded mean of per-gap outer counts."""
+    gl = _gap_len(mask)
+    records = []
+    for scfg in configs:
+        snrs, times, outers = [], [], []
+        for _, x in signals:
+            s, dt, mo = _run_one(x, mask, method, scfg, window_len, hop,
+                                 channels, x_true_needed=False)
+            snrs.append(s)
+            times.append(dt)
+            outers.append(mo)
+        records.append(EvalRecord(
+            method=method,
+            mask_gap_cols=gl,
+            signal_id=f"mean({len(signals)})",
+            snr_db=float(np.mean(snrs)),
+            runtime_s=float(np.mean(times)),
+            lambda_=scfg.lam,
+            iters_inner=scfg.inner_iters,
+            iters_outer_used=int(round(np.mean(outers))) if outers else 0,
+        ))
+    return records
+
+
 def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
                  method="uphain", window_len=2048, hop=512, channels=2048):
     """Mean reconstruction SNR per regularization weight.
@@ -181,28 +207,8 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
         raise ValueError("empty lambda grid")
     if scfg is None:
         scfg = SolverConfig()
-    gl = _gap_len(mask)
-    records = []
-    for lam in lambda_grid:
-        cfg_l = _with_lambda(scfg, float(lam))
-        snrs, times, outers = [], [], []
-        for _, x in signals:
-            s, dt, mo = _run_one(x, mask, method, cfg_l, window_len, hop,
-                                 channels, x_true_needed=False)
-            snrs.append(s)
-            times.append(dt)
-            outers.append(mo)
-        records.append(EvalRecord(
-            method=method,
-            mask_gap_cols=gl,
-            signal_id=f"mean({len(signals)})",
-            snr_db=float(np.mean(snrs)),
-            runtime_s=float(np.mean(times)),
-            lambda_=float(lam),
-            iters_inner=scfg.inner_iters,
-            iters_outer_used=int(round(np.mean(outers))) if outers else 0,
-        ))
-    return records
+    configs = [_with_lambda(scfg, float(lam)) for lam in lambda_grid]
+    return _mean_records(signals, mask, configs, method, window_len, hop, channels)
 
 
 def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
@@ -213,28 +219,8 @@ def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
         raise ValueError("empty iteration grid")
     if scfg is None:
         scfg = SolverConfig()
-    gl = _gap_len(mask)
-    records = []
-    for inner in inner_grid:
-        cfg_i = dataclasses.replace(scfg, inner_iters=inner)
-        snrs, times, outers = [], [], []
-        for _, x in signals:
-            s, dt, mo = _run_one(x, mask, method, cfg_i, window_len, hop,
-                                 channels, x_true_needed=False)
-            snrs.append(s)
-            times.append(dt)
-            outers.append(mo)
-        records.append(EvalRecord(
-            method=method,
-            mask_gap_cols=gl,
-            signal_id=f"mean({len(signals)})",
-            snr_db=float(np.mean(snrs)),
-            runtime_s=float(np.mean(times)),
-            lambda_=cfg_i.lam,
-            iters_inner=inner,
-            iters_outer_used=int(round(np.mean(outers))) if outers else 0,
-        ))
-    return records
+    configs = [dataclasses.replace(scfg, inner_iters=inner) for inner in inner_grid]
+    return _mean_records(signals, mask, configs, method, window_len, hop, channels)
 
 
 def compare_methods(signals, masks, methods, scfg=None, window_len=2048,

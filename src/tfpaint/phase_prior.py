@@ -13,16 +13,15 @@ the correction factor exp(-i*2*pi*a*cumsum(omega)/M) exactly cancels a pure
 tone's per-frame advance; the scale is the lone convention choice and the
 pure-tone tests pin it down.  The ratio is scale-invariant, so any common
 rescaling of the window pair (e.g. using the tight window) gives identical
-estimates.
+estimates.  Rows 0..M//2 are estimated; the rest mirror them with the sign
+flipped, as for any real signal.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import Spectrogram, Window, analyze
-
-ABOUT_OMEGA_UNITS = "bins per frame-context; see module docstring"
+from .stft import Spectrogram, _rfft_frames, _window, analyze
 
 
 @dataclass
@@ -40,15 +39,12 @@ class VariationMatrix:
 
 
 def _coeffs(X):
-    if isinstance(X, Spectrogram):
+    """The matrix held by a Spectrogram, IFMatrix or VariationMatrix, or X."""
+    if isinstance(X, (Spectrogram, VariationMatrix)):
         return X.data
-    if isinstance(X, (IFMatrix, VariationMatrix)):
-        return X.data if isinstance(X, VariationMatrix) else X.omega
+    if isinstance(X, IFMatrix):
+        return X.omega
     return np.asarray(X)
-
-
-def _omega_of(omega):
-    return omega.omega if isinstance(omega, IFMatrix) else np.asarray(omega)
 
 
 def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10):
@@ -64,8 +60,13 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10):
         magnitude is at or below mag_floor * max|X| get omega = 0 instead of
         a meaningless ratio.
     """
-    Xg = analyze(x, g, cfg).data
-    Xd = analyze(x, g_prime, cfg).data
+    x = np.asarray(x, dtype=float)
+    if x.shape != (cfg.signal_len,):
+        raise ValueError("signal length does not match config")
+    # the frame ramp multiplies both analyses alike and cancels in the
+    # ratio, so the frame-local transforms of rows 0..M//2 suffice
+    Xg = _rfft_frames(x, _window(g, cfg), cfg)
+    Xd = _rfft_frames(x, _window(g_prime, cfg), cfg)
     mag = np.abs(Xg)
     floor = mag_floor * np.max(mag)
     ok = mag > floor
@@ -73,15 +74,14 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10):
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = -np.imag(Xd / Xg) * (cfg.channels / (2.0 * np.pi))
     np.copyto(omega, raw, where=ok & np.isfinite(raw))
-    # a real signal's offsets are exactly antisymmetric across the frequency
-    # mirror; the raw ratio only satisfies that up to round-off (badly so
-    # where the magnitude is tiny), so impose it by construction
+    # a real signal's offsets vanish on the DC and Nyquist rows and are
+    # exactly antisymmetric across the frequency mirror; the raw ratio only
+    # satisfies that up to round-off, so impose it by construction
     M = cfg.channels
     omega[0] = 0.0
     if M % 2 == 0:
         omega[M // 2] = 0.0
-    omega[M // 2 + 1 :] = -omega[(M - 1) // 2 : 0 : -1]
-    return IFMatrix(omega)
+    return IFMatrix(np.concatenate((omega, -omega[(M - 1) // 2 : 0 : -1])))
 
 
 def correction_factors(omega, hop, channels):
@@ -90,7 +90,7 @@ def correction_factors(omega, hop, channels):
     Column 0 gets an empty sum (factor 1).  Precompute this when applying
     the same omega many times; phase_correct does it per call.
     """
-    om = _omega_of(omega)
+    om = _coeffs(omega)
     csum = np.empty_like(om)
     csum[:, 0] = 0.0
     np.cumsum(om[:, :-1], axis=1, out=csum[:, 1:])
@@ -104,7 +104,7 @@ def phase_correct(X, omega, hop=512, channels=2048):
     its config) or a bare matrix plus explicit hop/channels.
     """
     data = _coeffs(X)
-    om = _omega_of(omega)
+    om = _coeffs(omega)
     if data.shape != om.shape:
         raise ValueError("spectrogram and omega shapes differ")
     if isinstance(X, Spectrogram):
@@ -118,7 +118,7 @@ def phase_correct(X, omega, hop=512, channels=2048):
 def phase_correct_adjoint(X, omega, hop=512, channels=2048):
     """Adjoint (= inverse) of phase_correct: conjugate rotation."""
     data = _coeffs(X)
-    om = _omega_of(omega)
+    om = _coeffs(omega)
     if data.shape != om.shape:
         raise ValueError("spectrogram and omega shapes differ")
     if isinstance(X, Spectrogram):

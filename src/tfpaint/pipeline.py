@@ -17,10 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import SolverConfig, bphain_tf, cpa_tf_only, default_window, uphain_tf
-from .stft import Spectrogram, StftConfig, synthesize
+from .solver import SolverConfig, bphain_tf, cpa_tf_only, uphain_tf
+from .stft import Spectrogram, StftConfig, default_window, synthesize
 
-METHODS = ("uphain", "bphain", "bphain_oracle", "tf_only")
+# solvers are looked up by name at call time, so patching the module names works
+_SOLVERS = {
+    "uphain": lambda X, mask, scfg, x_true, **kw: uphain_tf(X, mask, scfg, **kw),
+    "bphain": lambda X, mask, scfg, x_true, **kw: bphain_tf(X, mask, scfg, **kw),
+    "bphain_oracle": lambda X, mask, scfg, x_true, **kw: bphain_tf(
+        X, mask, scfg, omega_source="oracle", x_true=x_true, **kw),
+    "tf_only": lambda X, mask, scfg, x_true, **kw: cpa_tf_only(X, mask, scfg, **kw),
+}
+METHODS = tuple(_SOLVERS)
 
 
 class ContextError(ValueError):
@@ -196,27 +204,8 @@ def peak_normalize(segment):
 def _solve_segment(seg, gap_seg, method, scfg, x_true_seg, trace=None):
     peak = gap_seg.peak  # measured by extract_segment; 1 for a silent segment
     norm = Spectrogram(seg.data / peak, seg.config)
-    if method == "uphain":
-        out, info = uphain_tf(norm, gap_seg.local_mask, scfg, trace=trace,
-                              return_info=True)
-    elif method == "bphain":
-        out, info = bphain_tf(norm, gap_seg.local_mask, scfg, trace=trace,
-                              return_info=True)
-    elif method == "bphain_oracle":
-        out, info = bphain_tf(
-            norm,
-            gap_seg.local_mask,
-            scfg,
-            omega_source="oracle",
-            x_true=x_true_seg,
-            trace=trace,
-            return_info=True,
-        )
-    elif method == "tf_only":
-        out, info = cpa_tf_only(norm, gap_seg.local_mask, scfg, trace=trace,
-                                return_info=True)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out, info = _SOLVERS[method](norm, gap_seg.local_mask, scfg, x_true_seg,
+                                 trace=trace, return_info=True)
     return out.data * peak, info
 
 

@@ -15,6 +15,14 @@ Conventions (these matter; everything downstream relies on them):
   canonical tight window the pair satisfies syn(ana(x)) == x and Parseval
   ||ana(x)||_F == ||x||_2.
 
+* The analysis of a real signal is conjugate-symmetric, X[M-m] ==
+  conj(X[m]), so the frame operator is implemented once, on rows 0..M//2
+  with real-input FFTs.  ``analyze`` expands its result to all M rows;
+  ``synthesize`` reduces its input to the conjugate-symmetric part first.
+  The solver works on the half rows directly through the private helpers
+  (``_rfft_frames``/``_irfft_frames`` without the phase ramp, ``_expand``
+  and ``_hermitian_half`` at its M-row boundary).
+
 Exactness of the frame algebra additionally requires ``channels`` to divide
 ``signal_len`` (alias spacing must be a multiple of the FFT length); the
 config validates this.
@@ -109,9 +117,7 @@ def tight_window(g, cfg):
     placement; analyze/synthesize built on the result satisfy
     syn(ana(x)) == x with operator norm exactly 1.
     """
-    w = np.asarray(g.samples if isinstance(g, Window) else g, dtype=float)
-    if len(w) != cfg.window_len:
-        raise ValueError("window length does not match config")
+    w = _window(g, cfg)
     a = cfg.hop
     # Overlap energy per hop residue; every signal position with residue r
     # sees exactly the window samples r, r+a, r+2a, ...
@@ -125,27 +131,45 @@ def tight_window(g, cfg):
 
 
 @lru_cache(maxsize=64)
+def default_window(cfg):
+    """Canonical tight Hann window for a frame geometry (cached)."""
+    return tight_window(make_hann(cfg.window_len), cfg)
+
+
+def _window(g, cfg):
+    """Float samples of a Window or array (default_window(cfg) for None),
+    checked against cfg.window_len."""
+    if g is None:
+        g = default_window(cfg)
+    w = np.asarray(g.samples if isinstance(g, Window) else g, dtype=float)
+    if len(w) != cfg.window_len:
+        raise ValueError("window length does not match config")
+    return w
+
+
+@lru_cache(maxsize=64)
 def _frame_plan(cfg):
     """Precomputed index grid and phase ramp for one frame geometry.
 
     Returns (idx, ramp) where idx[k, n] = (a*n + k) mod L gathers windowed
-    frames and ramp[m, n] = exp(-i*2*pi*m*a*n / M) converts frame-local FFT
-    phase to the frequency-invariant convention.
+    frames and ramp[m, n] = exp(-i*2*pi*m*a*n / M), for rows m = 0..M//2,
+    converts frame-local FFT phase to the frequency-invariant convention.
+    The exponent m*a*n is reduced modulo M in integers first, so every row
+    is rounded once and the Nyquist row is exactly 1 when a*n is even.
     """
     L, W, a, M = cfg.signal_len, cfg.window_len, cfg.hop, cfg.channels
     N = cfg.n_frames
     idx = (np.arange(W)[:, None] + a * np.arange(N)[None, :]) % L
-    m = np.arange(M)[:, None]
-    shift = (a * np.arange(N)[None, :]) % M
-    ramp = np.exp(-2j * np.pi * m * shift / M)
+    k = (np.arange(M // 2 + 1)[:, None] * ((a * np.arange(N)) % M)[None, :]) % M
+    ramp = np.exp(-2j * np.pi * k / M)
     return idx, ramp
 
 
-def _analyze(x, w, cfg):
-    idx, ramp = _frame_plan(cfg)
-    buf = np.zeros((cfg.channels, cfg.n_frames), dtype=complex)
-    buf[: cfg.window_len] = x[idx] * w[:, None]
-    return np.fft.fft(buf, axis=0) * ramp
+def _rfft_frames(x, w, cfg):
+    """Real-input FFT of the windowed frames of x: rows 0..M//2, with the
+    frame-local phase (no ramp)."""
+    idx, _ = _frame_plan(cfg)
+    return np.fft.rfft(x[idx] * w[:, None], n=cfg.channels, axis=0)
 
 
 def _overlap_add(contrib, cfg):
@@ -171,41 +195,75 @@ def _overlap_add(contrib, cfg):
     return x
 
 
-def _synthesize(X, w, cfg):
-    _, ramp = _frame_plan(cfg)
-    # Adjoint of _analyze: conjugate ramp, scaled inverse FFT, window, then
-    # circular overlap-add of the first W rows.
-    d = np.fft.ifft(X * np.conj(ramp), axis=0) * cfg.channels
-    contrib = d[: cfg.window_len].real * w[:, None]
+def _irfft_frames(V, w, cfg):
+    """Real adjoint of the full-spectrum _rfft_frames, given rows 0..M//2.
+
+    The lower rows are implied as the conjugate mirror, which makes the
+    inverse transform real; the imaginary parts of the DC row and of an
+    even M's Nyquist row do not reach the signal.  Scaled by M, windowed,
+    then overlap-added.
+    """
+    M = cfg.channels
+    contrib = np.fft.irfft(V, n=M, axis=0)[: cfg.window_len] * (w * M)[:, None]
     return _overlap_add(contrib, cfg)
 
 
+def _analyze(x, w, cfg):
+    """Rows 0..M//2 of the analysis of a real signal."""
+    _, ramp = _frame_plan(cfg)
+    X = _rfft_frames(x, w, cfg)
+    X *= ramp
+    return X
+
+
+def _synthesize(H, w, cfg):
+    """Synthesis of the conjugate-symmetric matrix with rows 0..M//2 = H."""
+    _, ramp = _frame_plan(cfg)
+    return _irfft_frames(H * np.conj(ramp), w, cfg)
+
+
+def _expand(H, M):
+    """All M rows of the conjugate-symmetric matrix with rows 0..M//2 = H."""
+    full = np.empty((M, H.shape[1]), dtype=H.dtype)
+    full[: len(H)] = H
+    full[len(H) :] = np.conj(H[(M - 1) // 2 : 0 : -1])
+    return full
+
+
+def _hermitian_half(X):
+    """Rows 0..M//2 of the conjugate-symmetric part of an M-row matrix,
+    (X[m] + conj(X[-m mod M])) / 2: all of it that a real signal sees.
+    Returns those rows unchanged when X is conjugate-symmetric."""
+    X = np.asarray(X)
+    M = X.shape[0]
+    rows = np.arange(M // 2 + 1)
+    return 0.5 * (X[rows] + np.conj(X[-rows % M]))
+
+
 def analyze(x, g, cfg):
-    """STFT of a real signal; returns a Spectrogram (M x N complex)."""
+    """STFT of a real signal; returns a Spectrogram (M x N complex).
+
+    Rows M//2+1..M-1 are the exact conjugate mirror of rows (M-1)//2..1.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.signal_len,):
         raise ValueError("signal length does not match config")
-    w = np.asarray(g.samples if isinstance(g, Window) else g, dtype=float)
-    if len(w) != cfg.window_len:
-        raise ValueError("window length does not match config")
-    return Spectrogram(_analyze(x, w, cfg), cfg)
+    return Spectrogram(_expand(_analyze(x, _window(g, cfg), cfg), cfg.channels), cfg)
 
 
 def synthesize(X, g, cfg):
     """Real adjoint of analyze (the inverse STFT for a tight window).
 
-    Accepts a Spectrogram or a bare complex matrix.  The imaginary part of
-    the complex synthesis sum is discarded; for conjugate-symmetric input it
-    is below round-off, and dropping it is exactly what makes this the
-    adjoint with respect to the real inner product.
+    Accepts a Spectrogram or a bare complex matrix.  Only the conjugate-
+    symmetric part of a coefficient matrix reaches a real signal, so that
+    part is synthesized.  This equals the real part of the complex
+    synthesis sum, which makes this the exact adjoint with respect to the
+    real inner product for any complex input.
     """
     data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
     if data.shape != (cfg.channels, cfg.n_frames):
         raise ValueError("spectrogram shape does not match config")
-    w = np.asarray(g.samples if isinstance(g, Window) else g, dtype=float)
-    if len(w) != cfg.window_len:
-        raise ValueError("window length does not match config")
-    return _synthesize(np.asarray(data, dtype=complex), w, cfg)
+    return _synthesize(_hermitian_half(data), _window(g, cfg), cfg)
 
 
 def symmetry_residual(X):

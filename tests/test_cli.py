@@ -369,3 +369,23 @@ def test_inpaint_rejects_nonfinite_spectrogram(tmp_path, capsys):
                  "--inner", "5", "--outer", "1"]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_inpaint_rejects_nonsymmetric_spectrogram(tmp_path, capsys):
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=15))
+    mask = str(tmp_path / "m.json")
+    spgm = str(tmp_path / "c.spgm")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    assert main(["corrupt", "--in", clean, "--mask", mask,
+                 "--out", str(tmp_path / "cc.wav"), "--spec-out", spgm]) == 0
+    X = read_spectrogram(spgm)
+    X.data[100, 1] += 1e-3 * np.max(np.abs(X.data))  # row M-100 not mirrored
+    write_spectrogram(spgm, X, force=True)
+    # the reader stays a pure format reader; the rule is inpaint's
+    assert np.array_equal(read_spectrogram(spgm).data, X.data)
+    capsys.readouterr()
+    out, spec = tmp_path / "r.wav", tmp_path / "r.spgm"
+    assert main(["inpaint", "--in", spgm, "--mask", mask, "--out", str(out),
+                 "--spec-out", str(spec), "--inner", "5", "--outer", "1"]) == 2
+    assert "not conjugate-symmetric" in capsys.readouterr().err
+    assert not out.exists() and not spec.exists()

@@ -23,6 +23,7 @@ from tfpaint.solver import (
 from tfpaint.stft import (
     Spectrogram,
     StftConfig,
+    _hermitian_half,
     analyze,
     make_hann,
     make_hann_derivative,
@@ -269,6 +270,20 @@ def test_cpa_tf_only_feasibility():
     assert np.array_equal(empty_out.data, corrupted(three_tone(), EMPTY).data)
 
 
+def test_cpa_tf_only_is_one_run_without_phase_correction(monkeypatch):
+    import tfpaint.solver as solver_mod
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("tf_only must not estimate the IF")
+
+    monkeypatch.setattr(solver_mod, "estimate_if", no_estimate)
+    zero = np.array([7, 8])
+    out, info = cpa_tf_only(corrupted(three_tone(), zero), zero,
+                            SolverConfig(inner_iters=10, outer_iters=3), return_info=True)
+    assert info["outer_iters_used"] == 1
+    assert np.all(np.isfinite(out.data))
+
+
 def test_uphain_beats_tf_only_on_gap():
     zero = np.array([7, 8])
     x = three_tone()
@@ -324,32 +339,7 @@ def test_norm_rejects_nonfinite():
 # ------------------------------------------------------- spectrum storage
 
 
-def test_gcpa_half_spectrum_matches_full(monkeypatch):
-    # conjugate-symmetric inputs run on the top half of the frequency rows;
-    # force the full-spectrum branch and check both tell the same story
-    import tfpaint.solver as solver_mod
-
-    zero = np.array([8])
-    Xc = corrupted(three_tone(), zero)
-    om = omega_for(synthesize(Xc.data, default_window(SEG), SEG))
-    cfg = SolverConfig(inner_iters=40, outer_iters=1)
-    st0 = initial_state(Xc)
-
-    fast_log, slow_log = [], []
-    fast = gcpa_inner(st0, zero, Xc, om, cfg, trace=lambda *r: fast_log.append(r))
-    monkeypatch.setattr(solver_mod, "_mirror_residual", lambda V, s: np.inf)
-    slow = gcpa_inner(st0, zero, Xc, om, cfg, trace=lambda *r: slow_log.append(r))
-
-    assert np.max(np.abs(fast.x - slow.x)) <= 1e-10
-    assert np.max(np.abs(fast.Y - slow.Y)) <= 1e-9
-    assert np.max(np.abs(fast.Z - slow.Z)) <= 1e-9
-    for (i1, o1, f1), (i2, o2, f2) in zip(fast_log, slow_log):
-        assert i1 == i2
-        assert abs(o1 - o2) <= 1e-8 * max(1.0, o2)
-        assert abs(f1 - f2) <= 1e-8 * max(1.0, f2)
-
-
-def test_gcpa_full_spectrum_fallback_odd_channels():
+def test_gcpa_odd_channels():
     scfg = StftConfig(window_len=5, hop=1, channels=5, signal_len=15)
     rng = np.random.default_rng(3)
     x = 0.5 * rng.standard_normal(15)
@@ -365,14 +355,16 @@ def test_gcpa_full_spectrum_fallback_odd_channels():
 # ------------------------------------------------- four-transform oracle
 
 
-def reference_inner(state0, zero, Xc, omega, cfg):
+def reference_inner(state0, zero, Xc, omega, cfg, trace):
     """Textbook iteration: every dual step analysed and synthesised in full."""
     scfg = Xc.config
     w = default_window(scfg)
     rot = correction_factors(omega, scfg.hop, scfg.channels)
+    reliable = np.ones(Xc.data.shape[1], dtype=bool)
+    reliable[zero] = False
     tau, sigma, eta, alpha = cfg.tau, cfg.sigma, cfg.eta, cfg.alpha_relax
     x, Y, Z = state0.x.copy(), state0.Y.copy(), state0.Z.copy()
-    for _ in range(cfg.inner_iters):
+    for i in range(cfg.inner_iters):
         back = synthesize(time_variation_adjoint(Z) * np.conj(rot), w, scfg)
         R = Y + eta * analyze(x - tau * (back + synthesize(Y, w, scfg)), w, scfg).data
         Y_half = R - eta * project_feasible(R / eta, zero, Xc.data)
@@ -383,6 +375,9 @@ def reference_inner(state0, zero, Xc, omega, cfg):
         x = x + alpha * (x_half - x)
         Y = Y + alpha * (Y_half - Y)
         Z = Z + alpha * (Z_half - Z)
+        A = analyze(x, w, scfg).data
+        obj = cfg.lam * float(np.sum(np.abs(time_variation(A * rot))))
+        trace(i + 1, obj, float(np.linalg.norm((A - Xc.data)[:, reliable])))
     return SolverState(x, Y, Z)
 
 
@@ -402,7 +397,7 @@ def oracle_case(scfg, zero, Y0_kind, gap_left=0.0):
         # a real signal's analysis: conjugate-symmetric and non-zero on the gap
         st.Y = analyze(rng.standard_normal(scfg.signal_len), w, scfg).data
     elif Y0_kind == "complex":
-        # no row symmetry, so the solver takes the full-spectrum branch
+        # no row symmetry: only the conjugate-symmetric part reaches x
         st.Y = rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
     omega = estimate_if(st.x, make_hann(scfg.window_len),
                         make_hann_derivative(scfg.window_len), scfg)
@@ -422,27 +417,33 @@ def oracle_case(scfg, zero, Y0_kind, gap_left=0.0):
          1.5, "hermitian", 0.0),
     ],
     ids=["alpha1", "alpha1.5", "gap-dual", "gap-dual-alpha1.5", "stale-gap",
-         "full-spectrum", "short-window"],
+         "complex-dual", "short-window"],
 )
 def test_gcpa_matches_four_transform_reference(scfg, alpha, Y0_kind, gap_left):
     zero = np.array([7, 8]) if scfg.window_len == scfg.channels else np.array([14, 15, 16])
     st0, Xc, omega = oracle_case(scfg, zero, Y0_kind, gap_left)
     cfg = SolverConfig(inner_iters=30, alpha_relax=alpha)
-    got = gcpa_inner(st0, zero, Xc, omega, cfg)
-    ref = reference_inner(st0, zero, Xc, omega, cfg)
-    # On the half-spectrum branch the lower rows are the mirror of the upper
-    # ones by construction.  The reference computes them itself with the
-    # frame ramp exp(-2i*pi*m*a*n/M), whose phase round-off grows with m;
-    # the time variation of a tone cancels to the dual's 1e-2 scale, which
-    # leaves those rows of the reference itself ~1e-9 off.
-    rows = slice(None) if Y0_kind == "complex" else slice(0, scfg.channels // 2 + 1)
-    for a, b in ((got.x, ref.x), (got.Y[rows], ref.Y[rows]), (got.Z[rows], ref.Z[rows])):
+    got_log, ref_log = [], []
+    got = gcpa_inner(st0, zero, Xc, omega, cfg, trace=lambda *r: got_log.append(r))
+    ref = reference_inner(st0, zero, Xc, omega, cfg, trace=lambda *r: ref_log.append(r))
+    # the reference carries the anti-symmetric part of a complex Y0 along;
+    # the solver drops it, since no real x sees it
+    pairs = [(got.x, ref.x), (got.Z, ref.Z),
+             (_hermitian_half(got.Y), _hermitian_half(ref.Y))]
+    if Y0_kind != "complex":
+        pairs.append((got.Y, ref.Y))
+    for a, b in pairs:
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+    assert len(got_log) == len(ref_log) == cfg.inner_iters
+    for (i1, o1, f1), (i2, o2, f2) in zip(got_log, ref_log):
+        assert i1 == i2
+        assert abs(o1 - o2) <= 1e-8 * max(1.0, o2)
+        assert abs(f1 - f2) <= 1e-8 * max(1.0, f2)
 
 
 @pytest.mark.parametrize("Y0_kind, names", [("zero", ("rfft", "irfft")),
-                                            ("complex", ("fft", "ifft"))])
+                                            ("complex", ("rfft", "irfft"))])
 def test_gcpa_two_transforms_per_iteration(monkeypatch, Y0_kind, names):
     zero = np.array([8])
     st0, Xc, omega = oracle_case(SEG, zero, Y0_kind)

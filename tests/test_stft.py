@@ -167,6 +167,14 @@ def test_conjugate_symmetry_of_real_analysis():
     assert symmetry_residual(bad) > 1e-3
 
 
+def test_real_analysis_is_exactly_conjugate_symmetric():
+    # the mirrored rows are copies, and the phase ramp of the Nyquist row is
+    # exactly 1 at an even hop, so no round-off separates X[M-m] from conj(X[m])
+    x = np.random.default_rng(8).standard_normal(DEFAULT.signal_len)
+    X = analyze(x, tight_window(make_hann(DEFAULT.window_len), DEFAULT), DEFAULT)
+    assert symmetry_residual(X) == 0.0
+
+
 def test_phase_convention_column_shift():
     # Delaying the signal by exactly M samples shifts the spectrogram by
     # M/a columns with *identical* phase factors (holds circularly because
