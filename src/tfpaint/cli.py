@@ -36,12 +36,15 @@ THRESHOLDS = {
 # ------------------------------------------------------------- file formats
 
 
-def _ensure_writable(path, force):
-    if os.path.exists(path) and not force:
-        raise ValueError(f"{path} exists; pass --force to overwrite")
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise FileNotFoundError(f"{folder}: no such directory")
+def _ensure_writable(force, *paths):
+    """Refuse existing or unplaceable outputs (empty paths are skipped); the
+    commands check all of theirs before any work, not after it."""
+    for path in filter(None, paths):
+        if os.path.exists(path) and not force:
+            raise ValueError(f"{path} exists; pass --force to overwrite")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"{folder}: no such directory")
 
 
 def read_wav(path):
@@ -58,7 +61,7 @@ def read_wav(path):
 
 
 def write_wav(path, rate, x, force=False):
-    _ensure_writable(path, force)
+    _ensure_writable(force, path)
     q = np.clip(np.round(np.asarray(x) * 32768.0), -32768, 32767)
     wavfile.write(path, rate, q.astype(np.int16))
 
@@ -78,7 +81,7 @@ def read_mask(path):
 
 
 def write_mask(path, mask, hop, force=False):
-    _ensure_writable(path, force)
+    _ensure_writable(force, path)
     payload = {
         "n_cols": int(mask.n_cols),
         "hop": int(hop),
@@ -91,7 +94,7 @@ def write_mask(path, mask, hop, force=False):
 
 def write_spectrogram(path, X, force=False):
     """magic, u32 LE M N hop window_len, then M*N little-endian c16 values."""
-    _ensure_writable(path, force)
+    _ensure_writable(force, path)
     M, N = X.data.shape
     with open(path, "wb") as fh:
         fh.write(SPGM_MAGIC)
@@ -131,15 +134,14 @@ def record_row(r):
 
 
 def write_results(csv_path, json_path, records, summary=None, force=False):
+    _ensure_writable(force, csv_path, json_path)
     rows = [record_row(r) for r in records]
     if csv_path:
-        _ensure_writable(csv_path, force)
         with open(csv_path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=CSV_HEADER)
             w.writeheader()
             w.writerows(rows)
     if json_path:
-        _ensure_writable(json_path, force)
         payload = {"records": rows}
         if summary is not None:
             payload["summary"] = summary
@@ -190,6 +192,7 @@ def cmd_make_mask(args):
 
 
 def cmd_corrupt(args):
+    _ensure_writable(args.force, args.out, args.spec_out)
     mask, hop = read_mask(args.mask)
     rate, x = read_wav(args.infile)
     X = _analyzed(x, mask, hop, args.window, args.channels, args.infile)
@@ -203,10 +206,7 @@ def cmd_corrupt(args):
 
 
 def cmd_inpaint(args):
-    # refuse existing outputs before the solve, not after it
-    for path in (args.out, args.spec_out, args.trace):
-        if path:
-            _ensure_writable(path, args.force)
+    _ensure_writable(args.force, args.out, args.spec_out, args.trace)
     mask, hop = read_mask(args.mask)
     if args.infile.endswith(".wav"):
         rate, x = read_wav(args.infile)
@@ -289,6 +289,7 @@ def _suite(args):
 
 
 def cmd_sweep(args):
+    _ensure_writable(args.force, args.out, args.json)
     suite = _suite(args)
     mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
                      placement=args.placement, seed=args.seed)
@@ -308,6 +309,7 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
+    _ensure_writable(args.force, args.out, args.json)
     suite = _suite(args)
     methods = [m.strip().replace("-", "_") for m in args.methods.split(",")]
     for m in methods:

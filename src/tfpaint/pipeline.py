@@ -182,23 +182,23 @@ def extract_segment(X_corr, gap, pad, cfg):
         signal_len=seg_len * cfg.hop,
     )
     seg = Spectrogram(np.array(X_corr.data[:, s : s + seg_len]), seg_cfg)
-    peak = float(np.max(np.abs(synthesize(seg, default_window(seg_cfg), seg_cfg))))
-    if peak == 0.0:
-        peak = 1.0
     local = ColumnMask(seg_len, np.arange(gap.start - s, gap.stop - s))
-    return GapSegment(gap, (s, seg_len), peak, local), seg
+    return GapSegment(gap, (s, seg_len), _peak(seg), local), seg
+
+
+def _peak(segment):
+    """Peak magnitude of the synthesized segment; 1 for a silent one."""
+    cfg = segment.config
+    return float(np.max(np.abs(synthesize(segment, default_window(cfg), cfg)))) or 1.0
 
 
 def peak_normalize(segment):
     """Scale so the synthesized segment peaks at 1; returns (scaled, peak).
 
-    An all-zero segment is returned unchanged with peak 1.
+    An all-zero segment is returned unchanged (as a copy) with peak 1.
     """
-    cfg = segment.config
-    peak = float(np.max(np.abs(synthesize(segment, default_window(cfg), cfg))))
-    if peak == 0.0:
-        return Spectrogram(segment.data.copy(), cfg), 1.0
-    return Spectrogram(segment.data / peak, cfg), peak
+    peak = _peak(segment)
+    return Spectrogram(segment.data / peak, segment.config), peak
 
 
 def _solve_segment(seg, gap_seg, method, scfg, x_true_seg, trace=None):

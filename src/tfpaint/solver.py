@@ -9,7 +9,8 @@ the conjugate-symmetric part of a coefficient matrix, so the duals are kept
 on frequency rows 0..M//2 and go through the real-input frame operator of
 ``stft``.  Inside the loop the data dual is carried in the time domain, as
 its synthesis, and rebuilt as a matrix once per inner run (see
-``gcpa_inner``).
+``gcpa_inner``).  Every solver uses the tight default window and one dual
+step, ``_dual_step``, whose block norms count the mirrored rows.
 
 Two drivers share one outer loop around the inner iteration:
 
@@ -20,7 +21,8 @@ Two drivers share one outer loop around the inner iteration:
 
 ``cpa_tf_only`` is the ablation without phase correction: a plain
 Chambolle-Pock iteration on the time-direction total variation (omega = 0)
-whose primal stays in the TF domain; one run, kept for comparison.
+whose primal stays in the TF domain, on rows 0..M//2; one run, kept for
+comparison.
 """
 
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ from .stft import (
     _overlap_add,
     _rfft_frames,
     _synthesize,
-    _window,
     default_window,  # public here too, as before the window moved to stft
     make_hann,
     make_hann_derivative,
@@ -66,9 +67,10 @@ class SolverConfig:
     """Step sizes, regularization and iteration budget.
 
     tau/sigma/eta must satisfy tau*sigma*4 <= 1 and tau*eta <= 1 (the
-    operator-norm bounds of the two dual branches); set ``allow_unsafe`` to
-    bypass the check deliberately.  ``thresholder`` defaults to soft
-    thresholding at level ``lam``.
+    operator-norm bounds of the two dual branches for the tight default
+    window, which the solvers always use); set ``allow_unsafe`` to bypass
+    the check deliberately.  ``thresholder`` defaults to soft thresholding
+    at level ``lam``.
     """
 
     tau: float = 0.25
@@ -131,15 +133,39 @@ def _zero_cols(mask):
     return np.asarray(mask.zero_cols if hasattr(mask, "zero_cols") else mask, dtype=int)
 
 
-def initial_state(X_corr, g=None):
+def initial_state(X_corr):
     """Start of the outer loop: x = syn(X_corr), both duals zero."""
     cfg = X_corr.config
-    x0 = _synthesize(_hermitian_half(X_corr.data), _window(g, cfg), cfg)
+    x0 = _synthesize(_hermitian_half(X_corr.data), default_window(cfg).samples, cfg)
     M, N = X_corr.data.shape
     return SolverState(x0, np.zeros((M, N), dtype=complex), np.zeros((M, N - 1), dtype=complex))
 
 
-def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
+def _dual_step(Q, thresh, M):
+    """Q - thresh(Q) for the conjugate-symmetric dual with rows 0..M//2 = Q."""
+    if thresh.kind == "soft":
+        # Q - soft(Q) is the entrywise projection onto the lam-ball
+        mag = np.abs(Q)
+        return Q * (np.minimum(mag, thresh.lam) / np.maximum(mag, 1e-300))
+    # on all M rows, so a block norm counts the mirrored rows too
+    return Q - thresh(_expand(Q, M))[: len(Q)]
+
+
+def _trace_terms(A, rot, Xc, reliable, M, lam):
+    """(lam * ||D(rot*A)||_1, ||P_rel(A - Xc)||_F) over all M rows, given
+    rows 0..M//2 of conjugate-symmetric A and Xc: the DC row counts once,
+    the Nyquist row once when M is even, every other row twice."""
+    row_weight = np.full((len(A), 1), 2.0)
+    row_weight[0] = 1.0
+    if M % 2 == 0:
+        row_weight[-1] = 1.0
+    var = np.abs(time_variation(A * rot))
+    obj = lam * float(np.sum(row_weight * var))
+    diff2 = row_weight * np.abs(A - Xc) ** 2
+    return obj, float(np.sqrt(np.sum(diff2[:, reliable])))
+
+
+def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega.
 
     state0 is not mutated.  ``trace``, if given, is called after each
@@ -168,17 +194,15 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
     a coefficient matrix, so the observation and the starting duals enter
     through that part, and the iteration runs on its rows 0..M//2 with the
-    real-input transforms of ``stft``.  Sums over all M rows weight the DC
-    row once, the Nyquist row once when M is even and every other row
-    twice.  The returned duals are conjugate-symmetric.  Fixed phase
-    factors (frame ramp, omega rotation, step scales) are folded into
-    single precomputed matrices.
+    real-input transforms of ``stft``.  The returned duals are conjugate-
+    symmetric.  Fixed phase factors (frame ramp, omega rotation, step
+    scales) are folded into single precomputed matrices.
     """
     scfg = X_corr.config
-    w = _window(g, scfg)
+    w = default_window(scfg).samples
     M = scfg.channels
     half = M // 2 + 1
-    _, ramp = _frame_plan(scfg)
+    ramp = _frame_plan(scfg)
     rot = correction_factors(_coeffs(omega)[:half], scfg.hop, M)
     Xc = _hermitian_half(X_corr.data)
     zero = _zero_cols(mask)
@@ -186,10 +210,6 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
     reliable[zero] = False
     tau, sigma, eta, alpha = cfg.tau, cfg.sigma, cfg.eta, cfg.alpha_relax
 
-    row_weight = np.full((half, 1), 2.0)
-    row_weight[0] = 1.0
-    if M % 2 == 0:
-        row_weight[-1] = 1.0
     ramp_c = np.conj(ramp)
     ramp_eta = ramp * eta                # step scale folded into the phase
     ramp_rot_sigma = ramp * rot * sigma  # corrected analysis, dual step folded
@@ -198,8 +218,6 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
     x = np.array(state0.x, dtype=float)
     Y0 = _hermitian_half(state0.Y)
     Z = _hermitian_half(state0.Z)
-    thresh = cfg.thresholder
-    soft_lam = thresh.lam if thresh.kind == "soft" else None
     DZ = np.empty((half, Xc.shape[1]), dtype=complex)
 
     # the data dual, carried in time: syn(P_rel Y), syn(P_gap Y0) and its
@@ -229,13 +247,7 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
 
             A2 = _rfft_frames(2.0 * x_half - x, w, scfg)
             A2 *= ramp_rot_sigma
-            Q = Z + (A2[:, :-1] - A2[:, 1:])
-            if soft_lam is not None:
-                # Q - soft(Q) is the entrywise projection onto the lam-ball
-                mag = np.abs(Q)
-                Z_half = Q * (np.minimum(mag, soft_lam) / np.maximum(mag, 1e-300))
-            else:
-                Z_half = Q - thresh(Q)
+            Z_half = _dual_step(Z + (A2[:, :-1] - A2[:, 1:]), cfg.thresholder, M)
 
             if alpha == 1.0:
                 x, Z, syn_rel = x_half, Z_half, syn_Yh
@@ -247,12 +259,7 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, g=None, trace=None):
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(i + 1)
             if trace is not None:
-                A = _analyze(x, w, scfg)
-                var = np.abs(time_variation(A * rot))
-                obj = cfg.lam * float(np.sum(row_weight * var))
-                diff2 = row_weight * np.abs(A - Xc) ** 2
-                feas = float(np.sqrt(np.sum(diff2[:, reliable])))
-                trace(i + 1, obj, feas)
+                trace(i + 1, *_trace_terms(_analyze(x, w, scfg), rot, Xc, reliable, M, cfg.lam))
 
     K = cfg.inner_iters
     Y = Y0 + alpha * (_rfft_frames(S, w, scfg) * ramp_eta
@@ -266,7 +273,7 @@ def _estimate(xhat, scfg):
     return estimate_if(xhat, gh, gd, scfg)
 
 
-def _outer_loop(X_corr, mask, cfg, rounds, omega_of, g=None, trace=None):
+def _outer_loop(X_corr, mask, cfg, rounds, omega_of, trace=None):
     """Up to ``rounds`` inner runs from the synthesized observation, each at
     omega_of(current reconstruction); returns (Spectrogram, info).
 
@@ -274,8 +281,7 @@ def _outer_loop(X_corr, mask, cfg, rounds, omega_of, g=None, trace=None):
     Reliable columns of the result equal X_corr exactly.
     """
     scfg = X_corr.config
-    w = _window(g, scfg)
-    state = initial_state(X_corr, g=w)
+    state = initial_state(X_corr)
     xhat = state.x
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
 
@@ -284,7 +290,7 @@ def _outer_loop(X_corr, mask, cfg, rounds, omega_of, g=None, trace=None):
         sub = None
         if trace is not None:
             sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
-        state = gcpa_inner(state, mask, X_corr, omega, cfg, g=w, trace=sub)
+        state = gcpa_inner(state, mask, X_corr, omega, cfg, trace=sub)
         xhat_prev, xhat = xhat, state.x
         info["outer_iters_used"] = j + 1
         # the starting synthesis is not an output: the first change compared
@@ -296,12 +302,12 @@ def _outer_loop(X_corr, mask, cfg, rounds, omega_of, g=None, trace=None):
                 info["stopped_early"] = True
                 break
 
-    full = _expand(_analyze(xhat, w, scfg), scfg.channels)
+    full = _expand(_analyze(xhat, default_window(scfg).samples, scfg), scfg.channels)
     out = project_feasible(full, _zero_cols(mask), np.asarray(X_corr.data))
     return Spectrogram(out, scfg), info
 
 
-def uphain_tf(X_corr, mask, cfg, g=None, trace=None, return_info=False):
+def uphain_tf(X_corr, mask, cfg, trace=None, return_info=False):
     """Iterated solver: IF re-estimation before every inner run.
 
     X_corr must already be peak-normalized with masked columns zeroed.  The
@@ -311,11 +317,11 @@ def uphain_tf(X_corr, mask, cfg, g=None, trace=None, return_info=False):
     """
     scfg = X_corr.config
     out, info = _outer_loop(X_corr, mask, cfg, cfg.outer_iters + 1,
-                            lambda xhat: _estimate(xhat, scfg), g=g, trace=trace)
+                            lambda xhat: _estimate(xhat, scfg), trace=trace)
     return (out, info) if return_info else out
 
 
-def bphain_tf(X_corr, mask, cfg, omega_source="corrupted", x_true=None, g=None,
+def bphain_tf(X_corr, mask, cfg, omega_source="corrupted", x_true=None,
               trace=None, return_info=False):
     """Single-pass variant: the IF is estimated once, then frozen.
 
@@ -337,7 +343,7 @@ def bphain_tf(X_corr, mask, cfg, omega_source="corrupted", x_true=None, g=None,
         omega_of = lambda xhat: omega
     else:
         raise ValueError(f"unknown omega_source {omega_source!r}")
-    out, info = _outer_loop(X_corr, mask, cfg, 1, omega_of, g=g, trace=trace)
+    out, info = _outer_loop(X_corr, mask, cfg, 1, omega_of, trace=trace)
     return (out, info) if return_info else out
 
 
@@ -348,38 +354,35 @@ def cpa_tf_only(X_corr, mask, cfg, trace=None, return_info=False):
     coefficient matrices with plain Chambolle-Pock: the time-direction total
     variation at omega = 0, so no IF estimate and no outer loop, one run of
     cfg.inner_iters iterations.  Step condition tau*sigma*4 <= 1 covers the
-    operator norm here too (||D|| <= 2).
+    operator norm here too (||D|| <= 2).  The iterates stay conjugate-
+    symmetric, so the loop runs on rows 0..M//2 and expands once at the end.
     """
     scfg = X_corr.config
-    Xc = np.asarray(X_corr.data)
+    M = scfg.channels
+    Xc = _hermitian_half(X_corr.data)
     zero = _zero_cols(mask)
     reliable = np.ones(Xc.shape[1], dtype=bool)
     reliable[zero] = False
 
-    X = np.array(Xc, dtype=complex)
-    X_bar = X.copy()
-    Z = np.zeros((Xc.shape[0], Xc.shape[1] - 1), dtype=complex)
+    X = X_bar = Xc.astype(complex)  # never updated in place
+    Z = np.zeros((len(Xc), Xc.shape[1] - 1), dtype=complex)
     tau, sigma = cfg.tau, cfg.sigma
-    thresh = cfg.thresholder
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.inner_iters):
-            Q = Z + sigma * time_variation(X_bar)
-            Z = Q - thresh(Q)
+            Z = _dual_step(Z + sigma * time_variation(X_bar), cfg.thresholder, M)
             X_new = project_feasible(X - tau * time_variation_adjoint(Z), zero, Xc)
             X_bar = 2.0 * X_new - X
             X = X_new
             if not np.all(np.isfinite(X)):
                 raise DivergenceError(i + 1)
             if trace is not None:
-                obj = cfg.lam * float(np.sum(np.abs(time_variation(X))))
-                feas = float(np.linalg.norm((X - Xc)[:, reliable]))
-                trace(i + 1, obj, feas)
+                trace(i + 1, *_trace_terms(X, 1.0, Xc, reliable, M, cfg.lam))
 
-    out = Spectrogram(project_feasible(X, zero, Xc), scfg)
-    if return_info:
-        return out, {"outer_iters_used": 1, "stopped_early": False, "final_change": None}
-    return out
+    # projecting against the full observation keeps reliable columns exact
+    out = Spectrogram(project_feasible(_expand(X, M), zero, X_corr.data), scfg)
+    info = {"outer_iters_used": 1, "stopped_early": False, "final_change": None}
+    return (out, info) if return_info else out
 
 
 def operator_norm_estimate(apply, apply_adjoint, probe_shape, iters=50, seed=0):

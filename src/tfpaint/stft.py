@@ -22,6 +22,8 @@ Conventions (these matter; everything downstream relies on them):
   The solver works on the half rows directly through the private helpers
   (``_rfft_frames``/``_irfft_frames`` without the phase ramp, ``_expand``
   and ``_hermitian_half`` at its M-row boundary).
+* Frames are read through a strided view of the circularly extended
+  signal and overlap-added hop by hop, for any hop; no index grid is kept.
 
 Exactness of the frame algebra additionally requires ``channels`` to divide
 ``signal_len`` (alias spacing must be a multiple of the FFT length); the
@@ -149,50 +151,46 @@ def _window(g, cfg):
 
 @lru_cache(maxsize=64)
 def _frame_plan(cfg):
-    """Precomputed index grid and phase ramp for one frame geometry.
+    """Phase ramp ramp[m, n] = exp(-i*2*pi*m*a*n / M) for rows m = 0..M//2.
 
-    Returns (idx, ramp) where idx[k, n] = (a*n + k) mod L gathers windowed
-    frames and ramp[m, n] = exp(-i*2*pi*m*a*n / M), for rows m = 0..M//2,
-    converts frame-local FFT phase to the frequency-invariant convention.
+    It converts frame-local FFT phase to the frequency-invariant convention.
     The exponent m*a*n is reduced modulo M in integers first, so every row
     is rounded once and the Nyquist row is exactly 1 when a*n is even.
     """
-    L, W, a, M = cfg.signal_len, cfg.window_len, cfg.hop, cfg.channels
-    N = cfg.n_frames
-    idx = (np.arange(W)[:, None] + a * np.arange(N)[None, :]) % L
-    k = (np.arange(M // 2 + 1)[:, None] * ((a * np.arange(N)) % M)[None, :]) % M
-    ramp = np.exp(-2j * np.pi * k / M)
-    return idx, ramp
+    a, M = cfg.hop, cfg.channels
+    k = (np.arange(M // 2 + 1)[:, None] * ((a * np.arange(cfg.n_frames)) % M)[None, :]) % M
+    return np.exp(-2j * np.pi * k / M)
 
 
 def _rfft_frames(x, w, cfg):
     """Real-input FFT of the windowed frames of x: rows 0..M//2, with the
-    frame-local phase (no ramp)."""
-    idx, _ = _frame_plan(cfg)
-    return np.fft.rfft(x[idx] * w[:, None], n=cfg.channels, axis=0)
+    frame-local phase (no ramp).  Frame n, samples a*n..a*n+W-1 of x extended
+    circularly by its first W - a samples, is read through a strided view."""
+    W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
+    xe = np.concatenate((x, x[: W - a]))
+    step = xe.strides[0]
+    frames = np.lib.stride_tricks.as_strided(xe, (W, N), (step, a * step), writeable=False)
+    return np.fft.rfft(np.multiply(frames, w[:, None], out=np.empty((W, N))),
+                       n=cfg.channels, axis=0)
 
 
 def _overlap_add(contrib, cfg):
-    """Circular overlap-add of per-frame contributions (W x N) into a signal."""
-    W, a, L, N = cfg.window_len, cfg.hop, cfg.signal_len, cfg.n_frames
-    if W % a == 0:
-        # Fast path: split frames into hop-sized chunks; chunk j of frame n
-        # lands on signal block (n + j) mod N.  Accumulate into a buffer
-        # extended by the overhang, then fold the tail back to the front --
-        # contiguous adds beat modular fancy indexing.
-        q = W // a
-        piece = contrib.reshape(q, a, N)
-        ext = np.zeros((N + q - 1, a))
-        for j in range(q):
-            ext[j : j + N] += piece[j].T
-        if q > 1:
-            ext[: q - 1] += ext[N:]
-        return ext[:N].ravel()
-    x = np.zeros(L)
-    idx, _ = _frame_plan(cfg)
-    for n in range(N):
-        np.add.at(x, idx[:, n], contrib[:, n])
-    return x
+    """Circular overlap-add of per-frame contributions (W x N) into a signal.
+
+    Frames are split into q = ceil(W/a) hop-sized chunks, the last one
+    partial when a does not divide W; chunk j of frame n lands on signal
+    block (n + j) mod N.  Accumulate into a buffer extended by the overhang,
+    then fold the tail back to the front -- contiguous adds beat modular
+    fancy indexing.  One fold suffices: L >= W gives N >= q.
+    """
+    W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
+    q = -(-W // a)
+    ext = np.zeros((N + q - 1, a))
+    for j in range(q):
+        chunk = contrib[j * a : (j + 1) * a]
+        ext[j : j + N, : len(chunk)] += chunk.T
+    ext[: q - 1] += ext[N:]
+    return ext[:N].ravel()
 
 
 def _irfft_frames(V, w, cfg):
@@ -210,16 +208,12 @@ def _irfft_frames(V, w, cfg):
 
 def _analyze(x, w, cfg):
     """Rows 0..M//2 of the analysis of a real signal."""
-    _, ramp = _frame_plan(cfg)
-    X = _rfft_frames(x, w, cfg)
-    X *= ramp
-    return X
+    return _rfft_frames(x, w, cfg) * _frame_plan(cfg)
 
 
 def _synthesize(H, w, cfg):
     """Synthesis of the conjugate-symmetric matrix with rows 0..M//2 = H."""
-    _, ramp = _frame_plan(cfg)
-    return _irfft_frames(H * np.conj(ramp), w, cfg)
+    return _irfft_frames(H * np.conj(_frame_plan(cfg)), w, cfg)
 
 
 def _expand(H, M):

@@ -349,6 +349,42 @@ def test_inpaint_checks_outputs_before_solving(tmp_path, monkeypatch):
     assert not out.exists() and not spec.exists()
 
 
+def test_corrupt_checks_outputs_before_writing(tmp_path):
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=14))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    out = tmp_path / "cc.wav"
+    spec = tmp_path / "cc.spgm"
+    spec.write_bytes(b"keep")
+    assert main(["corrupt", "--in", clean, "--mask", mask, "--out", str(out),
+                 "--spec-out", str(spec)]) == 2
+    assert not out.exists()
+    assert spec.read_bytes() == b"keep"
+
+
+@pytest.mark.parametrize("command, target", [("sweep", "sweep_lambda"),
+                                             ("compare", "compare_methods")])
+def test_sweep_and_compare_check_outputs_before_running(tmp_path, monkeypatch,
+                                                        command, target):
+    def must_not_run(*a, **k):
+        raise AssertionError("ran although an output exists")
+
+    monkeypatch.setattr(cli, target, must_not_run)
+    out = tmp_path / "s.csv"
+    js = tmp_path / "s.json"
+    args = [command, "--seconds", "1", "--kinds", "tone", "--gap-cols", "1",
+            "--inner", "2", "--outer", "1", "--out", str(out), "--json", str(js)]
+    js.write_bytes(b"keep")
+    assert main(args) == 2
+    assert not out.exists()
+    assert js.read_bytes() == b"keep"
+    # an existing first output stops the run too
+    js.unlink()
+    out.write_bytes(b"keep")
+    assert main(args) == 2
+    assert out.read_bytes() == b"keep" and not js.exists()
+
+
 def test_inpaint_rejects_nonfinite_spectrogram(tmp_path, capsys):
     clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=14))
     mask = str(tmp_path / "m.json")

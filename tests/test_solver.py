@@ -7,7 +7,7 @@ from tfpaint.phase_prior import (
     time_variation,
     time_variation_adjoint,
 )
-from tfpaint.prox import Thresholder, project_feasible
+from tfpaint.prox import Thresholder, default_thresholder, project_feasible
 from tfpaint.solver import (
     DivergenceError,
     SolverConfig,
@@ -405,24 +405,27 @@ def oracle_case(scfg, zero, Y0_kind, gap_left=0.0):
 
 
 @pytest.mark.parametrize(
-    "scfg, alpha, Y0_kind, gap_left",
+    "scfg, alpha, Y0_kind, gap_left, kind",
     [
-        (SEG, 1.0, "zero", 0.0),
-        (SEG, 1.5, "zero", 0.0),
-        (SEG, 1.0, "hermitian", 0.0),
-        (SEG, 1.5, "hermitian", 0.0),
-        (SEG, 1.0, "zero", 0.5),
-        (SEG, 1.5, "complex", 0.0),
+        (SEG, 1.0, "zero", 0.0, "soft"),
+        (SEG, 1.5, "zero", 0.0, "soft"),
+        (SEG, 1.0, "hermitian", 0.0, "soft"),
+        (SEG, 1.5, "hermitian", 0.0, "soft"),
+        (SEG, 1.0, "zero", 0.5, "soft"),
+        (SEG, 1.5, "complex", 0.0, "soft"),
         (StftConfig(window_len=1024, hop=256, channels=2048, signal_len=8192),
-         1.5, "hermitian", 0.0),
+         1.5, "hermitian", 0.0, "soft"),
+        # a block norm must count the mirrored rows the solver does not store
+        (SEG, 1.0, "hermitian", 0.0, "l2_block"),
     ],
     ids=["alpha1", "alpha1.5", "gap-dual", "gap-dual-alpha1.5", "stale-gap",
-         "complex-dual", "short-window"],
+         "complex-dual", "short-window", "l2-block"],
 )
-def test_gcpa_matches_four_transform_reference(scfg, alpha, Y0_kind, gap_left):
+def test_gcpa_matches_four_transform_reference(scfg, alpha, Y0_kind, gap_left, kind):
     zero = np.array([7, 8]) if scfg.window_len == scfg.channels else np.array([14, 15, 16])
     st0, Xc, omega = oracle_case(scfg, zero, Y0_kind, gap_left)
-    cfg = SolverConfig(inner_iters=30, alpha_relax=alpha)
+    cfg = SolverConfig(inner_iters=30, alpha_relax=alpha,
+                       thresholder=default_thresholder(kind))
     got_log, ref_log = [], []
     got = gcpa_inner(st0, zero, Xc, omega, cfg, trace=lambda *r: got_log.append(r))
     ref = reference_inner(st0, zero, Xc, omega, cfg, trace=lambda *r: ref_log.append(r))
@@ -463,3 +466,42 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, Y0_kind, names):
         few, many = count(5, alpha), count(15, alpha)
         assert many - few == 2 * 10
         assert few - 2 * 5 <= 6  # fixed set-up and end-of-call work
+
+
+# ------------------------------------------------ full-spectrum tf_only oracle
+
+
+def reference_tf_only(Xc, zero, cfg, trace):
+    """Textbook TF-domain Chambolle-Pock on all M rows."""
+    X = Xc.data.astype(complex)
+    X_bar = X.copy()
+    Z = np.zeros((X.shape[0], X.shape[1] - 1), dtype=complex)
+    reliable = np.ones(X.shape[1], dtype=bool)
+    reliable[zero] = False
+    for i in range(cfg.inner_iters):
+        Q = Z + cfg.sigma * time_variation(X_bar)
+        Z = Q - cfg.thresholder(Q)
+        X_new = project_feasible(X - cfg.tau * time_variation_adjoint(Z), zero, Xc.data)
+        X_bar = 2.0 * X_new - X
+        X = X_new
+        trace(i + 1, cfg.lam * float(np.sum(np.abs(time_variation(X)))),
+              float(np.linalg.norm((X - Xc.data)[:, reliable])))
+    return project_feasible(X, zero, Xc.data)
+
+
+@pytest.mark.parametrize("kind", ["soft", "l2_block"])
+def test_cpa_tf_only_matches_full_spectrum_reference(kind):
+    zero = np.array([7, 8])
+    Xc = corrupted(three_tone(), zero)
+    cfg = SolverConfig(inner_iters=40, thresholder=default_thresholder(kind))
+    got_log, ref_log = [], []
+    got = cpa_tf_only(Xc, zero, cfg, trace=lambda *r: got_log.append(r)).data
+    ref = reference_tf_only(Xc, zero, cfg, trace=lambda *r: ref_log.append(r))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert not np.allclose(got[:, zero], 0.0)  # the gap was filled, not left empty
+    assert len(got_log) == len(ref_log) == cfg.inner_iters
+    for (i1, o1, f1), (i2, o2, f2) in zip(got_log, ref_log):
+        assert i1 == i2
+        assert abs(o1 - o2) <= 1e-10 * max(1.0, o2)
+        assert abs(f1 - f2) <= 1e-10 * max(1.0, f2)

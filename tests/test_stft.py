@@ -15,6 +15,24 @@ from tfpaint.stft import (
 # Small geometry where the O(L*M*N) reference sums are cheap.
 SMALL = StftConfig(window_len=16, hop=8, channels=16, signal_len=64)
 DEFAULT = StftConfig(signal_len=8192)  # paper-preset window/hop/channels
+# frame geometries off the hop-divides-window path: a hop that does not
+# divide window_len (the last hop-sized chunk of a frame is partial, and the
+# overhang spans two blocks), and a hop equal to window_len (no overlap)
+UNEVEN = StftConfig(window_len=6, hop=4, channels=8, signal_len=16)
+NO_OVERLAP = StftConfig(window_len=8, hop=8, channels=8, signal_len=32)
+
+
+def geometries():
+    """(cfg, window) pairs: Hann where it covers every sample, else a
+    window without zeros (Hann leaves gaps when hop == window_len)."""
+    rect = Window(1.0 + make_hann(NO_OVERLAP.window_len).samples)
+    return [(SMALL, make_hann(SMALL.window_len)),
+            (UNEVEN, make_hann(UNEVEN.window_len)), (NO_OVERLAP, rect)]
+
+
+def random_coeffs(rng, cfg):
+    shape = (cfg.channels, cfg.n_frames)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def oracle_analyze(x, w, cfg):
@@ -46,20 +64,20 @@ def oracle_synthesize(X, w, cfg):
 
 def test_analyze_matches_direct_summation():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(SMALL.signal_len)
-    g = make_hann(SMALL.window_len)
-    got = analyze(x, g, SMALL).data
-    want = oracle_analyze(x, g.samples, SMALL)
-    assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+    for cfg, g in geometries():
+        x = rng.standard_normal(cfg.signal_len)
+        got = analyze(x, g, cfg).data
+        want = oracle_analyze(x, g.samples, cfg)
+        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_synthesize_matches_direct_summation():
     rng = np.random.default_rng(1)
-    Y = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-    g = make_hann(SMALL.window_len)
-    got = synthesize(Y, g, SMALL)
-    want = oracle_synthesize(Y, g.samples, SMALL)
-    assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
+    for cfg, g in geometries():
+        Y = random_coeffs(rng, cfg)
+        got = synthesize(Y, g, cfg)
+        want = oracle_synthesize(Y, g.samples, cfg)
+        assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_hann_values():
@@ -120,20 +138,22 @@ def test_round_trip_and_parseval_default_config():
 
 def test_round_trip_small_config():
     rng = np.random.default_rng(3)
-    gt = tight_window(make_hann(SMALL.window_len), SMALL)
-    x = rng.standard_normal(SMALL.signal_len)
-    assert np.linalg.norm(x - synthesize(analyze(x, gt, SMALL), gt, SMALL)) <= 1e-10 * np.linalg.norm(x)
+    for cfg, g in geometries():
+        gt = tight_window(g, cfg)
+        x = rng.standard_normal(cfg.signal_len)
+        assert np.linalg.norm(x - synthesize(analyze(x, gt, cfg), gt, cfg)) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_adjoint_identity():
     rng = np.random.default_rng(4)
-    gt = tight_window(make_hann(SMALL.window_len), SMALL)
-    for _ in range(20):
-        x = rng.standard_normal(SMALL.signal_len)
-        Y = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-        lhs = np.sum(analyze(x, gt, SMALL).data * np.conj(Y)).real
-        rhs = np.dot(x, synthesize(Y, gt, SMALL))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    for cfg, g in geometries():
+        gt = tight_window(g, cfg)
+        for _ in range(20):
+            x = rng.standard_normal(cfg.signal_len)
+            Y = random_coeffs(rng, cfg)
+            lhs = np.sum(analyze(x, gt, cfg).data * np.conj(Y)).real
+            rhs = np.dot(x, synthesize(Y, gt, cfg))
+            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_analyze_zero_signal():
