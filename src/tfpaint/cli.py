@@ -341,7 +341,8 @@ def build_parser():
     solver.add_argument("--inner", type=int, default=500,
                         help="inner iterations per frequency estimate (default 500)")
     solver.add_argument("--outer", type=int, default=10,
-                        help="outer re-estimation rounds (default 10)")
+                        help="uphain's IF re-estimations: up to OUTER+1 inner runs "
+                             "(default 10); bphain and tf-only run once")
     solver.add_argument("--eps", type=float, default=0.001,
                         help="outer-loop stopping threshold (default 0.001)")
     solver.add_argument("--threshold", choices=sorted(THRESHOLDS),

@@ -1,16 +1,16 @@
 """Primal-dual solvers for spectrogram inpainting.
 
-The workhorse is a generalized Chambolle-Pock iteration whose primal lives in
-the time domain (a real signal) while both duals are TF matrices; the
-penalty is the phase-corrected total variation of the analysis coefficients
-and the data constraint is enforced by projection onto the set of matrices
-agreeing with the observation on reliable columns.  A real primal sees only
-the conjugate-symmetric part of a coefficient matrix, so the duals are kept
-on frequency rows 0..M//2 and go through the real-input frame operator of
-``stft``.  Inside the loop the data dual is carried in the time domain, as
-its synthesis, and rebuilt as a matrix once per inner run (see
-``gcpa_inner``).  Every solver uses the tight default window and one dual
-step, ``_dual_step``, whose block norms count the mirrored rows.
+The workhorse is a Chambolle-Pock iteration whose primal lives in the time
+domain (a real signal) while its one dual is a TF matrix; the penalty is the
+phase-corrected total variation of the analysis coefficients.  The data
+constraint -- agree with the observation on the reliable columns -- needs
+no dual: each column is one frame and M >= W, so the reliable columns fix
+the signal wherever their windows reach, and the iteration moves only the
+samples they leave free (see ``gcpa_inner``).  A real primal sees only the
+conjugate-symmetric part of a coefficient matrix, so the dual is kept on
+frequency rows 0..M//2 and goes through the real-input frame operator of
+``stft``.  Every solver uses the tight default window and one dual step,
+``_dual_step``, whose block norms count the mirrored rows.
 
 Two drivers share one outer loop around the inner iteration:
 
@@ -54,6 +54,16 @@ from .stft import (
 )
 
 
+# A sample is left free when d_rel, the share of its tight-frame energy
+# M*sum_n w(t - a*n)**2 = 1 that the reliable frames carry, is at most this
+# (about the square root of the double epsilon).  Fixing a sample at
+# b / d_rel amplifies an error in the observation by up to 1/sqrt(d_rel), so
+# the cut bounds that gain at 1e4.  With W = 2048 at hop W/4, d_rel next to
+# a window zero is 3.7e-12: a 3-column gap leaves 15 samples free, not 1,
+# and a gap of g >= 4 columns (g - 3)*512 + 15.
+FREE_DREL = 1e-8
+
+
 class DivergenceError(RuntimeError):
     """Raised when an iterate stops being finite."""
 
@@ -66,16 +76,14 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Step sizes, regularization and iteration budget.
 
-    tau/sigma/eta must satisfy tau*sigma*4 <= 1 and tau*eta <= 1 (the
-    operator-norm bounds of the two dual branches for the tight default
-    window, which the solvers always use); set ``allow_unsafe`` to bypass
-    the check deliberately.  ``thresholder`` defaults to soft thresholding
-    at level ``lam``.
+    tau/sigma must satisfy tau*sigma*4 <= 1 (||D R_omega ana|| <= 2 for the
+    tight default window, which the solvers always use); set
+    ``allow_unsafe`` to bypass the check deliberately.  ``thresholder``
+    defaults to soft thresholding at level ``lam``.
     """
 
     tau: float = 0.25
     sigma: float = 1.0
-    eta: float = 4.0
     lam: float = 0.01
     inner_iters: int = 500
     outer_iters: int = 10
@@ -85,7 +93,7 @@ class SolverConfig:
     allow_unsafe: bool = False
 
     def __post_init__(self):
-        if min(self.tau, self.sigma, self.eta) <= 0:
+        if min(self.tau, self.sigma) <= 0:
             raise ValueError("step sizes must be positive")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
@@ -97,27 +105,20 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.alpha_relax < 2.0:
             raise ValueError("alpha_relax must lie in (0, 2)")
-        if not self.allow_unsafe:
-            if self.tau * self.sigma * 4.0 > 1.0 + 1e-12:
-                raise ValueError(
-                    "tau*sigma*4 > 1 violates the dual step condition "
-                    "(pass allow_unsafe=True to override)"
-                )
-            if self.tau * self.eta > 1.0 + 1e-12:
-                raise ValueError(
-                    "tau*eta > 1 violates the dual step condition "
-                    "(pass allow_unsafe=True to override)"
-                )
+        if not self.allow_unsafe and self.tau * self.sigma * 4.0 > 1.0 + 1e-12:
+            raise ValueError(
+                "tau*sigma*4 > 1 violates the dual step condition "
+                "(pass allow_unsafe=True to override)"
+            )
         if self.thresholder is None:
             object.__setattr__(self, "thresholder", Thresholder("soft", lam=self.lam))
 
 
 @dataclass
 class SolverState:
-    """Primal signal x plus the two dual matrices (M x N and M x (N-1))."""
+    """Primal signal x plus the dual matrix Z (M x (N-1))."""
 
     x: np.ndarray
-    Y: np.ndarray
     Z: np.ndarray
 
 
@@ -134,11 +135,11 @@ def _zero_cols(mask):
 
 
 def initial_state(X_corr):
-    """Start of the outer loop: x = syn(X_corr), both duals zero."""
+    """Start of the outer loop: x = syn(X_corr), the dual zero."""
     cfg = X_corr.config
     x0 = _synthesize(_hermitian_half(X_corr.data), default_window(cfg).samples, cfg)
     M, N = X_corr.data.shape
-    return SolverState(x0, np.zeros((M, N), dtype=complex), np.zeros((M, N - 1), dtype=complex))
+    return SolverState(x0, np.zeros((M, N - 1), dtype=complex))
 
 
 def _dual_step(Q, thresh, M):
@@ -165,6 +166,22 @@ def _trace_terms(A, rot, Xc, reliable, M, lam):
     return obj, float(np.sqrt(np.sum(diff2[:, reliable])))
 
 
+def _free_samples(Xc, reliable, w, scfg):
+    """(free, x_det): the samples the reliable columns leave free, and the
+    values they fix everywhere else.
+
+    syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
+    the reliable frames (the mask removes whole frames, M >= W).  So a
+    signal agreeing with Xc on the reliable columns has d_rel*x = b with
+    b = syn(P_rel Xc), and x = b / d_rel wherever d_rel > 0.  Samples with
+    d_rel <= FREE_DREL are left free instead, where the division would
+    amplify errors in Xc too much.
+    """
+    d_rel = _overlap_add((w * (w * scfg.channels))[:, None] * reliable, scfg)
+    x_det = _synthesize(Xc * reliable, w, scfg) / np.maximum(d_rel, FREE_DREL)
+    return d_rel <= FREE_DREL, x_det
+
+
 def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega.
 
@@ -174,27 +191,19 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     analysis per iteration.  Divergence (non-finite primal) raises
     DivergenceError with the iteration index.
 
-    Data dual in time.  With v = x - tau*(syn(R*_omega D* Z) + syn(Y)), the
-    data step is Y_half = P_rel(Y + eta*(ana(v) - Xc)), and the primal
-    update needs only syn(Y_half).  The mask removes whole columns and each
-    column is one frame, so syn o P_rel o ana is diagonal in time: it
-    multiplies by d_rel = OLA over the reliable frames of M*w**2, the
-    overlap-add of the squared window.  Hence syn(Y_half) =
-    syn(P_rel Y) + eta*(d_rel*v - b) with b = syn(P_rel Xc), both fixed per
-    call, and Y is never transformed inside the loop.  Relaxation keeps this
-    linear: the reliable part moves by alpha*eta*P_rel(ana(v) - Xc) per
-    step, and the gap part only decays, P_gap Y_k = (1 - alpha)**k P_gap Y0
-    (zero after one step at alpha = 1).  So after K steps
-    Y = P_rel(Y0 + alpha*eta*(ana(S) - K*Xc)) plus the decayed gap part,
-    where S is the sum of the v's.  S is accumulated relative to
-    x_ref = state0.x, with K*(ana(x_ref) - Xc) added back, so the long sum
-    does not cancel digits.  Each iteration is left with one synthesis and
-    one analysis, both in the total-variation branch.
+    Free samples.  The reliable columns fix x wherever their windows reach
+    (``_free_samples``), so the feasible set is "those samples at x_det,
+    the rest free", and the data constraint needs no dual: this is plain
+    Chambolle-Pock on min lam*||D R_omega ana(x)||_1 over the free samples.
+    The primal step moves only the free samples and holds the others at
+    x_det; the start is reset to x_det there too, so relaxation keeps every
+    iterate feasible.  A gap of one or two columns at hop W/4 leaves no free
+    sample and comes back as x_det.
 
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
-    a coefficient matrix, so the observation and the starting duals enter
+    a coefficient matrix, so the observation and the starting dual enter
     through that part, and the iteration runs on its rows 0..M//2 with the
-    real-input transforms of ``stft``.  The returned duals are conjugate-
+    real-input transforms of ``stft``.  The returned dual is conjugate-
     symmetric.  Fixed phase factors (frame ramp, omega rotation, step
     scales) are folded into single precomputed matrices.
     """
@@ -205,30 +214,18 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     ramp = _frame_plan(scfg)
     rot = correction_factors(_coeffs(omega)[:half], scfg.hop, M)
     Xc = _hermitian_half(X_corr.data)
-    zero = _zero_cols(mask)
     reliable = np.ones(Xc.shape[1], dtype=bool)
-    reliable[zero] = False
-    tau, sigma, eta, alpha = cfg.tau, cfg.sigma, cfg.eta, cfg.alpha_relax
+    reliable[_zero_cols(mask)] = False
+    alpha = cfg.alpha_relax
 
-    ramp_c = np.conj(ramp)
-    ramp_eta = ramp * eta                # step scale folded into the phase
-    ramp_rot_sigma = ramp * rot * sigma  # corrected analysis, dual step folded
-    rcr = np.conj(rot) * ramp_c          # corrected-adjoint synthesis factor
+    ramp_rot_sigma = ramp * rot * cfg.sigma  # corrected analysis, dual step folded
+    rcr = np.conj(rot * ramp)                # corrected-adjoint synthesis factor
 
-    x = np.array(state0.x, dtype=float)
-    Y0 = _hermitian_half(state0.Y)
+    free, x_det = _free_samples(Xc, reliable, w, scfg)
+    tau_free = cfg.tau * free                # primal step, zero on fixed samples
+    x = np.where(free, state0.x, x_det)
     Z = _hermitian_half(state0.Z)
     DZ = np.empty((half, Xc.shape[1]), dtype=complex)
-
-    # the data dual, carried in time: syn(P_rel Y), syn(P_gap Y0) and its
-    # decay factor, eta*d_rel, eta*b and the sum of v - x_ref
-    eta_d = eta * _overlap_add((w * (w * M))[:, None] * reliable, scfg)
-    eta_b = eta * _irfft_frames(Xc * reliable * ramp_c, w, scfg)
-    syn_rel = _irfft_frames(Y0 * reliable * ramp_c, w, scfg)
-    syn_gap = _irfft_frames(Y0 * ~reliable * ramp_c, w, scfg)
-    gap_decay = 1.0
-    x_ref = x.copy()
-    S = np.zeros_like(x)
 
     # divergence is detected explicitly, so silence the overflow warnings a
     # blown-up iterate would otherwise spray before the check fires
@@ -238,34 +235,23 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
             DZ[:, 0] = Z[:, 0]
             np.subtract(Z[:, 1:], Z[:, :-1], out=DZ[:, 1:-1])
             np.negative(Z[:, -1], out=DZ[:, -1])
-            back = _irfft_frames(DZ * rcr, w, scfg)
-
-            v = x - tau * (back + syn_rel + gap_decay * syn_gap)
-            S += v - x_ref
-            syn_Yh = syn_rel + (eta_d * v - eta_b)
-            x_half = x - tau * (back + syn_Yh)
+            x_half = x - tau_free * _irfft_frames(DZ * rcr, w, scfg)
 
             A2 = _rfft_frames(2.0 * x_half - x, w, scfg)
             A2 *= ramp_rot_sigma
             Z_half = _dual_step(Z + (A2[:, :-1] - A2[:, 1:]), cfg.thresholder, M)
 
             if alpha == 1.0:
-                x, Z, syn_rel = x_half, Z_half, syn_Yh
+                x, Z = x_half, Z_half
             else:
                 x = x + alpha * (x_half - x)
                 Z = Z + alpha * (Z_half - Z)
-                syn_rel = syn_rel + alpha * (syn_Yh - syn_rel)
-            gap_decay *= 1.0 - alpha
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(i + 1)
             if trace is not None:
                 trace(i + 1, *_trace_terms(_analyze(x, w, scfg), rot, Xc, reliable, M, cfg.lam))
 
-    K = cfg.inner_iters
-    Y = Y0 + alpha * (_rfft_frames(S, w, scfg) * ramp_eta
-                      + K * (_rfft_frames(x_ref, w, scfg) * ramp_eta - eta * Xc))
-    Y[:, zero] = gap_decay * Y0[:, zero]
-    return SolverState(x, _expand(Y, M), _expand(Z, M))
+    return SolverState(x, _expand(Z, M))
 
 
 def _estimate(xhat, scfg):

@@ -217,18 +217,30 @@ def test_corrupt_then_inpaint_end_to_end(tmp_path, capsys):
     assert restored_snr > 30.0
 
 
-def test_inpaint_from_wav_route_runs(tmp_path):
+def wav_route(tmp_path, gap_cols):
+    """(corrupted, restored) samples of the corrupt-then-inpaint WAV route."""
     clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=8))
     mask = str(tmp_path / "m.json")
     corrupted = str(tmp_path / "cc.wav")
     restored = str(tmp_path / "r.wav")
-    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", str(gap_cols),
+                 "--out", mask]) == 0
     assert main(["corrupt", "--in", clean, "--mask", mask, "--out", corrupted]) == 0
     assert main(["inpaint", "--in", corrupted, "--mask", mask, "--out", restored,
                  "--inner", "20", "--outer", "1"]) == 0
-    _, broken = read_wav(corrupted)
-    _, fixed = read_wav(restored)
+    return read_wav(corrupted)[1], read_wav(restored)[1]
+
+
+def test_inpaint_from_wav_route_runs(tmp_path):
+    broken, fixed = wav_route(tmp_path, 4)  # four columns leave samples free
     assert not np.array_equal(broken, fixed)
+
+
+def test_inpaint_from_wav_route_narrow_gap_comes_back_unchanged(tmp_path):
+    # the re-analysed reliable columns fix every sample of a one-column gap,
+    # at the values the corrupted WAV already holds
+    broken, fixed = wav_route(tmp_path, 1)
+    assert np.array_equal(broken, fixed)
 
 
 def test_inpaint_empty_mask_round_trips(tmp_path):

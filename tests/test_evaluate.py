@@ -236,24 +236,36 @@ def test_short_signal_rejected():
         sweep_lambda([("short", np.ones(100))], mask, [1e-2], scfg=FAST)
 
 
-def test_error_energy_lives_in_gap_affected_samples():
-    # feasible outputs only alter gap columns, so after synthesis the error
-    # against the ground truth is confined to samples those columns touch
-    from tfpaint.pipeline import find_gaps, inpaint_spectrogram
+def restoration_error(gap_cols):
+    from tfpaint.pipeline import inpaint_spectrogram
 
-    mask = make_mask(1, SR, HOP, 2)
+    mask = make_mask(1, SR, HOP, gap_cols)
     x = make_test_signal("multitone", 1.0, SR, seed=4)[: mask.n_cols * HOP]
     cfg = StftConfig(M, HOP, M, len(x))
     X = analyze(x, default_window(cfg), cfg)
     out = inpaint_spectrogram(apply_mask(X, mask), mask, scfg=FAST)
-    err = x - synthesize(out, default_window(cfg), cfg)
+    return mask, x - synthesize(out, default_window(cfg), cfg)
 
-    affected = np.zeros(len(x), dtype=bool)
+
+def test_error_energy_lives_in_gap_affected_samples():
+    # feasible outputs only alter gap columns, so after synthesis the error
+    # against the ground truth is confined to samples those columns touch
+    from tfpaint.pipeline import find_gaps
+
+    mask, err = restoration_error(4)  # four columns leave samples free
+
+    affected = np.zeros(len(err), dtype=bool)
     for gap in find_gaps(mask):
         for n in gap:
-            idx = (n * HOP + np.arange(M)) % len(x)
+            idx = (n * HOP + np.arange(M)) % len(err)
             affected[idx] = True
     outside = float(np.sum(err[~affected] ** 2))
     total = float(np.sum(err**2))
     assert total > 0.0
     assert outside <= 1e-9 * total
+
+
+def test_two_column_gap_restores_to_round_off():
+    # its reliable columns fix every sample the gap touches
+    _, err = restoration_error(2)
+    assert float(np.sum(err**2)) <= 1e-20

@@ -16,6 +16,7 @@ from tfpaint.pipeline import (
     make_mask,
     peak_normalize,
 )
+from tfpaint.prox import default_thresholder
 from tfpaint.solver import DivergenceError, SolverConfig, default_window
 from tfpaint.stft import Spectrogram, StftConfig, analyze, synthesize
 
@@ -335,11 +336,22 @@ def test_inpaint_validation():
         inpaint_spectrogram(Xc, ColumnMask(30, [13]), scfg=FAST)
 
 
+# unsafe steps with an unbounded dual step (soft's clip keeps the dual in
+# the lam-ball, which bounds the iterates at any step size)
+WILD = SolverConfig(tau=5.0, sigma=5.0, inner_iters=400, outer_iters=1, allow_unsafe=True,
+                    thresholder=default_thresholder("l2_squared"))
+
+
 def test_inpaint_divergence_propagates():
-    mask = make_mask(1, SR, HOP, 1)
+    mask = make_mask(1, SR, HOP, 4)  # four columns leave samples free
     Xc, _ = corrupted(28, mask)
-    wild = SolverConfig(
-        tau=5.0, sigma=5.0, eta=5.0, inner_iters=400, outer_iters=1, allow_unsafe=True
-    )
     with pytest.raises(DivergenceError):
-        inpaint_spectrogram(Xc, mask, scfg=wild)
+        inpaint_spectrogram(Xc, mask, scfg=WILD)
+
+
+def test_inpaint_one_column_gap_has_nothing_to_diverge():
+    # the reliable columns fix every sample, so the unsafe steps never act
+    mask = make_mask(1, SR, HOP, 1)
+    Xc, X = corrupted(28, mask)
+    out = inpaint_spectrogram(Xc, mask, scfg=WILD)
+    assert np.max(np.abs(out.data - X.data)) <= 1e-12 * np.max(np.abs(X.data))
