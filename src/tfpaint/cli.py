@@ -247,8 +247,7 @@ def cmd_inpaint(args):
             rows.append((gap.start, i, obj, feas))
 
     out = inpaint_spectrogram(Xc, mask, method=method, scfg=solver_config(args),
-                              pad=args.pad, x_true=x_true, jobs=args.jobs,
-                              trace=trace)
+                              x_true=x_true, jobs=args.jobs, trace=trace)
     write_wav(args.out, rate,
               synthesize(out, default_window(out.config), out.config), args.force)
     if args.spec_out:
@@ -411,14 +410,14 @@ def build_parser():
                     help="also write the restored spectrogram")
     ip.add_argument("--method", choices=["uphain", "bphain", "bphain-oracle",
                                          "tf-only"], default="uphain")
-    ip.add_argument("--pad", type=int, default=4,
-                    help="context columns each side of a gap (default 4)")
     ip.add_argument("--truth", default=None,
                     help="clean WAV (required for bphain-oracle)")
     ip.add_argument("--trace", default=None,
-                    help="write per-iteration objective/feasibility CSV here")
+                    help="write per-iteration objective/feasibility CSV here: "
+                         "one block of rows per frame run, keyed by the start "
+                         "column of its first gap")
     ip.add_argument("--jobs", type=int, default=_default_jobs(),
-                    help="parallel gap workers (env TFPAINT_JOBS)")
+                    help="parallel frame-run workers (env TFPAINT_JOBS)")
     ip.add_argument("--sr", type=int, default=16000,
                     help="output rate when the input is a spectrogram file")
     ip.add_argument("--force", action="store_true")

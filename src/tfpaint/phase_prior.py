@@ -47,12 +47,14 @@ def _coeffs(X):
     return np.asarray(X)
 
 
-def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10):
+def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
     """Entrywise instantaneous-frequency offsets of a real signal, in bins.
 
     Parameters
     ----------
-    x : real signal of length cfg.signal_len
+    x : real signal of length cfg.signal_len, or (circular False) the span
+        buffer of a run of frames (see ``stft``): offsets and magnitude
+        floor are then the run's
     g : analysis window
     g_prime : derivative window of g (same scale convention)
     cfg : StftConfig
@@ -61,12 +63,12 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10):
         a meaningless ratio.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.signal_len,):
+    if circular and x.shape != (cfg.signal_len,):
         raise ValueError("signal length does not match config")
     # the frame ramp multiplies both analyses alike and cancels in the
     # ratio, so the frame-local transforms of rows 0..M//2 suffice
-    Xg = _rfft_frames(x, _window(g, cfg), cfg)
-    Xd = _rfft_frames(x, _window(g_prime, cfg), cfg)
+    Xg = _rfft_frames(x, _window(g, cfg), cfg, circular)
+    Xd = _rfft_frames(x, _window(g_prime, cfg), cfg, circular)
     mag = np.abs(Xg)
     floor = mag_floor * np.max(mag)
     ok = mag > floor

@@ -12,6 +12,10 @@ frequency rows 0..M//2 and goes through the real-input frame operator of
 ``stft``.  Every solver uses the tight default window and one dual step,
 ``_dual_step``, whose block norms count the mirrored rows.
 
+``frame_runs`` groups the gaps of a mask into independent runs of frames
+on the full-length grid, and ``solve_run`` solves one on its own sample
+span; the drivers solve the whole circle, the one run that folds.
+
 Two drivers share one outer loop around the inner iteration:
 
 * ``uphain_tf``   -- re-estimates the instantaneous frequency from the current
@@ -40,7 +44,6 @@ from .phase_prior import (
 from .prox import Thresholder, project_feasible
 from .stft import (
     Spectrogram,
-    _analyze,
     _expand,
     _frame_plan,
     _hermitian_half,
@@ -53,6 +56,7 @@ from .stft import (
     make_hann_derivative,
 )
 
+METHODS = ("uphain", "bphain", "bphain_oracle", "tf_only")
 
 # A sample is left free when d_rel, the share of its tight-frame energy
 # M*sum_n w(t - a*n)**2 = 1 that the reliable frames carry, is at most this
@@ -152,7 +156,126 @@ def _dual_step(Q, thresh, M):
     return Q - thresh(_expand(Q, M))[: len(Q)]
 
 
-def _trace_terms(A, rot, Xc, reliable, M, lam):
+def find_gaps(mask):
+    """Maximal runs of consecutive zero columns, ascending, as ranges."""
+    cols = np.unique(_zero_cols(mask))
+    runs = np.split(cols, np.flatnonzero(np.diff(cols) > 1) + 1)
+    return [range(int(r[0]), int(r[-1]) + 1) for r in runs if r.size]
+
+
+@dataclass(frozen=True)
+class FrameRun:
+    """Frames start .. start + count - 1 (modulo N) of the full-length grid,
+    on which the gaps in ``gaps`` (column ranges, in frame order) are solved."""
+
+    start: int
+    count: int
+    gaps: tuple
+
+
+def _reach(start, count, cfg):
+    """(r, frames, span): frames start..start+count-1 with the r = ceil(W/a)-1
+    each side that reach their samples (mod N; none for the whole circle),
+    and the slice of the frames' span buffer that holds those samples."""
+    W, a = cfg.window_len, cfg.hop
+    if count == cfg.n_frames:
+        return 0, np.arange(count), slice(None)
+    r = -(-W // a) - 1
+    frames = (start - r + np.arange(count + 2 * r)) % cfg.n_frames
+    return r, frames, slice(a * r, a * (r + count - 1) + W)
+
+
+def frame_runs(zero_cols, cfg):
+    """Group the gaps of a mask into independent frame runs.
+
+    A gap's run is its own columns plus every frame that touches one of its
+    free samples, widened by one frame each side for the time difference;
+    runs that share a frame merge, modulo N at the file ends.  The terms
+    other frames form are constant.  A run that would reach round the
+    circle onto itself (see ``_reach``) becomes the whole circle.
+    """
+    gaps = find_gaps(zero_cols)
+    W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
+    w = default_window(cfg).samples
+    reliable = ~np.isin(np.arange(N), _zero_cols(zero_cols))
+    spans = []
+    for gap in gaps:
+        _, frames, span = _reach(gap.start, len(gap), cfg)
+        d_rel = _overlap_add((w * (w * cfg.channels))[:, None] * reliable[frames], cfg, False)
+        free = a * gap.start + np.flatnonzero(d_rel[span] <= FREE_DREL)
+        lo, hi = gap.start, gap.stop - 1
+        if free.size:  # frame n touches sample t when a*n <= t < a*n + W
+            lo, hi = min(lo, -((W - 1 - int(free[0])) // a)), max(hi, int(free[-1]) // a)
+        spans.append([lo - 1, hi + 1])
+
+    merged = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + N:
+        merged[-1][1] = max(merged[-1][1], merged.pop(0)[1] + N)
+    r = -(-W // a) - 1  # as in _reach
+    if any(hi - lo + 1 >= N or a * (hi - lo + 2 * r) + W > cfg.signal_len for lo, hi in merged):
+        return [FrameRun(0, N, tuple(gaps))]
+    return [FrameRun(lo % N, hi - lo + 1,
+                     tuple(sorted((g for g in gaps if (g.start - lo) % N <= hi - lo),
+                                  key=lambda g: (g.start - lo) % N)))
+            for lo, hi in merged]
+
+
+@dataclass
+class _Run:
+    """A FrameRun set up for the solvers (see ``_observe``): Xc, reliable,
+    gaps (positions) and ramp over its frames; free, x_det and x0 over its
+    span; cols, the grid columns of its gaps; cut, the position of its pair
+    N-1 -> 0, which is no difference term (or an empty slice); peak, the
+    scale its data was divided by."""
+
+    cfg: object
+    circular: bool
+    Xc: np.ndarray
+    reliable: np.ndarray
+    gaps: np.ndarray
+    cols: np.ndarray
+    free: np.ndarray
+    x_det: np.ndarray
+    ramp: np.ndarray
+    cut: object
+    x0: np.ndarray = None
+    peak: float = 1.0
+
+
+def _observe(X_corr, zero, run=None):
+    """Set up a FrameRun of X_corr from the columns that reach it, scaled so
+    the synthesized observation, its start, peaks at 1 on its span (lam
+    keeps its scale); or (run None) the whole spectrogram, as given."""
+    cfg = X_corr.config
+    N = cfg.n_frames
+    w = default_window(cfg).samples
+    start, count = (0, N) if run is None else (run.start, run.count)
+    circular = count == N
+    reach, frames, span = _reach(start, count, cfg)
+    Xh = _hermitian_half(X_corr.data if circular else X_corr.data[:, frames])
+    reliable = ~np.isin(frames, zero)
+
+    x0, peak = None, 1.0
+    if run is not None:
+        ramp = _frame_plan(cfg, start - reach, len(frames))
+        x0 = _irfft_frames(Xh * np.conj(ramp), w, cfg, circular)[span]
+        peak = float(np.max(np.abs(x0))) or 1.0
+        Xh, x0 = Xh / peak, x0 / peak
+    free, x_det = _free_samples(Xh, reliable, w, cfg, start - reach, circular)
+
+    inner = slice(reach, reach + count)
+    gaps = np.flatnonzero(~reliable[inner])
+    cut = N - 1 - start if start + count > N and not circular else slice(0)
+    return _Run(cfg, circular, Xh[:, inner], reliable[inner], gaps, frames[inner][gaps],
+                free[span], x_det[span], _frame_plan(cfg, start, count), cut, x0, peak)
+
+
+def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
     """(lam * ||D(rot*A)||_1, ||P_rel(A - Xc)||_F) over all M rows, given
     rows 0..M//2 of conjugate-symmetric A and Xc: the DC row counts once,
     the Nyquist row once when M is even, every other row twice."""
@@ -161,14 +284,16 @@ def _trace_terms(A, rot, Xc, reliable, M, lam):
     if M % 2 == 0:
         row_weight[-1] = 1.0
     var = np.abs(time_variation(A * rot))
+    var[:, cut] = 0.0
     obj = lam * float(np.sum(row_weight * var))
     diff2 = row_weight * np.abs(A - Xc) ** 2
     return obj, float(np.sqrt(np.sum(diff2[:, reliable])))
 
 
-def _free_samples(Xc, reliable, w, scfg):
+def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
     """(free, x_det): the samples the reliable columns leave free, and the
-    values they fix everywhere else.
+    values they fix everywhere else, for the frames from ``start`` that Xc
+    (rows 0..M//2) and ``reliable`` cover: over their span, or the circle.
 
     syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
     the reliable frames (the mask removes whole frames, M >= W).  So a
@@ -177,17 +302,20 @@ def _free_samples(Xc, reliable, w, scfg):
     d_rel <= FREE_DREL are left free instead, where the division would
     amplify errors in Xc too much.
     """
-    d_rel = _overlap_add((w * (w * scfg.channels))[:, None] * reliable, scfg)
-    x_det = _synthesize(Xc * reliable, w, scfg) / np.maximum(d_rel, FREE_DREL)
-    return d_rel <= FREE_DREL, x_det
+    d_rel = _overlap_add((w * (w * scfg.channels))[:, None] * reliable, scfg, circular)
+    ramp = _frame_plan(scfg, start, len(reliable))
+    x_det = _irfft_frames(Xc * reliable * np.conj(ramp), w, scfg, circular)
+    return d_rel <= FREE_DREL, x_det / np.maximum(d_rel, FREE_DREL)
 
 
 def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega.
 
-    state0 is not mutated.  ``trace``, if given, is called after each
-    iteration with (iteration, objective, feasibility_residual) where the
-    objective is lam * ||D R_omega ana(x)||_1; tracing costs one extra
+    X_corr is a Spectrogram whose gap columns ``mask`` lists, or one frame
+    run as ``_observe`` sets it up (state on its span and k - 1 pairs,
+    omega on its k frames).  state0 is not mutated.  ``trace``, if given, is called after
+    each iteration with (iteration, objective, feasibility_residual) where
+    the objective is lam * ||D R_omega ana(x)||_1; tracing costs one extra
     analysis per iteration.  Divergence (non-finite primal) raises
     DivergenceError with the iteration index.
 
@@ -207,25 +335,21 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     symmetric.  Fixed phase factors (frame ramp, omega rotation, step
     scales) are folded into single precomputed matrices.
     """
-    scfg = X_corr.config
+    run = X_corr if isinstance(X_corr, _Run) else _observe(X_corr, _zero_cols(mask))
+    scfg, circular, cut = run.cfg, run.circular, run.cut
     w = default_window(scfg).samples
     M = scfg.channels
     half = M // 2 + 1
-    ramp = _frame_plan(scfg)
     rot = correction_factors(_coeffs(omega)[:half], scfg.hop, M)
-    Xc = _hermitian_half(X_corr.data)
-    reliable = np.ones(Xc.shape[1], dtype=bool)
-    reliable[_zero_cols(mask)] = False
     alpha = cfg.alpha_relax
 
-    ramp_rot_sigma = ramp * rot * cfg.sigma  # corrected analysis, dual step folded
-    rcr = np.conj(rot * ramp)                # corrected-adjoint synthesis factor
+    ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
+    rcr = np.conj(rot * run.ramp)                # corrected-adjoint synthesis factor
 
-    free, x_det = _free_samples(Xc, reliable, w, scfg)
-    tau_free = cfg.tau * free                # primal step, zero on fixed samples
-    x = np.where(free, state0.x, x_det)
+    tau_free = cfg.tau * run.free                # primal step, zero on fixed samples
+    x = np.where(run.free, state0.x, run.x_det)
     Z = _hermitian_half(state0.Z)
-    DZ = np.empty((half, Xc.shape[1]), dtype=complex)
+    DZ = np.empty((half, Z.shape[1] + 1), dtype=complex)
 
     # divergence is detected explicitly, so silence the overflow warnings a
     # blown-up iterate would otherwise spray before the check fires
@@ -235,11 +359,13 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
             DZ[:, 0] = Z[:, 0]
             np.subtract(Z[:, 1:], Z[:, :-1], out=DZ[:, 1:-1])
             np.negative(Z[:, -1], out=DZ[:, -1])
-            x_half = x - tau_free * _irfft_frames(DZ * rcr, w, scfg)
+            x_half = x - tau_free * _irfft_frames(DZ * rcr, w, scfg, circular)
 
-            A2 = _rfft_frames(2.0 * x_half - x, w, scfg)
+            A2 = _rfft_frames(2.0 * x_half - x, w, scfg, circular)
             A2 *= ramp_rot_sigma
-            Z_half = _dual_step(Z + (A2[:, :-1] - A2[:, 1:]), cfg.thresholder, M)
+            Q = Z + (A2[:, :-1] - A2[:, 1:])
+            Q[:, cut] = 0.0
+            Z_half = _dual_step(Q, cfg.thresholder, M)
 
             if alpha == 1.0:
                 x, Z = x_half, Z_half
@@ -249,25 +375,23 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(i + 1)
             if trace is not None:
-                trace(i + 1, *_trace_terms(_analyze(x, w, scfg), rot, Xc, reliable, M, cfg.lam))
+                A = _rfft_frames(x, w, scfg, circular) * run.ramp
+                trace(i + 1, *_trace_terms(A, rot, run.Xc, run.reliable, M, cfg.lam, cut))
 
     return SolverState(x, _expand(Z, M))
 
 
-def _estimate(xhat, scfg):
-    gh, gd = _if_windows(scfg.window_len)
-    return estimate_if(xhat, gh, gd, scfg)
+def _estimate(x, run):
+    gh, gd = _if_windows(run.cfg.window_len)
+    return estimate_if(x, gh, gd, run.cfg, circular=run.circular)
 
 
-def _outer_loop(X_corr, mask, cfg, rounds, omega_of, trace=None):
-    """Up to ``rounds`` inner runs from the synthesized observation, each at
-    omega_of(current reconstruction); returns (Spectrogram, info).
-
-    Stops once consecutive outputs move less than cfg.epsilon in l2.
-    Reliable columns of the result equal X_corr exactly.
-    """
-    scfg = X_corr.config
-    state = initial_state(X_corr)
+def _outer_loop(run, cfg, rounds, omega_of, trace=None):
+    """Up to ``rounds`` inner runs from run.x0, each at omega_of(current
+    reconstruction), stopping once consecutive outputs move less than
+    cfg.epsilon in l2; returns (the gap columns, M rows, at scale; info)."""
+    scfg = run.cfg
+    state = SolverState(run.x0, np.zeros((scfg.channels, len(run.reliable) - 1), dtype=complex))
     xhat = state.x
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
 
@@ -276,7 +400,7 @@ def _outer_loop(X_corr, mask, cfg, rounds, omega_of, trace=None):
         sub = None
         if trace is not None:
             sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
-        state = gcpa_inner(state, mask, X_corr, omega, cfg, trace=sub)
+        state = gcpa_inner(state, None, run, omega, cfg, trace=sub)
         xhat_prev, xhat = xhat, state.x
         info["outer_iters_used"] = j + 1
         # the starting synthesis is not an output: the first change compared
@@ -288,9 +412,61 @@ def _outer_loop(X_corr, mask, cfg, rounds, omega_of, trace=None):
                 info["stopped_early"] = True
                 break
 
-    full = _expand(_analyze(xhat, default_window(scfg).samples, scfg), scfg.channels)
-    out = project_feasible(full, _zero_cols(mask), np.asarray(X_corr.data))
-    return Spectrogram(out, scfg), info
+    A = _rfft_frames(xhat, default_window(scfg).samples, scfg, run.circular)
+    return _expand(A[:, run.gaps] * run.ramp[:, run.gaps], scfg.channels) * run.peak, info
+
+
+def _tf_only(run, cfg, trace=None):
+    """The TF-domain ablation on one run; returns what ``_outer_loop`` does."""
+    M = run.cfg.channels
+    Xc, cut = run.Xc, run.cut
+    X = X_bar = Xc.astype(complex)  # never updated in place
+    Z = np.zeros((len(Xc), Xc.shape[1] - 1), dtype=complex)
+    tau, sigma = cfg.tau, cfg.sigma
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.inner_iters):
+            Q = Z + sigma * time_variation(X_bar)
+            Q[:, cut] = 0.0
+            Z = _dual_step(Q, cfg.thresholder, M)
+            X_new = project_feasible(X - tau * time_variation_adjoint(Z), run.gaps, Xc)
+            X_bar = 2.0 * X_new - X
+            X = X_new
+            if not np.all(np.isfinite(X)):
+                raise DivergenceError(i + 1)
+            if trace is not None:
+                trace(i + 1, *_trace_terms(X, 1.0, Xc, run.reliable, M, cfg.lam, cut))
+
+    info = {"outer_iters_used": 1, "stopped_early": False, "final_change": None}
+    return _expand(X[:, run.gaps], M) * run.peak, info
+
+
+def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=None):
+    """Restore the gaps of one FrameRun of X_corr (run None: the whole
+    spectrogram as given) with one of ``METHODS``, all over the run's span,
+    x_true's too; zero_cols lists every gap column.  Returns (the grid
+    columns of the run's gaps, their coefficients (M rows), info)."""
+    obs = _observe(X_corr, _zero_cols(zero_cols), run)
+    if method == "tf_only":
+        return (obs.cols, *_tf_only(obs, cfg, trace))
+    if run is None:
+        obs.x0 = initial_state(X_corr).x
+    omega_of = lambda xhat: _estimate(xhat, obs)
+    if method == "bphain_oracle":
+        start = X_corr.config.hop * (run.start if run else 0)
+        omega = _estimate(np.take(x_true, start + np.arange(len(obs.x0)), mode="wrap"), obs)
+        omega_of = lambda xhat: omega
+    rounds = cfg.outer_iters + 1 if method == "uphain" else 1
+    return (obs.cols, *_outer_loop(obs, cfg, rounds, omega_of, trace))
+
+
+def _whole(X_corr, mask, cfg, method, x_true=None, trace=None, return_info=False):
+    """A driver's solve of the whole spectrogram as given, into a copy."""
+    cols, values, info = solve_run(X_corr, mask, None, cfg, method, x_true, trace)
+    out = np.array(X_corr.data)
+    out[:, cols] = values
+    out = Spectrogram(out, X_corr.config)
+    return (out, info) if return_info else out
 
 
 def uphain_tf(X_corr, mask, cfg, trace=None, return_info=False):
@@ -301,10 +477,7 @@ def uphain_tf(X_corr, mask, cfg, trace=None, return_info=False):
     consecutive outputs move less than cfg.epsilon in l2.  Reliable columns
     of the result equal X_corr exactly.
     """
-    scfg = X_corr.config
-    out, info = _outer_loop(X_corr, mask, cfg, cfg.outer_iters + 1,
-                            lambda xhat: _estimate(xhat, scfg), trace=trace)
-    return (out, info) if return_info else out
+    return _whole(X_corr, mask, cfg, "uphain", trace=trace, return_info=return_info)
 
 
 def bphain_tf(X_corr, mask, cfg, omega_source="corrupted", x_true=None,
@@ -315,22 +488,18 @@ def bphain_tf(X_corr, mask, cfg, omega_source="corrupted", x_true=None,
     synthesized observation, "oracle" uses the supplied ground-truth signal.
     One inner run of the shared outer loop.
     """
-    scfg = X_corr.config
-    if omega_source == "corrupted":
-        # the loop's one round starts from the synthesized observation
-        omega_of = lambda xhat: _estimate(xhat, scfg)
-    elif omega_source == "oracle":
+    if omega_source == "oracle":
         if x_true is None:
             raise ValueError("omega_source='oracle' requires x_true")
         x_true = np.asarray(x_true, dtype=float)
-        if x_true.shape != (scfg.signal_len,):
+        if x_true.shape != (X_corr.config.signal_len,):
             raise ValueError("x_true length does not match the spectrogram config")
-        omega = _estimate(x_true, scfg)
-        omega_of = lambda xhat: omega
+        method = "bphain_oracle"
+    elif omega_source == "corrupted":
+        method = "bphain"
     else:
         raise ValueError(f"unknown omega_source {omega_source!r}")
-    out, info = _outer_loop(X_corr, mask, cfg, 1, omega_of, trace=trace)
-    return (out, info) if return_info else out
+    return _whole(X_corr, mask, cfg, method, x_true, trace, return_info)
 
 
 def cpa_tf_only(X_corr, mask, cfg, trace=None, return_info=False):
@@ -343,32 +512,7 @@ def cpa_tf_only(X_corr, mask, cfg, trace=None, return_info=False):
     operator norm here too (||D|| <= 2).  The iterates stay conjugate-
     symmetric, so the loop runs on rows 0..M//2 and expands once at the end.
     """
-    scfg = X_corr.config
-    M = scfg.channels
-    Xc = _hermitian_half(X_corr.data)
-    zero = _zero_cols(mask)
-    reliable = np.ones(Xc.shape[1], dtype=bool)
-    reliable[zero] = False
-
-    X = X_bar = Xc.astype(complex)  # never updated in place
-    Z = np.zeros((len(Xc), Xc.shape[1] - 1), dtype=complex)
-    tau, sigma = cfg.tau, cfg.sigma
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(cfg.inner_iters):
-            Z = _dual_step(Z + sigma * time_variation(X_bar), cfg.thresholder, M)
-            X_new = project_feasible(X - tau * time_variation_adjoint(Z), zero, Xc)
-            X_bar = 2.0 * X_new - X
-            X = X_new
-            if not np.all(np.isfinite(X)):
-                raise DivergenceError(i + 1)
-            if trace is not None:
-                trace(i + 1, *_trace_terms(X, 1.0, Xc, reliable, M, cfg.lam))
-
-    # projecting against the full observation keeps reliable columns exact
-    out = Spectrogram(project_feasible(_expand(X, M), zero, X_corr.data), scfg)
-    info = {"outer_iters_used": 1, "stopped_early": False, "final_change": None}
-    return (out, info) if return_info else out
+    return _whole(X_corr, mask, cfg, "tf_only", trace=trace, return_info=return_info)
 
 
 def operator_norm_estimate(apply, apply_adjoint, probe_shape, iters=50, seed=0):

@@ -22,8 +22,9 @@ Conventions (these matter; everything downstream relies on them):
   The solver works on the half rows directly through the private helpers
   (``_rfft_frames``/``_irfft_frames`` without the phase ramp, ``_expand``
   and ``_hermitian_half`` at its M-row boundary).
-* Frames are read through a strided view of the circularly extended
-  signal and overlap-added hop by hop, for any hop; no index grid is kept.
+* Frames are read through a strided view and overlap-added hop by hop, for
+  any hop; no index grid is kept.  The private helpers also take k frames of
+  a span buffer of a*(k-1) + W samples; only the whole circle folds.
 
 Exactness of the frame algebra additionally requires ``channels`` to divide
 ``signal_len`` (alias spacing must be a multiple of the FFT length); the
@@ -150,50 +151,58 @@ def _window(g, cfg):
 
 
 @lru_cache(maxsize=64)
-def _frame_plan(cfg):
-    """Phase ramp ramp[m, n] = exp(-i*2*pi*m*a*n / M) for rows m = 0..M//2.
+def _frame_plan(cfg, start, count):
+    """Phase ramp ramp[m, j] = exp(-i*2*pi*m*a*n / M), n = start + j, for rows
+    m = 0..M//2 and count frames (period N in n, as M divides a*N).
 
     It converts frame-local FFT phase to the frequency-invariant convention.
     The exponent m*a*n is reduced modulo M in integers first, so every row
     is rounded once and the Nyquist row is exactly 1 when a*n is even.
     """
     a, M = cfg.hop, cfg.channels
-    k = (np.arange(M // 2 + 1)[:, None] * ((a * np.arange(cfg.n_frames)) % M)[None, :]) % M
+    n = start + np.arange(count)
+    k = (np.arange(M // 2 + 1)[:, None] * ((a * n) % M)[None, :]) % M
     return np.exp(-2j * np.pi * k / M)
 
 
-def _rfft_frames(x, w, cfg):
+def _rfft_frames(x, w, cfg, circular=True):
     """Real-input FFT of the windowed frames of x: rows 0..M//2, with the
-    frame-local phase (no ramp).  Frame n, samples a*n..a*n+W-1 of x extended
-    circularly by its first W - a samples, is read through a strided view."""
-    W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
-    xe = np.concatenate((x, x[: W - a]))
-    step = xe.strides[0]
-    frames = np.lib.stride_tricks.as_strided(xe, (W, N), (step, a * step), writeable=False)
-    return np.fft.rfft(np.multiply(frames, w[:, None], out=np.empty((W, N))),
+    frame-local phase (no ramp).  Frame j, samples a*j..a*j+W-1 of the span
+    buffer, is read through a strided view; x is the span buffer itself, or
+    (circular) the whole signal, extended by its first W - a samples."""
+    W, a = cfg.window_len, cfg.hop
+    if circular:
+        x = np.concatenate((x, x[: W - a]))
+    k = (len(x) - W) // a + 1
+    step = x.strides[0]
+    frames = np.lib.stride_tricks.as_strided(x, (W, k), (step, a * step), writeable=False)
+    return np.fft.rfft(np.multiply(frames, w[:, None], out=np.empty((W, k))),
                        n=cfg.channels, axis=0)
 
 
-def _overlap_add(contrib, cfg):
-    """Circular overlap-add of per-frame contributions (W x N) into a signal.
+def _overlap_add(contrib, cfg, circular=True):
+    """Overlap-add of per-frame contributions (W x k) into the span buffer
+    of the k frames; circular folds the overhang back onto the front.
 
     Frames are split into q = ceil(W/a) hop-sized chunks, the last one
-    partial when a does not divide W; chunk j of frame n lands on signal
-    block (n + j) mod N.  Accumulate into a buffer extended by the overhang,
-    then fold the tail back to the front -- contiguous adds beat modular
-    fancy indexing.  One fold suffices: L >= W gives N >= q.
+    partial when a does not divide W; chunk j of frame n lands on block
+    n + j.  Contiguous adds beat modular fancy indexing.  One fold
+    suffices: L >= W gives N >= q.
     """
-    W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
+    W, a = cfg.window_len, cfg.hop
+    k = contrib.shape[1]
     q = -(-W // a)
-    ext = np.zeros((N + q - 1, a))
+    ext = np.zeros((k + q - 1, a))
     for j in range(q):
         chunk = contrib[j * a : (j + 1) * a]
-        ext[j : j + N, : len(chunk)] += chunk.T
-    ext[: q - 1] += ext[N:]
-    return ext[:N].ravel()
+        ext[j : j + k, : len(chunk)] += chunk.T
+    if circular:
+        ext[: q - 1] += ext[k:]
+        return ext[:k].ravel()
+    return ext.ravel()[: a * (k - 1) + W]
 
 
-def _irfft_frames(V, w, cfg):
+def _irfft_frames(V, w, cfg, circular=True):
     """Real adjoint of the full-spectrum _rfft_frames, given rows 0..M//2.
 
     The lower rows are implied as the conjugate mirror, which makes the
@@ -203,17 +212,12 @@ def _irfft_frames(V, w, cfg):
     """
     M = cfg.channels
     contrib = np.fft.irfft(V, n=M, axis=0)[: cfg.window_len] * (w * M)[:, None]
-    return _overlap_add(contrib, cfg)
-
-
-def _analyze(x, w, cfg):
-    """Rows 0..M//2 of the analysis of a real signal."""
-    return _rfft_frames(x, w, cfg) * _frame_plan(cfg)
+    return _overlap_add(contrib, cfg, circular)
 
 
 def _synthesize(H, w, cfg):
     """Synthesis of the conjugate-symmetric matrix with rows 0..M//2 = H."""
-    return _irfft_frames(H * np.conj(_frame_plan(cfg)), w, cfg)
+    return _irfft_frames(H * np.conj(_frame_plan(cfg, 0, cfg.n_frames)), w, cfg)
 
 
 def _expand(H, M):
@@ -242,7 +246,8 @@ def analyze(x, g, cfg):
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.signal_len,):
         raise ValueError("signal length does not match config")
-    return Spectrogram(_expand(_analyze(x, _window(g, cfg), cfg), cfg.channels), cfg)
+    A = _rfft_frames(x, _window(g, cfg), cfg) * _frame_plan(cfg, 0, cfg.n_frames)
+    return Spectrogram(_expand(A, cfg.channels), cfg)
 
 
 def synthesize(X, g, cfg):

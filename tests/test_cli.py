@@ -113,7 +113,6 @@ def test_inpaint_defaults_are_reference_constants():
     assert args.inner == 500
     assert args.outer == 10
     assert args.eps == 0.001
-    assert args.pad == 4
     assert args.threshold == "soft"
     scfg = solver_config(args)
     assert scfg.thresholder.kind == "soft" and scfg.thresholder.lam == 0.01

@@ -1,24 +1,28 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfpaint.pipeline import (
     METHODS,
     ColumnMask,
-    ContextError,
-    GapSegment,
     apply_mask,
-    extract_segment,
     find_gaps,
     inpaint_spectrogram,
     make_mask,
-    peak_normalize,
 )
 from tfpaint.prox import default_thresholder
-from tfpaint.solver import DivergenceError, SolverConfig, default_window
-from tfpaint.stft import Spectrogram, StftConfig, analyze, synthesize
+from tfpaint.solver import (
+    DivergenceError,
+    FrameRun,
+    SolverConfig,
+    _observe,
+    default_window,
+    frame_runs,
+)
+from tfpaint.stft import Spectrogram, StftConfig, analyze, symmetry_residual, synthesize
 
 SR, HOP, M, W = 16000, 512, 2048, 2048
 
@@ -143,120 +147,41 @@ def test_find_gaps_runs():
     assert find_gaps(np.array([12, 10, 11, 40])) == [range(10, 13), range(40, 41)]
 
 
-# ----------------------------------------------------------------- segments
-
-
-def test_extract_segment_known_cases():
-    cfg = cfg_for(64)
-    rng = np.random.default_rng(1)
-    X = Spectrogram(rng.standard_normal((M, 64)) + 0j, cfg)
-
-    gap_seg, seg = extract_segment(X, range(50, 53), pad=4, cfg=cfg)
-    assert gap_seg.segment_cols == (44, 16)
-    assert seg.data.shape == (M, 16)
-    assert seg.config.signal_len == 16 * HOP
-    assert np.array_equal(seg.data, X.data[:, 44:60])
-    assert gap_seg.local_mask.n_cols == 16
-    assert list(gap_seg.local_mask.zero_cols) == [6, 7, 8]
-    assert gap_seg.gap_cols == range(50, 53)
-
-    gap_seg, seg = extract_segment(X, range(4, 5), pad=4, cfg=cfg)
-    assert gap_seg.segment_cols == (0, 12)
-    assert list(gap_seg.local_mask.zero_cols) == [4]
-
-
-def test_extract_segment_is_minimal_aligned_cover():
-    # brute force over every aligned candidate: answer must be the shortest
-    # cover, and at the largest admissible start among those
-    cfg = cfg_for(64)
-    X = Spectrogram(np.zeros((M, 64), complex), cfg)
-    q, pad = 4, 4
-    for gap_len in range(1, 7):
-        for start in range(pad, 64 - gap_len - pad + 1):
-            gap = range(start, start + gap_len)
-            got, _ = extract_segment(X, gap, pad, cfg)
-            cover = gap.stop + pad
-            cands = [
-                (s, q * math.ceil((cover - s) / q))
-                for s in range(0, gap.start - pad + 1, q)
-            ]
-            cands = [(s, ln) for s, ln in cands if s + ln <= 64]
-            best_len = min(ln for _, ln in cands)
-            best_s = max(s for s, ln in cands if ln == best_len)
-            assert got.segment_cols == (best_s, best_len), (gap, got.segment_cols)
-
-
-def test_extract_segment_boundary_and_validation():
-    cfg = cfg_for(64)
-    X = Spectrogram(np.zeros((M, 64), complex), cfg)
-    with pytest.raises(ContextError) as err:
-        extract_segment(X, range(1, 2), 4, cfg)
-    assert err.value.gap == range(1, 2)
-    with pytest.raises(ContextError) as err:
-        extract_segment(X, range(61, 64), 4, cfg)
-    assert err.value.gap == range(61, 64)
-    with pytest.raises(ValueError):
-        extract_segment(X, range(20, 22), 0, cfg)
-    odd = StftConfig(window_len=6, hop=4, channels=8, signal_len=16)
-    with pytest.raises(ValueError):
-        extract_segment(Spectrogram(np.zeros((8, 4), complex), odd), range(1, 2), 1, odd)
-
-
-def test_segment_columns_match_full_signal_analysis():
-    # aligned start means segment-local analysis reproduces the full-signal
-    # columns bit for bit wherever no frame wraps around an edge
-    cfg = cfg_for(64)
-    x = tones(cfg.signal_len)
-    X = analyze(x, default_window(cfg), cfg)
-    gap_seg, seg = extract_segment(X, range(20, 22), pad=4, cfg=cfg)
-    s, seg_len = gap_seg.segment_cols
-    scfg = seg.config
-    local = analyze(x[s * HOP : (s + seg_len) * HOP], default_window(scfg), scfg)
-    interior = seg_len - (W // HOP) + 1
-    assert np.array_equal(local.data[:, :interior], X.data[:, s : s + interior])
-
-
-def test_extract_segment_peak_matches_synthesis():
-    cfg = cfg_for(64)
-    x = tones(cfg.signal_len)
-    X = analyze(x, default_window(cfg), cfg)
-    gap_seg, seg = extract_segment(X, range(30, 32), pad=4, cfg=cfg)
-    want = np.max(np.abs(synthesize(seg, default_window(seg.config), seg.config)))
-    assert gap_seg.peak == want
-    assert gap_seg.peak > 0.5  # a loud tone stays loud after windowing
-
-
 # ------------------------------------------------------------ normalization
 
 
+def observed_run(X, zero):
+    # the run covering the masked columns `zero`, set up as the solvers see it
+    Xm = Spectrogram(X.data.copy(), X.config)
+    Xm.data[:, zero] = 0.0
+    (run,) = frame_runs(zero, X.config)
+    return _observe(Xm, zero, run), run, Xm
+
+
 def test_peak_normalize_basics():
-    cfg = cfg_for(16)
-    x = tones(cfg.signal_len)
-    X = analyze(x, default_window(cfg), cfg)
-    norm, peak = peak_normalize(X)
-    resynth = synthesize(norm, default_window(cfg), cfg)
-    assert abs(np.max(np.abs(resynth)) - 1.0) <= 1e-12
-    assert abs(peak - np.max(np.abs(synthesize(X, default_window(cfg), cfg)))) <= 1e-15
-    # round trip
-    assert np.max(np.abs(norm.data * peak - X.data)) <= 1e-12 * np.max(np.abs(X.data))
+    # a run is divided by the peak of its synthesized observation over its
+    # span: the scaled start peaks at 1, and scaling back restores the data
+    cfg = cfg_for(32)
+    X = analyze(tones(cfg.signal_len), default_window(cfg), cfg)
+    obs, run, Xm = observed_run(X, np.arange(14, 18))
+    span = cfg.hop * run.start + np.arange(len(obs.x0))
+    syn = synthesize(Xm, default_window(cfg), cfg)[span]
+    assert abs(np.max(np.abs(obs.x0)) - 1.0) <= 1e-12
+    assert abs(obs.peak - np.max(np.abs(syn))) <= 1e-15
+    # round trip, rows 0..M/2 of the run's frames
+    frames = run.start + np.arange(run.count)
+    ref = Xm.data[: M // 2 + 1, frames]
+    assert np.max(np.abs(obs.Xc * obs.peak - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_peak_normalize_scale_invariance_power_of_two():
-    cfg = cfg_for(16)
+    cfg = cfg_for(32)
     X = analyze(tones(cfg.signal_len), default_window(cfg), cfg)
-    norm1, peak1 = peak_normalize(X)
-    norm4, peak4 = peak_normalize(Spectrogram(4.0 * X.data, cfg))
-    assert peak4 == 4.0 * peak1
-    assert np.array_equal(norm4.data, norm1.data)
-
-
-def test_peak_normalize_zero_segment():
-    cfg = cfg_for(16)
-    Z = Spectrogram(np.zeros((M, 16), complex), cfg)
-    norm, peak = peak_normalize(Z)
-    assert peak == 1.0
-    assert np.array_equal(norm.data, Z.data)
-    assert norm.data is not Z.data
+    obs1, _, _ = observed_run(X, np.arange(14, 18))
+    obs4, _, _ = observed_run(Spectrogram(4.0 * X.data, cfg), np.arange(14, 18))
+    assert obs4.peak == 4.0 * obs1.peak
+    assert np.array_equal(obs4.Xc, obs1.Xc)
+    assert np.array_equal(obs4.x0, obs1.x0)
 
 
 # ------------------------------------------------------------- inpainting
@@ -288,7 +213,8 @@ def test_inpaint_dispatch_preserves_reliable_columns(method):
     gap = np.asarray(mask.zero_cols)
     assert np.all(np.isfinite(out.data[:, gap]))
     assert np.any(out.data[:, gap] != 0.0)
-    assert len(info["gaps"]) == 1 and isinstance(info["gaps"][0], GapSegment)
+    assert len(info["gaps"]) == 1 and isinstance(info["gaps"][0], FrameRun)
+    assert info["gaps"][0].gaps == (range(13, 15),)
     assert len(info["outer_iters_used"]) == 1
 
 
@@ -313,12 +239,23 @@ def test_inpaint_normalization_invariance():
     assert np.array_equal(scaled.data, 4.0 * base.data)
 
 
-def test_inpaint_rejects_foreign_masked_columns_in_segment():
-    mask = ColumnMask(28, [16, 18])  # two gaps two columns apart share context
-    Xc, _ = corrupted(28, mask)
-    with pytest.raises(ContextError) as err:
-        inpaint_spectrogram(Xc, mask, scfg=FAST)
-    assert err.value.gap in (range(16, 17), range(18, 19))
+def test_inpaint_silent_input_restores_silence():
+    # a silent run keeps peak 1 instead of dividing by zero
+    mask = make_mask(1, SR, HOP, 4)
+    Xc = Spectrogram(np.zeros((M, 28), complex), cfg_for(28))
+    for method in ("uphain", "tf_only"):
+        out = inpaint_spectrogram(Xc, mask, method=method, scfg=FAST)
+        assert not np.any(out.data)
+
+
+def test_inpaint_nearby_gaps_restore_as_one_run():
+    # two gaps two columns apart share frames, so they are solved together
+    mask = ColumnMask(28, [16, 18])
+    Xc, X = corrupted(28, mask)
+    out, info = inpaint_spectrogram(Xc, mask, scfg=FAST, return_info=True)
+    assert info["gaps"] == [FrameRun(15, 5, (range(16, 17), range(18, 19)))]
+    # one-column gaps leave no free sample: the reliable columns fix the answer
+    assert np.max(np.abs(out.data - X.data)) <= 1e-12 * np.max(np.abs(X.data))
 
 
 def test_inpaint_validation():
@@ -355,3 +292,56 @@ def test_inpaint_one_column_gap_has_nothing_to_diverge():
     Xc, X = corrupted(28, mask)
     out = inpaint_spectrogram(Xc, mask, scfg=WILD)
     assert np.max(np.abs(out.data - X.data)) <= 1e-12 * np.max(np.abs(X.data))
+
+
+# ------------------------------------------------------------- gate corpus
+
+# (window, hop, channels): the default quarter-window hop scaled down, a hop
+# that does not divide the window, an odd FFT length at hop 1, and a window
+# shorter than the FFT
+GEOMETRIES = [(64, 16, 64), (6, 4, 8), (5, 1, 5), (10, 4, 12)]
+CORPUS = SolverConfig(inner_iters=5, outer_iters=1)
+
+
+@st.composite
+def corpus_cases(draw):
+    W, a, M = draw(st.sampled_from(GEOMETRIES))
+    cfg = StftConfig(window_len=W, hop=a, channels=M, signal_len=M * draw(st.integers(1, 8)))
+    N = cfg.n_frames
+    layout = draw(st.sampled_from(["random", "edges", "close", "long", "near-total", "all"]))
+    zero = set(draw(st.lists(st.integers(0, N - 1), max_size=N)))
+    c = draw(st.integers(0, N - 1))
+    if layout == "edges":
+        zero |= {0, N - 1}
+    elif layout == "close":  # two gaps 1 or 2 reliable columns apart
+        zero = {c, (c + draw(st.integers(2, 3))) % N}
+    elif layout == "long":
+        zero = {(c + k) % N for k in range(N // 2 + 1)}
+    elif layout == "near-total":
+        zero = set(range(N)) - {draw(st.integers(0, N - 1))}
+    elif layout == "all":
+        zero = set(range(N))
+    method = draw(st.sampled_from(METHODS))
+    seed = draw(st.integers(0, 2**16))
+    return cfg, ColumnMask(N, sorted(zero)), method, seed
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpus_cases())
+def test_every_mask_restores(case):
+    cfg, mask, method, seed = case
+    x = np.random.default_rng(seed).standard_normal(cfg.signal_len)
+    Xc = apply_mask(analyze(x, default_window(cfg), cfg), mask)
+    kw = dict(method=method, scfg=CORPUS, x_true=x if method == "bphain_oracle" else None,
+              return_info=True)
+    out, info = inpaint_spectrogram(Xc, mask, **kw)
+    par, info2 = inpaint_spectrogram(Xc, mask, jobs=2, **kw)
+    assert np.array_equal(out.data, par.data)
+    assert info["outer_iters_used"] == info2["outer_iters_used"]
+    keep = mask.reliable_cols
+    assert np.array_equal(out.data[:, keep], Xc.data[:, keep])
+    assert np.all(np.isfinite(out.data))
+    assert symmetry_residual(out) <= 1e-12
+    # every gap is restored by exactly one run
+    restored = sorted(c for run in info["gaps"] for g in run.gaps for c in g)
+    assert restored == list(mask.zero_cols)

@@ -11,12 +11,15 @@ from tfpaint.prox import Thresholder, default_thresholder, project_feasible
 from tfpaint.solver import (
     FREE_DREL,
     DivergenceError,
+    FrameRun,
     SolverConfig,
     SolverState,
     _free_samples,
+    _observe,
     bphain_tf,
     cpa_tf_only,
     default_window,
+    frame_runs,
     gcpa_inner,
     initial_state,
     operator_norm_estimate,
@@ -604,6 +607,96 @@ def test_fixed_samples_stable_under_observation_noise():
     noise = np.linalg.norm(_expand(E, SEG.channels))
     assert np.all(moved <= noise / np.sqrt(reliable_energy(SEG, reliable)[~free]))
     assert np.max(moved) <= noise / np.sqrt(FREE_DREL)
+
+
+# ------------------------------------------------------------ frame runs
+
+RUNS = StftConfig(window_len=2048, hop=512, channels=2048, signal_len=16384)  # N = 32
+
+
+@pytest.mark.parametrize("width, count", [(1, 3), (2, 4), (3, 7), (4, 8), (5, 9), (6, 10)])
+def test_run_length_at_default_geometry(width, count):
+    gap = range(12, 12 + width)
+    (run,) = frame_runs(np.arange(gap.start, gap.stop), RUNS)
+    assert run.count == count
+    assert run.gaps == (gap,)
+    # by definition: the gap and every frame touching a free sample, plus
+    # one frame each side
+    reliable = np.ones(RUNS.n_frames, dtype=bool)
+    reliable[gap.start : gap.stop] = False
+    free = np.flatnonzero(reliable_energy(RUNS, reliable) <= FREE_DREL)
+    touched = [n for n in range(RUNS.n_frames)
+               if np.any((free >= n * RUNS.hop) & (free < n * RUNS.hop + RUNS.window_len))]
+    assert run.start == min(touched + [gap.start]) - 1
+    assert run.start + count - 1 == max(touched + [gap.stop - 1]) + 1
+
+
+def test_frame_runs_known_cases():
+    N = RUNS.n_frames
+    assert frame_runs(np.array([], dtype=int), RUNS) == []
+    # the file ends wrap: the circular frame, with the pair N-1 -> 0 cut
+    assert frame_runs([0], RUNS) == [FrameRun(N - 1, 3, (range(0, 1),))]
+    assert frame_runs([N - 1], RUNS) == [FrameRun(N - 2, 3, (range(N - 1, N),))]
+    assert frame_runs([N - 1, 0], RUNS) == [FrameRun(N - 2, 4, (range(N - 1, N), range(0, 1)))]
+    # runs that share a frame merge, runs that only touch do not
+    assert frame_runs([10, 12], RUNS) == [FrameRun(9, 5, (range(10, 11), range(12, 13)))]
+    assert frame_runs([10, 13], RUNS) == [FrameRun(9, 3, (range(10, 11),)),
+                                          FrameRun(12, 3, (range(13, 14),))]
+    # a run that would reach round the circle onto itself is the whole circle
+    long_gap = np.arange(3, 28)
+    assert frame_runs(long_gap, RUNS) == [FrameRun(0, N, (range(3, 28),))]
+
+
+def test_run_peak_matches_synthesis():
+    # a run is scaled by the peak of the synthesized observation over its
+    # span, and starts from that synthesis
+    zero = np.arange(14, 18)
+    X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
+    X[:, zero] = 0.0
+    (run,) = frame_runs(zero, RUNS)
+    obs = _observe(Spectrogram(X, RUNS), zero, run)
+    span = RUNS.hop * run.start + np.arange(len(obs.x0))
+    syn = synthesize(X, default_window(RUNS), RUNS)[span]
+    assert abs(obs.peak - np.max(np.abs(syn))) <= 1e-12
+    assert np.max(np.abs(obs.x0 * obs.peak - syn)) <= 1e-12
+    assert obs.peak < 0.9  # three_tone peaks at 0.9; the span sees less
+
+
+def two_gaps(apart):
+    # a 4-column gap (run 6..13) and a 1-column gap whose run starts
+    # `apart` frames after it; at apart = 1 the second gap lies among the
+    # frames that fix the first run's samples
+    return np.concatenate((np.arange(8, 12), [15 + apart]))
+
+
+@pytest.mark.parametrize("zero", [np.arange(14, 18), np.arange(0, 4), np.arange(28, 32),
+                                  two_gaps(1), two_gaps(2), two_gaps(3)],
+                         ids=["interior", "first-column", "last-column",
+                              "apart-1", "apart-2", "apart-3"])
+def test_run_solve_matches_whole_spectrogram_reference(zero):
+    N = RUNS.n_frames
+    X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
+    X[:, zero] = 0.0
+    x0 = synthesize(X, default_window(RUNS), RUNS)
+    omega = estimate_if(x0, make_hann(2048), make_hann_derivative(2048), RUNS).omega
+    cfg = SolverConfig(inner_iters=30)
+    runs = frame_runs(zero, RUNS)
+    if len(zero) == 5:
+        assert runs[1].start - (runs[0].start + runs[0].count) == zero[-1] - 15
+    for run in runs:
+        obs = _observe(Spectrogram(X, RUNS), zero, run)
+        # the reference solves the whole spectrogram at the run's scale
+        whole = Spectrogram(X / obs.peak, RUNS)
+        st0 = SolverState(x0 / obs.peak, np.zeros((RUNS.channels, N - 1), complex))
+        ref = free_sample_reference(st0, zero, whole, omega, cfg, trace=lambda *r: None)
+        frames = (run.start + np.arange(run.count)) % N
+        span = (RUNS.hop * run.start + np.arange(len(obs.x0))) % RUNS.signal_len
+        Z0 = np.zeros((RUNS.channels, run.count - 1), complex)
+        got = gcpa_inner(SolverState(obs.x0, Z0), None, obs, omega[:, frames], cfg)
+        assert got.x.shape == (RUNS.hop * (run.count - 1) + RUNS.window_len,)
+        assert np.max(np.abs(got.x - ref.x[span])) <= 1e-12 * np.max(np.abs(ref.x))
+        if len(run.gaps[0]) == 4:  # the free samples moved
+            assert not np.array_equal(got.x[obs.free], obs.x0[obs.free])
 
 
 # ------------------------------------------------ full-spectrum tf_only oracle

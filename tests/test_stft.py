@@ -4,6 +4,9 @@ import pytest
 from tfpaint.stft import (
     StftConfig,
     Window,
+    _frame_plan,
+    _irfft_frames,
+    _rfft_frames,
     analyze,
     make_hann,
     make_hann_derivative,
@@ -234,3 +237,32 @@ def test_shape_validation():
         synthesize(np.zeros((4, 4), dtype=complex), g, SMALL)
     with pytest.raises(ValueError):
         analyze(np.zeros(SMALL.signal_len), make_hann(8), SMALL)
+
+
+@pytest.mark.parametrize("start, count", [(3, 2), (0, 4), (5, 3)])
+def test_frame_run_matches_full_signal_analysis(start, count):
+    # frames start..start+count-1 (modulo N) read from their span buffer and
+    # overlap-added back without a fold: the columns of the full analysis,
+    # and the real adjoint of that restricted analysis, for every geometry
+    rng = np.random.default_rng(start)
+    for cfg, g in geometries():
+        a, W, M, N = cfg.hop, cfg.window_len, cfg.channels, cfg.n_frames
+        w = tight_window(g, cfg).samples
+        x = rng.standard_normal(cfg.signal_len)
+        span = (a * start + np.arange(a * (count - 1) + W)) % cfg.signal_len
+        got = _rfft_frames(x[span], w, cfg, circular=False) * _frame_plan(cfg, start, count)
+        want = analyze(x, w, cfg).data[: M // 2 + 1, (start + np.arange(count)) % N]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        V = rng.standard_normal(got.shape) + 1j * rng.standard_normal(got.shape)
+        V[0].imag = 0.0  # the DC row of a real signal's analysis is real
+        if M % 2 == 0:
+            V[-1].imag = 0.0
+        back = _irfft_frames(V, w, cfg, circular=False)
+        assert back.shape == (len(span),)
+        A = _rfft_frames(x[span], w, cfg, circular=False)
+        weight = np.full((len(V), 1), 2.0)
+        weight[0] = 1.0
+        if M % 2 == 0:
+            weight[-1] = 1.0
+        lhs = np.sum(weight * np.real(np.conj(V) * A))
+        assert abs(lhs - np.dot(x[span], back)) <= 1e-10 * max(1.0, abs(lhs))
