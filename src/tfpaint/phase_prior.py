@@ -66,7 +66,8 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
     if circular and x.shape != (cfg.signal_len,):
         raise ValueError("signal length does not match config")
     # the frame ramp multiplies both analyses alike and cancels in the
-    # ratio, so the frame-local transforms of rows 0..M//2 suffice
+    # ratio, so the frame-local transforms of rows 0..M//2 suffice (frames-
+    # major, as stft's private helpers are)
     Xg = _rfft_frames(x, _window(g, cfg), cfg, circular)
     Xd = _rfft_frames(x, _window(g_prime, cfg), cfg, circular)
     mag = np.abs(Xg)
@@ -80,10 +81,11 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
     # exactly antisymmetric across the frequency mirror; the raw ratio only
     # satisfies that up to round-off, so impose it by construction
     M = cfg.channels
-    omega[0] = 0.0
+    omega[:, 0] = 0.0
     if M % 2 == 0:
-        omega[M // 2] = 0.0
-    return IFMatrix(np.concatenate((omega, -omega[(M - 1) // 2 : 0 : -1])))
+        omega[:, M // 2] = 0.0
+    full = np.concatenate((omega, -omega[:, (M - 1) // 2 : 0 : -1]), axis=1)
+    return IFMatrix(full.T)  # frames-major underneath, M x N as an array
 
 
 def correction_factors(omega, hop, channels):

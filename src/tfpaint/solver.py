@@ -34,13 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phase_prior import (
-    _coeffs,
-    correction_factors,
-    estimate_if,
-    time_variation,
-    time_variation_adjoint,
-)
+from .phase_prior import _coeffs, correction_factors, estimate_if
 from .prox import Thresholder, project_feasible
 from .stft import (
     Spectrogram,
@@ -147,13 +141,14 @@ def initial_state(X_corr):
 
 
 def _dual_step(Q, thresh, M):
-    """Q - thresh(Q) for the conjugate-symmetric dual with rows 0..M//2 = Q."""
+    """Q - thresh(Q) for the conjugate-symmetric dual with rows 0..M//2 =
+    Q (frames-major)."""
     if thresh.kind == "soft":
         # Q - soft(Q) is the entrywise projection onto the lam-ball
         mag = np.abs(Q)
         return Q * (np.minimum(mag, thresh.lam) / np.maximum(mag, 1e-300))
     # on all M rows, so a block norm counts the mirrored rows too
-    return Q - thresh(_expand(Q, M))[: len(Q)]
+    return Q - thresh(_expand(Q, M))[: Q.shape[1]].T
 
 
 def find_gaps(mask):
@@ -201,7 +196,7 @@ def frame_runs(zero_cols, cfg):
     spans = []
     for gap in gaps:
         _, frames, span = _reach(gap.start, len(gap), cfg)
-        d_rel = _overlap_add((w * (w * cfg.channels))[:, None] * reliable[frames], cfg, False)
+        d_rel = _overlap_add(reliable[frames][:, None] * (w * (w * cfg.channels)), cfg, False)
         free = a * gap.start + np.flatnonzero(d_rel[span] <= FREE_DREL)
         lo, hi = gap.start, gap.stop - 1
         if free.size:  # frame n touches sample t when a*n <= t < a*n + W
@@ -228,8 +223,10 @@ def frame_runs(zero_cols, cfg):
 @dataclass
 class _Run:
     """A FrameRun set up for the solvers (see ``_observe``): Xc, reliable,
-    gaps (positions) and ramp over its frames; free, x_det and x0 over its
-    span; cols, the grid columns of its gaps; cut, the position of its pair
+    gaps (positions) and ramp over its frames (Xc and ramp frames-major);
+    free, x_det and x0 over its span; moving, the slice of its frames that
+    touch a free sample (their contiguous hull, the whole circle, or none);
+    cols, the grid columns of its gaps; cut, the position of its pair
     N-1 -> 0, which is no difference term (or an empty slice); peak, the
     scale its data was divided by."""
 
@@ -242,6 +239,7 @@ class _Run:
     free: np.ndarray
     x_det: np.ndarray
     ramp: np.ndarray
+    moving: slice
     cut: object
     x0: np.ndarray = None
     peak: float = 1.0
@@ -267,33 +265,45 @@ def _observe(X_corr, zero, run=None):
         peak = float(np.max(np.abs(x0))) or 1.0
         Xh, x0 = Xh / peak, x0 / peak
     free, x_det = _free_samples(Xh, reliable, w, cfg, start - reach, circular)
+    free, x_det = free[span], x_det[span]
+
+    f = np.flatnonzero(free)  # frame j touches sample t when a*j <= t < a*j + W
+    if not f.size:
+        moving = slice(0, 0)
+    elif circular:
+        moving = slice(0, count)
+    else:
+        moving = slice(-((cfg.window_len - 1 - int(f[0])) // cfg.hop), int(f[-1]) // cfg.hop + 1)
 
     inner = slice(reach, reach + count)
     gaps = np.flatnonzero(~reliable[inner])
     cut = N - 1 - start if start + count > N and not circular else slice(0)
-    return _Run(cfg, circular, Xh[:, inner], reliable[inner], gaps, frames[inner][gaps],
-                free[span], x_det[span], _frame_plan(cfg, start, count), cut, x0, peak)
+    return _Run(cfg, circular, Xh[inner], reliable[inner], gaps, frames[inner][gaps],
+                free, x_det, _frame_plan(cfg, start, count), moving, cut, x0, peak)
 
 
 def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
     """(lam * ||D(rot*A)||_1, ||P_rel(A - Xc)||_F) over all M rows, given
-    rows 0..M//2 of conjugate-symmetric A and Xc: the DC row counts once,
-    the Nyquist row once when M is even, every other row twice."""
-    row_weight = np.full((len(A), 1), 2.0)
+    rows 0..M//2 of conjugate-symmetric A and Xc (frames-major): the DC row
+    counts once, the Nyquist row once when M is even, every other row
+    twice."""
+    row_weight = np.full(A.shape[1], 2.0)
     row_weight[0] = 1.0
     if M % 2 == 0:
         row_weight[-1] = 1.0
-    var = np.abs(time_variation(A * rot))
-    var[:, cut] = 0.0
+    V = A * rot
+    var = np.abs(V[:-1] - V[1:])
+    var[cut] = 0.0
     obj = lam * float(np.sum(row_weight * var))
     diff2 = row_weight * np.abs(A - Xc) ** 2
-    return obj, float(np.sqrt(np.sum(diff2[:, reliable])))
+    return obj, float(np.sqrt(np.sum(diff2[reliable])))
 
 
 def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
     """(free, x_det): the samples the reliable columns leave free, and the
     values they fix everywhere else, for the frames from ``start`` that Xc
-    (rows 0..M//2) and ``reliable`` cover: over their span, or the circle.
+    (rows 0..M//2, frames-major) and ``reliable`` cover: over their span, or
+    the circle.
 
     syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
     the reliable frames (the mask removes whole frames, M >= W).  So a
@@ -302,9 +312,9 @@ def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
     d_rel <= FREE_DREL are left free instead, where the division would
     amplify errors in Xc too much.
     """
-    d_rel = _overlap_add((w * (w * scfg.channels))[:, None] * reliable, scfg, circular)
+    d_rel = _overlap_add(reliable[:, None] * (w * (w * scfg.channels)), scfg, circular)
     ramp = _frame_plan(scfg, start, len(reliable))
-    x_det = _irfft_frames(Xc * reliable * np.conj(ramp), w, scfg, circular)
+    x_det = _irfft_frames(Xc * reliable[:, None] * np.conj(ramp), w, scfg, circular)
     return d_rel <= FREE_DREL, x_det / np.maximum(d_rel, FREE_DREL)
 
 
@@ -313,11 +323,12 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
 
     X_corr is a Spectrogram whose gap columns ``mask`` lists, or one frame
     run as ``_observe`` sets it up (state on its span and k - 1 pairs,
-    omega on its k frames).  state0 is not mutated.  ``trace``, if given, is called after
-    each iteration with (iteration, objective, feasibility_residual) where
-    the objective is lam * ||D R_omega ana(x)||_1; tracing costs one extra
-    analysis per iteration.  Divergence (non-finite primal) raises
-    DivergenceError with the iteration index.
+    omega on its k frames).  state0 is not mutated.  ``trace``, if given, is
+    called after each iteration with (iteration, objective,
+    feasibility_residual) where the objective is lam * ||D R_omega ana(x)||_1;
+    tracing costs one analysis of the moving frames per iteration.
+    Divergence (a non-finite moving sample) raises DivergenceError with the
+    iteration index.
 
     Free samples.  The reliable columns fix x wherever their windows reach
     (``_free_samples``), so the feasible set is "those samples at x_det,
@@ -328,54 +339,81 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     iterate feasible.  A gap of one or two columns at hop W/4 leaves no free
     sample and comes back as x_det.
 
+    Moving frames.  Only the frames that touch a free sample (the run's
+    ``moving`` hull) are transformed in the loop, and this is exact: on a
+    fixed sample 2*x_det - x_det == x_det and x - 0*v == x in floating
+    point, so every other frame's analysis is the one at x_det, taken once
+    per call, and a frame that touches no free sample adds nothing to a
+    free sample in the overlap-add.  A 1-2-column gap at hop W/4 has no
+    moving frame and costs no transform per iteration; its dual still
+    steps.
+
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
     a coefficient matrix, so the observation and the starting dual enter
     through that part, and the iteration runs on its rows 0..M//2 with the
-    real-input transforms of ``stft``.  The returned dual is conjugate-
-    symmetric.  Fixed phase factors (frame ramp, omega rotation, step
-    scales) are folded into single precomputed matrices.
+    real-input transforms of ``stft``, frames-major.  The returned dual is
+    conjugate-symmetric.  Fixed phase factors (frame ramp, omega rotation,
+    step scales) are folded into single precomputed matrices, and the
+    loop's work arrays are allocated once.
     """
     run = X_corr if isinstance(X_corr, _Run) else _observe(X_corr, _zero_cols(mask))
-    scfg, circular, cut = run.cfg, run.circular, run.cut
+    scfg, circular, cut, fm = run.cfg, run.circular, run.cut, run.moving
     w = default_window(scfg).samples
-    M = scfg.channels
-    half = M // 2 + 1
-    rot = correction_factors(_coeffs(omega)[:half], scfg.hop, M)
+    M, W, a = scfg.channels, scfg.window_len, scfg.hop
+    rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
     alpha = cfg.alpha_relax
 
     ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
-    rcr = np.conj(rot * run.ramp)                # corrected-adjoint synthesis factor
 
-    tau_free = cfg.tau * run.free                # primal step, zero on fixed samples
     x = np.where(run.free, state0.x, run.x_det)
     Z = _hermitian_half(state0.Z)
-    DZ = np.empty((half, Z.shape[1] + 1), dtype=complex)
+    F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
+    A2 = F * ramp_rot_sigma
+    A = F * run.ramp if trace is not None else None
+    Q = np.empty_like(Z)
+
+    moving = fm.stop > fm.start
+    if moving:
+        # xm, the moving frames' samples, is a view of x, updated in place
+        span = slice(None) if circular else slice(a * fm.start, a * (fm.stop - 1) + W)
+        xm = x[span]
+        tau_free = cfg.tau * run.free[span]  # primal step, zero on fixed samples
+        rcr = np.conj(rot[fm] * run.ramp[fm])  # corrected-adjoint synthesis factor
+        DZ = np.empty((len(Z) + 1, Z.shape[1]), dtype=complex)
+        x_half, xbar = np.empty_like(xm), np.empty_like(xm)
 
     # divergence is detected explicitly, so silence the overflow warnings a
     # blown-up iterate would otherwise spray before the check fires
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.inner_iters):
-            # back = syn(R*_omega D* Z)
-            DZ[:, 0] = Z[:, 0]
-            np.subtract(Z[:, 1:], Z[:, :-1], out=DZ[:, 1:-1])
-            np.negative(Z[:, -1], out=DZ[:, -1])
-            x_half = x - tau_free * _irfft_frames(DZ * rcr, w, scfg, circular)
+            if moving:
+                # back = syn(R*_omega D* Z) on the moving frames
+                DZ[0] = Z[0]
+                np.subtract(Z[1:], Z[:-1], out=DZ[1:-1])
+                np.negative(Z[-1], out=DZ[-1])
+                DZ[fm] *= rcr
+                np.multiply(tau_free, _irfft_frames(DZ[fm], w, scfg, circular), out=x_half)
+                np.subtract(xm, x_half, out=x_half)
 
-            A2 = _rfft_frames(2.0 * x_half - x, w, scfg, circular)
-            A2 *= ramp_rot_sigma
-            Q = Z + (A2[:, :-1] - A2[:, 1:])
-            Q[:, cut] = 0.0
+                np.multiply(x_half, 2.0, out=xbar)
+                xbar -= xm
+                np.multiply(_rfft_frames(xbar, w, scfg, circular), ramp_rot_sigma[fm], out=A2[fm])
+            np.subtract(A2[:-1], A2[1:], out=Q)
+            Q += Z
+            Q[cut] = 0.0
             Z_half = _dual_step(Q, cfg.thresholder, M)
 
-            if alpha == 1.0:
-                x, Z = x_half, Z_half
-            else:
-                x = x + alpha * (x_half - x)
-                Z = Z + alpha * (Z_half - Z)
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(i + 1)
+            Z = Z_half if alpha == 1.0 else Z + alpha * (Z_half - Z)
+            if moving:
+                if alpha == 1.0:
+                    xm[:] = x_half
+                else:
+                    xm += alpha * (x_half - xm)
+                if not np.all(np.isfinite(xm)):
+                    raise DivergenceError(i + 1)
             if trace is not None:
-                A = _rfft_frames(x, w, scfg, circular) * run.ramp
+                if moving:
+                    np.multiply(_rfft_frames(xm, w, scfg, circular), run.ramp[fm], out=A[fm])
                 trace(i + 1, *_trace_terms(A, rot, run.Xc, run.reliable, M, cfg.lam, cut))
 
     return SolverState(x, _expand(Z, M))
@@ -413,7 +451,7 @@ def _outer_loop(run, cfg, rounds, omega_of, trace=None):
                 break
 
     A = _rfft_frames(xhat, default_window(scfg).samples, scfg, run.circular)
-    return _expand(A[:, run.gaps] * run.ramp[:, run.gaps], scfg.channels) * run.peak, info
+    return _expand(A[run.gaps] * run.ramp[run.gaps], scfg.channels) * run.peak, info
 
 
 def _tf_only(run, cfg, trace=None):
@@ -421,15 +459,20 @@ def _tf_only(run, cfg, trace=None):
     M = run.cfg.channels
     Xc, cut = run.Xc, run.cut
     X = X_bar = Xc.astype(complex)  # never updated in place
-    Z = np.zeros((len(Xc), Xc.shape[1] - 1), dtype=complex)
+    Z = np.zeros((len(Xc) - 1, Xc.shape[1]), dtype=complex)
+    DZ = np.zeros_like(X)
     tau, sigma = cfg.tau, cfg.sigma
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.inner_iters):
-            Q = Z + sigma * time_variation(X_bar)
-            Q[:, cut] = 0.0
+            Q = Z + sigma * (X_bar[:-1] - X_bar[1:])
+            Q[cut] = 0.0
             Z = _dual_step(Q, cfg.thresholder, M)
-            X_new = project_feasible(X - tau * time_variation_adjoint(Z), run.gaps, Xc)
+            DZ[-1] = 0.0  # DZ = D* Z
+            DZ[:-1] = Z
+            DZ[1:] -= Z
+            # project_feasible keeps columns: it sees the M-row orientation
+            X_new = project_feasible((X - tau * DZ).T, run.gaps, Xc.T).T
             X_bar = 2.0 * X_new - X
             X = X_new
             if not np.all(np.isfinite(X)):
@@ -438,7 +481,7 @@ def _tf_only(run, cfg, trace=None):
                 trace(i + 1, *_trace_terms(X, 1.0, Xc, run.reliable, M, cfg.lam, cut))
 
     info = {"outer_iters_used": 1, "stopped_early": False, "final_change": None}
-    return _expand(X[:, run.gaps], M) * run.peak, info
+    return _expand(X[run.gaps], M) * run.peak, info
 
 
 def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=None):

@@ -22,6 +22,11 @@ Conventions (these matter; everything downstream relies on them):
   The solver works on the half rows directly through the private helpers
   (``_rfft_frames``/``_irfft_frames`` without the phase ramp, ``_expand``
   and ``_hermitian_half`` at its M-row boundary).
+* Layout: the private helpers are frames-major -- k frames are (k, W) rows
+  and their coefficients (k, M//2+1), so every FFT, window product and
+  overlap-add runs along the contiguous last axis.  The public API
+  (``Spectrogram``, ``analyze``, ``synthesize``) stays M rows by N columns;
+  ``_expand`` and ``_hermitian_half`` convert between the two.
 * Frames are read through a strided view and overlap-added hop by hop, for
   any hop; no index grid is kept.  The private helpers also take k frames of
   a span buffer of a*(k-1) + W samples; only the whole circle folds.
@@ -152,8 +157,8 @@ def _window(g, cfg):
 
 @lru_cache(maxsize=64)
 def _frame_plan(cfg, start, count):
-    """Phase ramp ramp[m, j] = exp(-i*2*pi*m*a*n / M), n = start + j, for rows
-    m = 0..M//2 and count frames (period N in n, as M divides a*N).
+    """Phase ramp ramp[j, m] = exp(-i*2*pi*m*a*n / M), n = start + j, for
+    count frames and rows m = 0..M//2 (period N in n, as M divides a*N).
 
     It converts frame-local FFT phase to the frequency-invariant convention.
     The exponent m*a*n is reduced modulo M in integers first, so every row
@@ -161,12 +166,12 @@ def _frame_plan(cfg, start, count):
     """
     a, M = cfg.hop, cfg.channels
     n = start + np.arange(count)
-    k = (np.arange(M // 2 + 1)[:, None] * ((a * n) % M)[None, :]) % M
+    k = (((a * n) % M)[:, None] * np.arange(M // 2 + 1)[None, :]) % M
     return np.exp(-2j * np.pi * k / M)
 
 
 def _rfft_frames(x, w, cfg, circular=True):
-    """Real-input FFT of the windowed frames of x: rows 0..M//2, with the
+    """Real-input FFT of the windowed frames of x: (k, M//2+1), with the
     frame-local phase (no ramp).  Frame j, samples a*j..a*j+W-1 of the span
     buffer, is read through a strided view; x is the span buffer itself, or
     (circular) the whole signal, extended by its first W - a samples."""
@@ -175,13 +180,12 @@ def _rfft_frames(x, w, cfg, circular=True):
         x = np.concatenate((x, x[: W - a]))
     k = (len(x) - W) // a + 1
     step = x.strides[0]
-    frames = np.lib.stride_tricks.as_strided(x, (W, k), (step, a * step), writeable=False)
-    return np.fft.rfft(np.multiply(frames, w[:, None], out=np.empty((W, k))),
-                       n=cfg.channels, axis=0)
+    frames = np.lib.stride_tricks.as_strided(x, (k, W), (a * step, step), writeable=False)
+    return np.fft.rfft(np.multiply(frames, w, out=np.empty((k, W))), n=cfg.channels)
 
 
 def _overlap_add(contrib, cfg, circular=True):
-    """Overlap-add of per-frame contributions (W x k) into the span buffer
+    """Overlap-add of per-frame contributions (k x W) into the span buffer
     of the k frames; circular folds the overhang back onto the front.
 
     Frames are split into q = ceil(W/a) hop-sized chunks, the last one
@@ -190,12 +194,12 @@ def _overlap_add(contrib, cfg, circular=True):
     suffices: L >= W gives N >= q.
     """
     W, a = cfg.window_len, cfg.hop
-    k = contrib.shape[1]
+    k = len(contrib)
     q = -(-W // a)
     ext = np.zeros((k + q - 1, a))
     for j in range(q):
-        chunk = contrib[j * a : (j + 1) * a]
-        ext[j : j + k, : len(chunk)] += chunk.T
+        chunk = contrib[:, j * a : (j + 1) * a]
+        ext[j : j + k, : chunk.shape[1]] += chunk
     if circular:
         ext[: q - 1] += ext[k:]
         return ext[:k].ravel()
@@ -203,7 +207,8 @@ def _overlap_add(contrib, cfg, circular=True):
 
 
 def _irfft_frames(V, w, cfg, circular=True):
-    """Real adjoint of the full-spectrum _rfft_frames, given rows 0..M//2.
+    """Real adjoint of the full-spectrum _rfft_frames, given rows 0..M//2
+    of each of the k frames of V (k, M//2+1).
 
     The lower rows are implied as the conjugate mirror, which makes the
     inverse transform real; the imaginary parts of the DC row and of an
@@ -211,31 +216,41 @@ def _irfft_frames(V, w, cfg, circular=True):
     then overlap-added.
     """
     M = cfg.channels
-    contrib = np.fft.irfft(V, n=M, axis=0)[: cfg.window_len] * (w * M)[:, None]
+    contrib = np.fft.irfft(V, n=M)[:, : cfg.window_len]
+    contrib *= w * M
     return _overlap_add(contrib, cfg, circular)
 
 
 def _synthesize(H, w, cfg):
-    """Synthesis of the conjugate-symmetric matrix with rows 0..M//2 = H."""
+    """Synthesis of the conjugate-symmetric matrix with rows 0..M//2 = H
+    (frames-major, (N, M//2+1))."""
     return _irfft_frames(H * np.conj(_frame_plan(cfg, 0, cfg.n_frames)), w, cfg)
 
 
 def _expand(H, M):
-    """All M rows of the conjugate-symmetric matrix with rows 0..M//2 = H."""
-    full = np.empty((M, H.shape[1]), dtype=H.dtype)
-    full[: len(H)] = H
-    full[len(H) :] = np.conj(H[(M - 1) // 2 : 0 : -1])
+    """All M rows, by k columns, of the conjugate-symmetric matrix whose
+    rows 0..M//2 are the frames-major H (k, M//2+1)."""
+    half = H.shape[1]
+    full = np.empty((M, len(H)), dtype=H.dtype)
+    full[:half] = H.T
+    np.conj(H[:, (M - 1) // 2 : 0 : -1].T, out=full[half:])
     return full
 
 
 def _hermitian_half(X):
     """Rows 0..M//2 of the conjugate-symmetric part of an M-row matrix,
-    (X[m] + conj(X[-m mod M])) / 2: all of it that a real signal sees.
-    Returns those rows unchanged when X is conjugate-symmetric."""
+    (X[m] + conj(X[-m mod M])) / 2, frames-major (k, M//2+1): all of it
+    that a real signal sees.  Returns those rows unchanged when X is
+    conjugate-symmetric."""
     X = np.asarray(X)
-    M = X.shape[0]
-    rows = np.arange(M // 2 + 1)
-    return 0.5 * (X[rows] + np.conj(X[-rows % M]))
+    M, XT = X.shape[0], X.T
+    half = M // 2 + 1
+    out = np.empty((X.shape[1], half), dtype=np.result_type(X.dtype, 0.5))
+    np.conj(XT[:, :1], out=out[:, :1])
+    np.conj(XT[:, M - 1 : M - half : -1], out=out[:, 1:])
+    out += XT[:, :half]
+    out *= 0.5
+    return out
 
 
 def analyze(x, g, cfg):

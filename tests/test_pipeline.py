@@ -168,9 +168,9 @@ def test_peak_normalize_basics():
     syn = synthesize(Xm, default_window(cfg), cfg)[span]
     assert abs(np.max(np.abs(obs.x0)) - 1.0) <= 1e-12
     assert abs(obs.peak - np.max(np.abs(syn))) <= 1e-15
-    # round trip, rows 0..M/2 of the run's frames
+    # round trip, rows 0..M/2 of the run's frames (frames-major)
     frames = run.start + np.arange(run.count)
-    ref = Xm.data[: M // 2 + 1, frames]
+    ref = Xm.data[: M // 2 + 1, frames].T
     assert np.max(np.abs(obs.Xc * obs.peak - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

@@ -23,6 +23,7 @@ from tfpaint.solver import (
     gcpa_inner,
     initial_state,
     operator_norm_estimate,
+    solve_run,
     uphain_tf,
 )
 from tfpaint.stft import (
@@ -538,26 +539,76 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
     assert obj_free <= obj_two
 
 
+def run_case(scfg, zero, warm=False):
+    """(state0, X_corr, omega, k, moving frames) for the gap columns ``zero``
+    of the three-tone signal, where X_corr is the whole Spectrogram when
+    scfg is SEG, else the one frame run ``frame_runs`` makes, as
+    ``solve_run`` sets it up."""
+    w = default_window(scfg)
+    X = analyze(three_tone(scfg.signal_len), w, scfg).data.copy()
+    X[:, zero] = 0.0
+    run = None if scfg is SEG else frame_runs(zero, scfg)[0]
+    obs = _observe(Spectrogram(X, scfg), zero, run)
+    x0 = initial_state(Spectrogram(X, scfg)).x if run is None else obs.x0
+    k = len(obs.reliable)
+    Z0 = np.zeros((scfg.channels, k - 1), complex)
+    if warm:
+        rng = np.random.default_rng(5)
+        frames = np.arange(k) if run is None else (run.start + np.arange(k)) % scfg.n_frames
+        V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data[:, frames])
+        Z0 = 0.01 * V / np.max(np.abs(V))
+    omega = estimate_if(x0, make_hann(scfg.window_len), make_hann_derivative(scfg.window_len),
+                        scfg, circular=run is None)
+    target = Spectrogram(X, scfg) if run is None else obs
+    return SolverState(x0, Z0), target, omega, k, obs.moving.stop - obs.moving.start
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
 def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
-    zero = np.arange(6, 10)
-    st0, Xc, omega = oracle_case(SEG, zero, warm)
-    calls = {"n": 0}
-    for name in ("rfft", "irfft"):
-        def counted(*a, _f=getattr(np.fft, name), **k):
-            calls["n"] += 1
-            return _f(*a, **k)
+    # counts transformed frames, the rows of each rfft/irfft input: an
+    # iteration analyses and synthesizes the moving frames once each, and
+    # the set-up is at most one analysis (the fixed frames at x_det) and one
+    # synthesis (x_det itself, when handed a whole Spectrogram) of the run's
+    # frames
+    rows = {"rfft": [], "irfft": []}
+    for name in rows:
+        def counted(a, *args, _f=getattr(np.fft, name), _log=rows[name], **kw):
+            a = np.asarray(a)
+            assert a.strides[-1] == a.itemsize  # contiguous along the FFT axis
+            _log.append(a.shape[0] if a.ndim == 2 else 1)
+            return _f(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, counted)
 
-    def count(iters, alpha):
-        calls["n"] = 0
-        gcpa_inner(st0, zero, Xc, omega, SolverConfig(inner_iters=iters, alpha_relax=alpha))
-        return calls["n"]
+    def count(case, zero, iters, alpha, trace=None):
+        for log in rows.values():
+            log.clear()
+        st0, X_corr, omega = case
+        cfg = SolverConfig(inner_iters=iters, alpha_relax=alpha)
+        gcpa_inner(st0, zero, X_corr, omega, cfg, trace=trace)
+        return {name: (len(log), sum(log)) for name, log in rows.items()}
 
-    for alpha in (1.0, 1.5):
-        few, many = count(5, alpha), count(15, alpha)
-        assert many - few == 2 * 10
-        assert few - 2 * 5 <= 1  # the synthesis of the reliable columns
+    # a whole Spectrogram (every frame moves), a 4-column frame run (8
+    # frames, 6 moving) and a 1-column frame run at the default geometry (3
+    # frames, none moving)
+    for scfg, zero, n_moving in ((SEG, np.arange(6, 10), SEG.n_frames),
+                                 (RUNS, np.arange(14, 18), 6),
+                                 (RUNS, np.array([14]), 0)):
+        *case, k, moving = run_case(scfg, zero, warm)
+        assert moving == n_moving
+        for alpha in (1.0, 1.5):
+            few, many = count(case, zero, 5, alpha), count(case, zero, 15, alpha)
+            for name in rows:
+                assert many[name][1] - few[name][1] == 10 * moving
+                assert few[name][0] - (5 if moving else 0) <= 1
+                assert few[name][1] - 5 * moving <= k
+        # tracing adds one analysis of the moving frames per iteration
+        log = []
+        few = count(case, zero, 5, 1.0, trace=lambda *r: log.append(r))
+        many = count(case, zero, 15, 1.0, trace=lambda *r: log.append(r))
+        assert many["rfft"][1] - few["rfft"][1] == 2 * 10 * moving
+        assert many["irfft"][1] - few["irfft"][1] == 10 * moving
+        assert [r[0] for r in log] == [*range(1, 6), *range(1, 16)]
+        assert np.all(np.isfinite(np.array(log)))
 
 
 # ------------------------------------------------------- free-sample threshold
@@ -570,7 +621,7 @@ def test_free_sample_counts_at_quarter_hop(width, n_free):
     # threshold frees the 7 samples either side whose d_rel is below it
     reliable = np.ones(SEG.n_frames, dtype=bool)
     reliable[5 : 5 + width] = False
-    free, _ = _free_samples(np.zeros((SEG.channels // 2 + 1, SEG.n_frames), complex),
+    free, _ = _free_samples(np.zeros((SEG.n_frames, SEG.channels // 2 + 1), complex),
                             reliable, default_window(SEG).samples, SEG)
     assert int(np.sum(free)) == n_free
     assert np.array_equal(free, reliable_energy(SEG, reliable) <= FREE_DREL)
@@ -599,7 +650,7 @@ def test_fixed_samples_stable_under_observation_noise():
     H = _hermitian_half(corrupted(three_tone(), zero).data)
     rng = np.random.default_rng(11)
     E = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
-    E *= 1e-9 * np.max(np.abs(H)) / np.max(np.abs(E)) * reliable
+    E *= 1e-9 * np.max(np.abs(H)) / np.max(np.abs(E)) * reliable[:, None]
     free, x_det = _free_samples(H, reliable, w, SEG)
     free_n, x_noisy = _free_samples(H + E, reliable, w, SEG)
     assert np.array_equal(free, free_n)
@@ -697,6 +748,67 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
         assert np.max(np.abs(got.x - ref.x[span])) <= 1e-12 * np.max(np.abs(ref.x))
         if len(run.gaps[0]) == 4:  # the free samples moved
             assert not np.array_equal(got.x[obs.free], obs.x0[obs.free])
+
+
+RUN_ARRAYS = ("x0", "x_det", "free", "Xc", "ramp")
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, "soft"), (1.5, "soft"), (1.0, "l2_block")],
+                         ids=["alpha1", "alpha1.5", "l2-block"])
+@pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([30, 31, 0, 1])],
+                         ids=["interior", "file-end"])
+def test_solvers_leave_their_inputs_unchanged(monkeypatch, zero, alpha, kind):
+    # the outer loop hands one _Run to up to outer_iters + 1 inner runs, and
+    # its ramp is frame_plan's cached array: an in-place write to any of
+    # them, or a fixed-frame analysis kept from an earlier call, would leak
+    # into the next round
+    import tfpaint.solver as solver_mod
+
+    cfg = SolverConfig(inner_iters=10, outer_iters=2, alpha_relax=alpha,
+                       thresholder=default_thresholder(kind))
+    st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
+    assert 0 < moving < k
+    # the file-end run crosses the pair N-1 -> 0
+    assert isinstance(obs.cut, slice) == (zero[0] != 30)
+    kept = {name: getattr(obs, name).copy() for name in RUN_ARRAYS}
+    inputs = (st0.x.copy(), st0.Z.copy(), omega.omega.copy())
+    # a round at another omega between two equal ones, as the outer loop
+    # runs them, and that round again on a freshly set-up run
+    other = 0.5 * omega.omega
+    first = gcpa_inner(st0, None, obs, omega, cfg)
+    between = gcpa_inner(st0, None, obs, other, cfg)
+    second = gcpa_inner(st0, None, obs, omega, cfg)
+    fresh = gcpa_inner(st0, None, run_case(RUNS, zero)[1], other, cfg)
+    assert not np.array_equal(first.x, st0.x)
+    assert not np.array_equal(first.x, between.x)
+    assert np.array_equal(first.x, second.x) and np.array_equal(first.Z, second.Z)
+    assert np.array_equal(between.x, fresh.x) and np.array_equal(between.Z, fresh.Z)
+    for name in RUN_ARRAYS:
+        assert np.array_equal(getattr(obs, name), kept[name]), name
+    for now, before in zip((st0.x, st0.Z, omega.omega), inputs):
+        assert np.array_equal(now, before)
+
+    made = []
+
+    def observe(*args, _real=solver_mod._observe):
+        run = _real(*args)
+        made.append((run, {name: getattr(run, name).copy() for name in RUN_ARRAYS}))
+        return run
+
+    monkeypatch.setattr(solver_mod, "_observe", observe)
+    X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
+    X[:, zero] = 0.0
+    X_corr = Spectrogram(X.copy(), RUNS)
+    (run,) = frame_runs(zero, RUNS)
+    for method in ("uphain", "tf_only"):
+        made.clear()
+        got = [solve_run(X_corr, zero, run, cfg, method) for _ in range(2)]
+        assert len(made) == 2
+        assert np.array_equal(got[0][1], got[1][1])
+        assert np.array_equal(X_corr.data, X)
+        for made_run, snap in made:
+            for name in RUN_ARRAYS:
+                assert np.array_equal(getattr(made_run, name), snap[name]), (method, name)
 
 
 # ------------------------------------------------ full-spectrum tf_only oracle

@@ -242,8 +242,9 @@ def test_shape_validation():
 @pytest.mark.parametrize("start, count", [(3, 2), (0, 4), (5, 3)])
 def test_frame_run_matches_full_signal_analysis(start, count):
     # frames start..start+count-1 (modulo N) read from their span buffer and
-    # overlap-added back without a fold: the columns of the full analysis,
-    # and the real adjoint of that restricted analysis, for every geometry
+    # overlap-added back without a fold: the columns of the full analysis
+    # (the helpers are frames-major: one row per frame), and the real
+    # adjoint of that restricted analysis, for every geometry
     rng = np.random.default_rng(start)
     for cfg, g in geometries():
         a, W, M, N = cfg.hop, cfg.window_len, cfg.channels, cfg.n_frames
@@ -251,16 +252,17 @@ def test_frame_run_matches_full_signal_analysis(start, count):
         x = rng.standard_normal(cfg.signal_len)
         span = (a * start + np.arange(a * (count - 1) + W)) % cfg.signal_len
         got = _rfft_frames(x[span], w, cfg, circular=False) * _frame_plan(cfg, start, count)
-        want = analyze(x, w, cfg).data[: M // 2 + 1, (start + np.arange(count)) % N]
+        assert got.shape == (count, M // 2 + 1)
+        want = analyze(x, w, cfg).data[: M // 2 + 1, (start + np.arange(count)) % N].T
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         V = rng.standard_normal(got.shape) + 1j * rng.standard_normal(got.shape)
-        V[0].imag = 0.0  # the DC row of a real signal's analysis is real
+        V[:, 0].imag = 0.0  # the DC row of a real signal's analysis is real
         if M % 2 == 0:
-            V[-1].imag = 0.0
+            V[:, -1].imag = 0.0
         back = _irfft_frames(V, w, cfg, circular=False)
         assert back.shape == (len(span),)
         A = _rfft_frames(x[span], w, cfg, circular=False)
-        weight = np.full((len(V), 1), 2.0)
+        weight = np.full(V.shape[1], 2.0)
         weight[0] = 1.0
         if M % 2 == 0:
             weight[-1] = 1.0
