@@ -104,22 +104,24 @@ def write_spectrogram(path, X, force=False):
 
 
 def read_spectrogram(path):
+    """Inverse of write_spectrogram; the coefficients are read straight into
+    the returned array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(SPGM_MAGIC)] != SPGM_MAGIC:
-        raise ValueError(f"{path}: not a spectrogram file")
-    head = np.frombuffer(blob[5:21], dtype="<u4")
-    if head.size != 4:
-        raise ValueError(f"{path}: truncated header")
-    M, N, hop, window_len = (int(v) for v in head)
-    data = np.frombuffer(blob[21:], dtype="<c16")
-    if data.size != M * N:
-        raise ValueError(f"{path}: expected {M * N} coefficients, found {data.size}")
+        head = fh.read(21)
+        if head[: len(SPGM_MAGIC)] != SPGM_MAGIC:
+            raise ValueError(f"{path}: not a spectrogram file")
+        if len(head) != 21:
+            raise ValueError(f"{path}: truncated header")
+        M, N, hop, window_len = (int(v) for v in np.frombuffer(head[5:], dtype="<u4"))
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        data = np.empty((M, N), dtype="<c16") if size == 16 * M * N else None
+        if data is None or fh.readinto(data) != size:
+            extra = f" and {size % 16} byte(s)" if size % 16 else ""
+            raise ValueError(f"{path}: expected {M * N} coefficients, found {size // 16}{extra}")
     bad = data.size - int(np.count_nonzero(np.isfinite(data)))
     if bad:
         raise ValueError(f"{path}: {bad} coefficient(s) are NaN or infinite")
-    return Spectrogram(data.reshape(M, N).copy(),
-                       StftConfig(window_len, hop, M, N * hop))
+    return Spectrogram(data, StftConfig(window_len, hop, M, N * hop))
 
 
 def record_row(r):

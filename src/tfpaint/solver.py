@@ -140,15 +140,26 @@ def initial_state(X_corr):
     return SolverState(x0, np.zeros((M, N - 1), dtype=complex))
 
 
-def _dual_step(Q, thresh, M):
-    """Q - thresh(Q) for the conjugate-symmetric dual with rows 0..M//2 =
-    Q (frames-major)."""
+def _dual_step(Q, thresh, M, mag):
+    """Q - thresh(Q), in place, for the conjugate-symmetric dual with rows
+    0..M//2 = Q (frames-major); mag is a real work array of Q's shape."""
     if thresh.kind == "soft":
-        # Q - soft(Q) is the entrywise projection onto the lam-ball
-        mag = np.abs(Q)
-        return Q * (np.minimum(mag, thresh.lam) / np.maximum(mag, 1e-300))
+        # Q - soft(Q) is the entrywise projection onto the lam-ball; the
+        # floor makes a zero entry 0 at lam = 0
+        np.abs(Q, out=mag)
+        np.maximum(mag, thresh.lam or 1e-300, out=mag)
+        np.divide(thresh.lam, mag, out=mag)
+        Q *= mag
+        return Q
     # on all M rows, so a block norm counts the mirrored rows too
-    return Q - thresh(_expand(Q, M))[: Q.shape[1]].T
+    Q -= thresh(_expand(Q, M))[: Q.shape[1]].T
+    return Q
+
+
+def _finite(a):
+    """np.all(np.isfinite(a)), from one sum when that is finite (a finite
+    sum has no infinite or NaN term)."""
+    return bool(np.isfinite(np.add.reduce(a, axis=None))) or bool(np.all(np.isfinite(a)))
 
 
 def find_gaps(mask):
@@ -282,21 +293,62 @@ def _observe(X_corr, zero, run=None):
                 free, x_det, _frame_plan(cfg, start, count), moving, cut, x0, peak)
 
 
+def _row_weights(M):
+    """Weights of rows 0..M//2 in a sum over all M rows of a conjugate-
+    symmetric matrix: the DC row once, the Nyquist row once when M is even,
+    every other row twice."""
+    wt = np.full(M // 2 + 1, 2.0)
+    wt[0] = 1.0
+    if M % 2 == 0:
+        wt[-1] = 1.0
+    return wt
+
+
 def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
     """(lam * ||D(rot*A)||_1, ||P_rel(A - Xc)||_F) over all M rows, given
-    rows 0..M//2 of conjugate-symmetric A and Xc (frames-major): the DC row
-    counts once, the Nyquist row once when M is even, every other row
-    twice."""
-    row_weight = np.full(A.shape[1], 2.0)
-    row_weight[0] = 1.0
-    if M % 2 == 0:
-        row_weight[-1] = 1.0
+    rows 0..M//2 of conjugate-symmetric A and Xc (frames-major)."""
+    row_weight = _row_weights(M)
     V = A * rot
     var = np.abs(V[:-1] - V[1:])
     var[cut] = 0.0
     obj = lam * float(np.sum(row_weight * var))
     diff2 = row_weight * np.abs(A - Xc) ** 2
     return obj, float(np.sqrt(np.sum(diff2[reliable])))
+
+
+def _traced_terms(F, run, ramp_rot, rot, lam, alpha):
+    """The trace terms of gcpa_inner's iterate without an analysis of it.
+
+    F is the frame-local analysis of the starting x.  Returns step(Fbar):
+    given the analysis of xbar on the moving frames, it moves theirs to
+    that of the relaxed iterate x + (alpha/2)*(xbar - x) (the analysis is
+    linear) and returns what ``_trace_terms`` does there, to round-off.
+    Only the moving frames and the differences they enter are recomputed;
+    rot has unit modulus, so |A - Xc| = |A*rot - Xc*rot|.
+    """
+    k, fm = len(F), run.moving
+    wt = _row_weights(run.cfg.channels)
+    V = F * ramp_rot  # A * rot, where A = F * ramp
+    Xr = run.Xc * rot
+    fixed = run.reliable.copy()
+    fixed[fm] = False
+    fixed_sum = np.sum(wt * np.abs(V[fixed] - Xr[fixed]) ** 2)
+    rel = run.reliable[fm]
+    Fx, Vm, Xrm, rrm = F[fm].copy(), V[fm], Xr[fm][rel], ramp_rot[fm]
+    p0, p1 = max(fm.start - 1, 0), min(fm.stop, k - 1)  # the pairs that move
+    var = wt * np.abs(V[:-1] - V[1:])
+    var[run.cut] = 0.0
+    half = alpha / 2.0
+
+    def step(Fbar):
+        Fx[:] += half * (Fbar - Fx)
+        np.multiply(Fx, rrm, out=Vm)
+        np.multiply(wt, np.abs(V[p0:p1] - V[p0 + 1 : p1 + 1]), out=var[p0:p1])
+        var[run.cut] = 0.0
+        feas2 = fixed_sum + np.sum(wt * np.abs(Vm[rel] - Xrm) ** 2)
+        return lam * float(np.sum(var)), float(np.sqrt(feas2))
+
+    return step
 
 
 def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
@@ -326,7 +378,8 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     omega on its k frames).  state0 is not mutated.  ``trace``, if given, is
     called after each iteration with (iteration, objective,
     feasibility_residual) where the objective is lam * ||D R_omega ana(x)||_1;
-    tracing costs one analysis of the moving frames per iteration.
+    tracing costs no transform: the analysis of x is carried along from the
+    loop's analysis of the extrapolated point (``_traced_terms``).
     Divergence (a non-finite moving sample) raises DivergenceError with the
     iteration index.
 
@@ -344,9 +397,11 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     fixed sample 2*x_det - x_det == x_det and x - 0*v == x in floating
     point, so every other frame's analysis is the one at x_det, taken once
     per call, and a frame that touches no free sample adds nothing to a
-    free sample in the overlap-add.  A 1-2-column gap at hop W/4 has no
-    moving frame and costs no transform per iteration; its dual still
-    steps.
+    free sample in the overlap-add.  A run with no moving frame (a
+    1-2-column gap at hop W/4) cannot move x from x_det, and only x reaches
+    the outputs, so it runs no dual step at all: it returns x_det and its
+    starting dual, and uses omega only for a trace (the terms at x_det,
+    once per iteration).
 
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
     a coefficient matrix, so the observation and the starting dual enter
@@ -360,61 +415,72 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     scfg, circular, cut, fm = run.cfg, run.circular, run.cut, run.moving
     w = default_window(scfg).samples
     M, W, a = scfg.channels, scfg.window_len, scfg.hop
-    rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
     alpha = cfg.alpha_relax
-
-    ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
 
     x = np.where(run.free, state0.x, run.x_det)
     Z = _hermitian_half(state0.Z)
+    moving = fm.stop > fm.start
+    # with no moving frame, x stays x_det and no output depends on the
+    # dual: skip its steps, and omega unless a trace needs it
+    if not moving and trace is None:
+        return SolverState(x, _expand(Z, M))
+    rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
+    if not moving:
+        A = _rfft_frames(x, w, scfg, circular) * run.ramp
+        terms = _trace_terms(A, rot, run.Xc, run.reliable, M, cfg.lam, cut)
+        for i in range(cfg.inner_iters):
+            trace(i + 1, *terms)
+        return SolverState(x, _expand(Z, M))
+
+    ramp_rot = run.ramp * rot
+    ramp_rot_sigma = ramp_rot * cfg.sigma  # corrected analysis, dual step folded
     F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
     A2 = F * ramp_rot_sigma
-    A = F * run.ramp if trace is not None else None
-    Q = np.empty_like(Z)
+    if trace is not None:
+        traced = _traced_terms(F, run, ramp_rot, rot, cfg.lam, alpha)
 
-    moving = fm.stop > fm.start
-    if moving:
-        # xm, the moving frames' samples, is a view of x, updated in place
-        span = slice(None) if circular else slice(a * fm.start, a * (fm.stop - 1) + W)
-        xm = x[span]
-        tau_free = cfg.tau * run.free[span]  # primal step, zero on fixed samples
-        rcr = np.conj(rot[fm] * run.ramp[fm])  # corrected-adjoint synthesis factor
-        DZ = np.empty((len(Z) + 1, Z.shape[1]), dtype=complex)
-        x_half, xbar = np.empty_like(xm), np.empty_like(xm)
+    # xm, the moving frames' samples, is a view of x, updated in place
+    span = slice(None) if circular else slice(a * fm.start, a * (fm.stop - 1) + W)
+    xm = x[span]
+    tau_free = cfg.tau * run.free[span]  # primal step, zero on fixed samples
+    rcr = np.conj(rot[fm] * run.ramp[fm])  # corrected-adjoint synthesis factor
+    DZ = np.empty((len(Z) + 1, Z.shape[1]), dtype=complex)
+    x_half, xbar = np.empty_like(xm), np.empty_like(xm)
+    Q, mag = np.empty_like(Z), np.empty(Z.shape)
 
     # divergence is detected explicitly, so silence the overflow warnings a
     # blown-up iterate would otherwise spray before the check fires
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.inner_iters):
-            if moving:
-                # back = syn(R*_omega D* Z) on the moving frames
-                DZ[0] = Z[0]
-                np.subtract(Z[1:], Z[:-1], out=DZ[1:-1])
-                np.negative(Z[-1], out=DZ[-1])
-                DZ[fm] *= rcr
-                np.multiply(tau_free, _irfft_frames(DZ[fm], w, scfg, circular), out=x_half)
-                np.subtract(xm, x_half, out=x_half)
+            # back = syn(R*_omega D* Z) on the moving frames
+            DZ[0] = Z[0]
+            np.subtract(Z[1:], Z[:-1], out=DZ[1:-1])
+            np.negative(Z[-1], out=DZ[-1])
+            DZ[fm] *= rcr
+            np.multiply(tau_free, _irfft_frames(DZ[fm], w, scfg, circular), out=x_half)
+            np.subtract(xm, x_half, out=x_half)
 
-                np.multiply(x_half, 2.0, out=xbar)
-                xbar -= xm
-                np.multiply(_rfft_frames(xbar, w, scfg, circular), ramp_rot_sigma[fm], out=A2[fm])
+            np.multiply(x_half, 2.0, out=xbar)
+            xbar -= xm
+            Fbar = _rfft_frames(xbar, w, scfg, circular)
+            np.multiply(Fbar, ramp_rot_sigma[fm], out=A2[fm])
             np.subtract(A2[:-1], A2[1:], out=Q)
             Q += Z
             Q[cut] = 0.0
-            Z_half = _dual_step(Q, cfg.thresholder, M)
+            _dual_step(Q, cfg.thresholder, M, mag)  # Q holds the dual step now
 
-            Z = Z_half if alpha == 1.0 else Z + alpha * (Z_half - Z)
-            if moving:
-                if alpha == 1.0:
-                    xm[:] = x_half
-                else:
-                    xm += alpha * (x_half - xm)
-                if not np.all(np.isfinite(xm)):
-                    raise DivergenceError(i + 1)
+            if alpha == 1.0:
+                Z, Q = Q, Z
+                xm[:] = x_half
+            else:
+                Q -= Z
+                np.multiply(alpha, Q, out=Q)
+                Z += Q
+                xm += alpha * (x_half - xm)
+            if not _finite(xm):
+                raise DivergenceError(i + 1)
             if trace is not None:
-                if moving:
-                    np.multiply(_rfft_frames(xm, w, scfg, circular), run.ramp[fm], out=A[fm])
-                trace(i + 1, *_trace_terms(A, rot, run.Xc, run.reliable, M, cfg.lam, cut))
+                trace(i + 1, *traced(Fbar))
 
     return SolverState(x, _expand(Z, M))
 
@@ -460,14 +526,14 @@ def _tf_only(run, cfg, trace=None):
     Xc, cut = run.Xc, run.cut
     X = X_bar = Xc.astype(complex)  # never updated in place
     Z = np.zeros((len(Xc) - 1, Xc.shape[1]), dtype=complex)
-    DZ = np.zeros_like(X)
+    DZ, mag = np.zeros_like(X), np.empty(Z.shape)
     tau, sigma = cfg.tau, cfg.sigma
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.inner_iters):
             Q = Z + sigma * (X_bar[:-1] - X_bar[1:])
             Q[cut] = 0.0
-            Z = _dual_step(Q, cfg.thresholder, M)
+            Z = _dual_step(Q, cfg.thresholder, M, mag)
             DZ[-1] = 0.0  # DZ = D* Z
             DZ[:-1] = Z
             DZ[1:] -= Z
@@ -475,7 +541,7 @@ def _tf_only(run, cfg, trace=None):
             X_new = project_feasible((X - tau * DZ).T, run.gaps, Xc.T).T
             X_bar = 2.0 * X_new - X
             X = X_new
-            if not np.all(np.isfinite(X)):
+            if not _finite(X):
                 raise DivergenceError(i + 1)
             if trace is not None:
                 trace(i + 1, *_trace_terms(X, 1.0, Xc, run.reliable, M, cfg.lam, cut))

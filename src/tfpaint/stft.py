@@ -284,12 +284,19 @@ def symmetry_residual(X):
     """Max deviation from conjugate symmetry X[M-m, n] == conj(X[m, n]).
 
     Zero (to round-off) for any spectrogram of a real signal; large values
-    flag coefficient matrices that cannot come from real audio.
+    flag coefficient matrices that cannot come from real audio.  Rows
+    0..M//2 are compared with their mirrors (the other rows give the same
+    magnitudes) a block of columns at a time, so no full-size copy is made.
     """
     data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
-    M = data.shape[0]
-    mirrored = np.conj(data[(-np.arange(M)) % M])
-    scale = np.max(np.abs(data))
+    M, N = data.shape
+    mirror = (-np.arange(M // 2 + 1)) % M
+    step = max(1, 2**16 // M)  # about 1 MB of coefficients per block
+    worst = scale = 0.0
+    for c in range(0, N, step):
+        block = data[:, c : c + step]
+        scale = np.maximum(scale, np.max(np.abs(block)))
+        worst = np.maximum(worst, np.max(np.abs(block[: M // 2 + 1] - np.conj(block[mirror]))))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(data - mirrored)) / scale)
+    return float(worst / scale)

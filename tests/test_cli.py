@@ -91,6 +91,38 @@ def test_spectrogram_file_round_trip_bit_exact(tmp_path):
     assert back.config == cfg
 
 
+@pytest.mark.parametrize("cfg", [StftConfig(2048, 512, 2048, 16 * 512), StftConfig(9, 3, 9, 27)],
+                         ids=["even-M", "odd-M"])
+def test_spectrogram_file_reader_matches_whole_file_formula(tmp_path, cfg):
+    # the reader fills its array from the file directly; it gives the
+    # bits and types of slicing the whole file
+    rng = np.random.default_rng(cfg.channels)
+    shape = (cfg.channels, cfg.n_frames)
+    p = str(tmp_path / "x.spgm")
+    write_spectrogram(p, Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg))
+    with open(p, "rb") as fh:
+        blob = fh.read()
+    M, N, hop, window_len = (int(v) for v in np.frombuffer(blob[5:21], dtype="<u4"))
+    old = np.frombuffer(blob[21:], dtype="<c16").reshape(M, N).copy()
+    back = read_spectrogram(p)
+    assert back.data.dtype == old.dtype and back.data.flags.c_contiguous
+    assert back.data.tobytes() == old.tobytes()
+    assert back.config == StftConfig(window_len, hop, M, N * hop) == cfg
+
+
+def test_spectrogram_file_rejects_wrong_sizes(tmp_path):
+    p = tmp_path / "x.spgm"
+    write_spectrogram(str(p), Spectrogram(np.ones((9, 9), complex), StftConfig(9, 3, 9, 27)))
+    blob = p.read_bytes()
+    for cut, message in ((blob[:12], "truncated header"),
+                         (blob[:-16], "expected 81 coefficients, found 80$"),
+                         (blob[:-3], "found 80 and 13 byte"),
+                         (blob + b"\x00", "found 81 and 1 byte")):
+        p.write_bytes(cut)
+        with pytest.raises(ValueError, match=message):
+            read_spectrogram(str(p))
+
+
 def test_spectrogram_file_rejects_garbage(tmp_path):
     p = tmp_path / "junk.spgm"
     p.write_bytes(b"NOPE!" + b"\x00" * 64)

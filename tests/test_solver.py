@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tfpaint.phase_prior import (
+    _coeffs,
     correction_factors,
     estimate_if,
     time_variation,
@@ -14,8 +15,10 @@ from tfpaint.solver import (
     FrameRun,
     SolverConfig,
     SolverState,
+    _dual_step,
     _free_samples,
     _observe,
+    _trace_terms,
     bphain_tf,
     cpa_tf_only,
     default_window,
@@ -31,6 +34,7 @@ from tfpaint.stft import (
     StftConfig,
     _expand,
     _hermitian_half,
+    _rfft_frames,
     analyze,
     make_hann,
     make_hann_derivative,
@@ -539,13 +543,18 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
     assert obj_free <= obj_two
 
 
-def run_case(scfg, zero, warm=False):
+def run_case(scfg, zero, warm=False, noise=0.0):
     """(state0, X_corr, omega, k, moving frames) for the gap columns ``zero``
     of the three-tone signal, where X_corr is the whole Spectrogram when
     scfg is SEG, else the one frame run ``frame_runs`` makes, as
-    ``solve_run`` sets it up."""
+    ``solve_run`` sets it up; noise > 0 adds that much (relative) complex
+    noise, which no real signal has, to the observation."""
     w = default_window(scfg)
     X = analyze(three_tone(scfg.signal_len), w, scfg).data.copy()
+    if noise:
+        rng = np.random.default_rng(12)
+        X += noise * np.max(np.abs(X)) * (rng.standard_normal(X.shape)
+                                          + 1j * rng.standard_normal(X.shape))
     X[:, zero] = 0.0
     run = None if scfg is SEG else frame_runs(zero, scfg)[0]
     obs = _observe(Spectrogram(X, scfg), zero, run)
@@ -601,14 +610,86 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
                 assert many[name][1] - few[name][1] == 10 * moving
                 assert few[name][0] - (5 if moving else 0) <= 1
                 assert few[name][1] - 5 * moving <= k
-        # tracing adds one analysis of the moving frames per iteration
+        # tracing adds no transform
         log = []
         few = count(case, zero, 5, 1.0, trace=lambda *r: log.append(r))
         many = count(case, zero, 15, 1.0, trace=lambda *r: log.append(r))
-        assert many["rfft"][1] - few["rfft"][1] == 2 * 10 * moving
-        assert many["irfft"][1] - few["irfft"][1] == 10 * moving
+        for name in rows:
+            assert many[name][1] - few[name][1] == 10 * moving
         assert [r[0] for r in log] == [*range(1, 6), *range(1, 16)]
         assert np.all(np.isfinite(np.array(log)))
+
+
+def fresh_trace_terms(x, run, omega, lam):
+    """_trace_terms of x on a frame run, from a new analysis of x."""
+    M = run.cfg.channels
+    rot = correction_factors(_coeffs(omega)[: M // 2 + 1], run.cfg.hop, M).T
+    A = _rfft_frames(x, default_window(run.cfg).samples, run.cfg, run.circular) * run.ramp
+    return _trace_terms(A, rot, run.Xc, run.reliable, M, lam, run.cut)
+
+
+def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
+    # a 1-column gap fixes x at x_det: the dual cannot reach an output, so
+    # it is not stepped, and a trace repeats the terms at x_det
+    import tfpaint.solver as solver_mod
+
+    calls = []
+    monkeypatch.setattr(solver_mod, "_dual_step", lambda *args: calls.append(args))
+    st0, obs, omega, k, moving = run_case(RUNS, np.array([14]), warm=True)
+    assert moving == 0 and np.any(st0.Z)
+    cfg = SolverConfig(inner_iters=25)
+    log = []
+    got = gcpa_inner(st0, None, obs, omega, cfg, trace=lambda *r: log.append(r))
+    assert not calls
+    assert np.array_equal(got.x, obs.x_det)
+    assert np.array_equal(got.Z, st0.Z)
+    terms = fresh_trace_terms(obs.x_det, obs, omega, cfg.lam)
+    assert log == [(i, *terms) for i in range(1, cfg.inner_iters + 1)]
+    # untraced, omega is not even turned into phase factors
+    monkeypatch.setattr(solver_mod, "correction_factors", None)
+    assert np.array_equal(gcpa_inner(st0, None, obs, omega, cfg).x, obs.x_det)
+
+
+@pytest.mark.parametrize("alpha, kind", [(1.0, "soft"), (1.5, "soft"), (1.0, "l2_block")],
+                         ids=["alpha1", "alpha1.5", "l2-block"])
+@pytest.mark.parametrize("zero, noise", [(np.arange(14, 18), 0.0),
+                                         (np.array([30, 31, 0, 1]), 0.0),
+                                         (np.arange(14, 18), 1e-3)],
+                         ids=["interior", "file-end", "noisy"])
+def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind):
+    # the trace carries the analysis of x along instead of taking it; after
+    # 500 iterations its terms still match a new analysis of the output
+    # (with noise, the frames that do not move leave a residual of their own)
+    cfg = SolverConfig(inner_iters=500, alpha_relax=alpha, thresholder=default_thresholder(kind))
+    st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
+    assert moving > 0
+    log = []
+    got = gcpa_inner(st0, None, obs, omega, cfg, trace=lambda *r: log.append(r))
+    assert len(log) == cfg.inner_iters
+    obj, feas = fresh_trace_terms(got.x, obs, omega, cfg.lam)
+    assert log[-1][1] == pytest.approx(obj, rel=1e-12, abs=0.0)
+    # the feasibility residual is round-off of the data here (the reliable
+    # frames barely see a free sample): relative to ||P_rel Xc||
+    data = _trace_terms(0.0 * obs.Xc, 1.0, obs.Xc, obs.reliable, RUNS.channels, cfg.lam)[1]
+    assert abs(log[-1][2] - feas) <= 1e-12 * data
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_dual_step_clip_matches_min_max_formula(lam):
+    # Q * (lam / max(|Q|, lam)) is the old min(|Q|, lam) / max(|Q|, 1e-300)
+    # bit for bit, at zero entries, on the ball's edge and one ulp outside
+    up, down = np.nextafter(lam, np.inf), np.nextafter(lam, -np.inf)
+    rng = np.random.default_rng(8)
+    # (below 1e-300 the old floor scaled the entry down by |Q| / 1e-300)
+    edge = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), lam, -lam, 1j * lam,
+            -1j * lam, up, -up, 1j * up, down, 1j * down, 1e-300, -1e-300j, 2e-300]
+    Q = np.concatenate([np.array(edge, dtype=complex),
+                        0.02 * (rng.standard_normal(48) + 1j * rng.standard_normal(48))])
+    Q = Q.reshape(8, 8)
+    mag = np.abs(Q)
+    old = Q * (np.minimum(mag, lam) / np.maximum(mag, 1e-300))
+    got = _dual_step(Q.copy(), Thresholder("soft", lam=lam), 14, np.empty(Q.shape))
+    assert got.tobytes() == old.tobytes()
 
 
 # ------------------------------------------------------- free-sample threshold

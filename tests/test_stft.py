@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tfpaint.stft import (
+    Spectrogram,
     StftConfig,
     Window,
     _frame_plan,
@@ -188,6 +189,28 @@ def test_conjugate_symmetry_of_real_analysis():
     bad = X.data.copy()
     bad[3, 0] += 1j * np.max(np.abs(bad))
     assert symmetry_residual(bad) > 1e-3
+
+
+@pytest.mark.parametrize("M", [8, 9])
+def test_symmetry_residual_matches_full_mirror_formula(M):
+    # the column blocks give the bits of the one-shot formula: |X[M-m] -
+    # conj(X[m])| equals |X[m] - conj(X[M-m])| exactly
+    rng = np.random.default_rng(M)
+    N = 3 * (2**16 // M) + 5  # several blocks and a partial one
+    half = rng.standard_normal((M // 2 + 1, N)) + 1j * rng.standard_normal((M // 2 + 1, N))
+    X = np.empty((M, N), complex)
+    X[: M // 2 + 1] = half
+    X[M // 2 + 1 :] = np.conj(half[(M - 1) // 2 : 0 : -1])
+    X[0] = X[0].real
+    if M % 2 == 0:
+        X[M // 2] = X[M // 2].real
+    for row, col, dz in ((0, 0, 0.0), (M - 2, N - 1, 1e-9j), (1, N // 2, 1e-6), (M // 2, 3, 2e-7j)):
+        X[row, col] += dz
+        mirrored = np.conj(X[(-np.arange(M)) % M])
+        old = float(np.max(np.abs(X - mirrored)) / np.max(np.abs(X)))
+        assert symmetry_residual(X) == old
+        assert symmetry_residual(Spectrogram(X, None)) == old
+    assert symmetry_residual(np.zeros((M, N), complex)) == 0.0
 
 
 def test_real_analysis_is_exactly_conjugate_symmetric():
