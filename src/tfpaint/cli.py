@@ -187,7 +187,7 @@ def _analyzed(x, mask, hop, window, channels, path):
 
 def cmd_make_mask(args):
     mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
-                     placement=args.placement, seed=args.seed, pad=args.pad)
+                     placement=args.placement, seed=args.seed)
     write_mask(args.out, mask, args.hop, args.force)
     print(f"{mask.n_cols} columns, {len(mask.zero_cols)} zeroed -> {args.out}")
     return 0
@@ -381,13 +381,13 @@ def build_parser():
     mm = sub.add_parser("make-mask", help="write a gap mask as JSON")
     mm.add_argument("--seconds", type=float, required=True)
     mm.add_argument("--gap-cols", type=int, required=True,
-                    help="gap width in spectrogram columns (1..6)")
+                    help="gap width in spectrogram columns; with a one-column "
+                         "margin each side it must fit in every second")
     mm.add_argument("--sr", type=int, default=16000)
     mm.add_argument("--hop", type=int, default=512)
     mm.add_argument("--placement", choices=["per-second-center", "seeded-random"],
                     default="per-second-center")
     mm.add_argument("--seed", type=int, default=None)
-    mm.add_argument("--pad", type=int, default=4)
     mm.add_argument("--out", required=True)
     mm.add_argument("--force", action="store_true")
     mm.set_defaults(func=cmd_make_mask)

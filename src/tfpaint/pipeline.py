@@ -43,20 +43,21 @@ class ColumnMask:
 
 
 def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-center",
-              seed=None, pad=4, cols_multiple=4):
+              seed=None, cols_multiple=4):
     """One contiguous run of gap_cols zero columns per whole second.
 
     n_cols = floor(duration_s*sample_rate/hop) truncated down to a multiple
     of cols_multiple, so that channels = cols_multiple*hop (the default
     2048 at hop 512) divide the signal length.  Placement is either the
-    central column of each second's span or a seeded uniform draw that
-    keeps pad+cols_multiple columns clear of the span edges, so every gap
-    sits inside its own second.
+    central column of each second's span or a seeded uniform draw; either
+    keeps one column clear at each edge of the span, so every gap sits
+    inside its own second and no two gaps touch (``find_gaps`` would merge
+    them).
     """
     if duration_s < 1.0:
         raise ValueError("duration must be at least one second")
-    if not 1 <= gap_cols <= 6:
-        raise ValueError("gap_cols must lie in 1..6")
+    if gap_cols < 1:
+        raise ValueError("gap_cols must be positive")
     if placement not in ("per-second-center", "seeded-random"):
         raise ValueError(f"unknown placement {placement!r}")
 
@@ -65,7 +66,7 @@ def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-cent
     if n_cols < 1:
         raise ValueError("signal too short for even one spectrogram column")
 
-    margin = pad + cols_multiple
+    margin = 1
     rng = np.random.default_rng(seed)
     zeros = []
     for sec in range(int(duration_s)):
@@ -74,7 +75,7 @@ def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-cent
         span = hi - lo
         if gap_cols + 2 * margin > span:
             raise ValueError(
-                f"gap of {gap_cols} columns plus context does not fit in a "
+                f"gap of {gap_cols} columns plus its margins does not fit in a "
                 f"{span}-column second"
             )
         if placement == "per-second-center":

@@ -14,19 +14,17 @@ frequency rows 0..M//2 and goes through the real-input frame operator of
 
 ``frame_runs`` groups the gaps of a mask into independent runs of frames
 on the full-length grid, and ``solve_run`` solves one on its own sample
-span; the drivers solve the whole circle, the one run that folds.
+span (a run that reaches round the circle is the whole circle), with one
+of ``METHODS``:
 
-Two drivers share one outer loop around the inner iteration:
-
-* ``uphain_tf``   -- re-estimates the instantaneous frequency from the current
-  reconstruction before every inner run (the full iterated method).
-* ``bphain_tf``   -- one inner run at an IF estimated once, either from the
-  corrupted observation or from a supplied ground-truth signal.
-
-``cpa_tf_only`` is the ablation without phase correction: a plain
-Chambolle-Pock iteration on the time-direction total variation (omega = 0)
-whose primal stays in the TF domain, on rows 0..M//2; one run, kept for
-comparison.
+* ``uphain``  -- re-estimates the instantaneous frequency from the
+  current reconstruction before every inner run (the full iterated method).
+* ``bphain``  -- one inner run at an IF estimated once from the
+  corrupted observation; ``bphain_oracle`` estimates it from a supplied
+  ground-truth signal instead.
+* ``tf_only`` -- the ablation without phase correction: a plain
+  Chambolle-Pock iteration on the time-direction total variation
+  (omega = 0) whose primal stays in the TF domain, on rows 0..M//2; one run.
 """
 
 from dataclasses import dataclass
@@ -37,14 +35,12 @@ import numpy as np
 from .phase_prior import _coeffs, correction_factors, estimate_if
 from .prox import Thresholder, project_feasible
 from .stft import (
-    Spectrogram,
     _expand,
     _frame_plan,
     _hermitian_half,
     _irfft_frames,
     _overlap_add,
     _rfft_frames,
-    _synthesize,
     default_window,  # public here too, as before the window moved to stft
     make_hann,
     make_hann_derivative,
@@ -114,7 +110,8 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Primal signal x plus the dual matrix Z (M x (N-1))."""
+    """Primal signal x over a run's span plus the dual matrix Z (M x (k-1)
+    for the run's k frames)."""
 
     x: np.ndarray
     Z: np.ndarray
@@ -130,14 +127,6 @@ def _if_windows(window_len):
 
 def _zero_cols(mask):
     return np.asarray(mask.zero_cols if hasattr(mask, "zero_cols") else mask, dtype=int)
-
-
-def initial_state(X_corr):
-    """Start of the outer loop: x = syn(X_corr), the dual zero."""
-    cfg = X_corr.config
-    x0 = _synthesize(_hermitian_half(X_corr.data), default_window(cfg).samples, cfg)
-    M, N = X_corr.data.shape
-    return SolverState(x0, np.zeros((M, N - 1), dtype=complex))
 
 
 def _dual_step(Q, thresh, M, mag):
@@ -179,14 +168,27 @@ class FrameRun:
     gaps: tuple
 
 
+def _overlap(cfg):
+    """r = ceil(W/a) - 1: the frames each side of a frame that share a sample
+    with it."""
+    return -(-cfg.window_len // cfg.hop) - 1
+
+
+def _touching(first, last, cfg):
+    """(the first frame touching sample first, the last touching sample
+    last): frame n touches sample t when a*n <= t < a*n + W."""
+    return -((cfg.window_len - 1 - first) // cfg.hop), last // cfg.hop
+
+
 def _reach(start, count, cfg):
-    """(r, frames, span): frames start..start+count-1 with the r = ceil(W/a)-1
-    each side that reach their samples (mod N; none for the whole circle),
-    and the slice of the frames' span buffer that holds those samples."""
+    """(r, frames, span): frames start..start+count-1 with the r of
+    ``_overlap`` each side, which reach their samples (mod N; none for the
+    whole circle), and the slice of the frames' span buffer that holds those
+    samples."""
     W, a = cfg.window_len, cfg.hop
     if count == cfg.n_frames:
         return 0, np.arange(count), slice(None)
-    r = -(-W // a) - 1
+    r = _overlap(cfg)
     frames = (start - r + np.arange(count + 2 * r)) % cfg.n_frames
     return r, frames, slice(a * r, a * (r + count - 1) + W)
 
@@ -210,8 +212,9 @@ def frame_runs(zero_cols, cfg):
         d_rel = _overlap_add(reliable[frames][:, None] * (w * (w * cfg.channels)), cfg, False)
         free = a * gap.start + np.flatnonzero(d_rel[span] <= FREE_DREL)
         lo, hi = gap.start, gap.stop - 1
-        if free.size:  # frame n touches sample t when a*n <= t < a*n + W
-            lo, hi = min(lo, -((W - 1 - int(free[0])) // a)), max(hi, int(free[-1]) // a)
+        if free.size:
+            first, last = _touching(int(free[0]), int(free[-1]), cfg)
+            lo, hi = min(lo, first), max(hi, last)
         spans.append([lo - 1, hi + 1])
 
     merged = []
@@ -222,7 +225,7 @@ def frame_runs(zero_cols, cfg):
             merged.append([lo, hi])
     while len(merged) > 1 and merged[-1][1] >= merged[0][0] + N:
         merged[-1][1] = max(merged[-1][1], merged.pop(0)[1] + N)
-    r = -(-W // a) - 1  # as in _reach
+    r = _overlap(cfg)
     if any(hi - lo + 1 >= N or a * (hi - lo + 2 * r) + W > cfg.signal_len for lo, hi in merged):
         return [FrameRun(0, N, tuple(gaps))]
     return [FrameRun(lo % N, hi - lo + 1,
@@ -252,39 +255,38 @@ class _Run:
     ramp: np.ndarray
     moving: slice
     cut: object
-    x0: np.ndarray = None
-    peak: float = 1.0
+    x0: np.ndarray
+    peak: float
 
 
-def _observe(X_corr, zero, run=None):
+def _observe(X_corr, zero, run):
     """Set up a FrameRun of X_corr from the columns that reach it, scaled so
     the synthesized observation, its start, peaks at 1 on its span (lam
-    keeps its scale); or (run None) the whole spectrogram, as given."""
+    keeps its scale)."""
     cfg = X_corr.config
     N = cfg.n_frames
     w = default_window(cfg).samples
-    start, count = (0, N) if run is None else (run.start, run.count)
+    start, count = run.start, run.count
     circular = count == N
     reach, frames, span = _reach(start, count, cfg)
     Xh = _hermitian_half(X_corr.data if circular else X_corr.data[:, frames])
     reliable = ~np.isin(frames, zero)
 
-    x0, peak = None, 1.0
-    if run is not None:
-        ramp = _frame_plan(cfg, start - reach, len(frames))
-        x0 = _irfft_frames(Xh * np.conj(ramp), w, cfg, circular)[span]
-        peak = float(np.max(np.abs(x0))) or 1.0
-        Xh, x0 = Xh / peak, x0 / peak
+    ramp = _frame_plan(cfg, start - reach, len(frames))
+    x0 = _irfft_frames(Xh * np.conj(ramp), w, cfg, circular)[span]
+    peak = float(np.max(np.abs(x0))) or 1.0
+    Xh, x0 = Xh / peak, x0 / peak
     free, x_det = _free_samples(Xh, reliable, w, cfg, start - reach, circular)
     free, x_det = free[span], x_det[span]
 
-    f = np.flatnonzero(free)  # frame j touches sample t when a*j <= t < a*j + W
+    f = np.flatnonzero(free)
     if not f.size:
         moving = slice(0, 0)
     elif circular:
         moving = slice(0, count)
     else:
-        moving = slice(-((cfg.window_len - 1 - int(f[0])) // cfg.hop), int(f[-1]) // cfg.hop + 1)
+        first, last = _touching(int(f[0]), int(f[-1]), cfg)
+        moving = slice(first, last + 1)
 
     inner = slice(reach, reach + count)
     gaps = np.flatnonzero(~reliable[inner])
@@ -370,16 +372,16 @@ def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
     return d_rel <= FREE_DREL, x_det / np.maximum(d_rel, FREE_DREL)
 
 
-def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
+def gcpa_inner(state0, run, omega, cfg, trace=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega.
 
-    X_corr is a Spectrogram whose gap columns ``mask`` lists, or one frame
-    run as ``_observe`` sets it up (state on its span and k - 1 pairs,
-    omega on its k frames).  state0 is not mutated.  ``trace``, if given, is
-    called after each iteration with (iteration, objective,
-    feasibility_residual) where the objective is lam * ||D R_omega ana(x)||_1;
-    tracing costs no transform: the analysis of x is carried along from the
-    loop's analysis of the extrapolated point (``_traced_terms``).
+    run is one frame run as ``_observe`` sets it up; state0 lives on its
+    span and k - 1 pairs, omega on its k frames.  state0 is not mutated.
+    ``trace``, if given, is called after each iteration with (iteration,
+    objective, feasibility_residual) where the objective is
+    lam * ||D R_omega ana(x)||_1; tracing costs no transform: the analysis
+    of x is carried along from the loop's analysis of the extrapolated point
+    (``_traced_terms``).
     Divergence (a non-finite moving sample) raises DivergenceError with the
     iteration index.
 
@@ -411,7 +413,6 @@ def gcpa_inner(state0, mask, X_corr, omega, cfg, trace=None):
     step scales) are folded into single precomputed matrices, and the
     loop's work arrays are allocated once.
     """
-    run = X_corr if isinstance(X_corr, _Run) else _observe(X_corr, _zero_cols(mask))
     scfg, circular, cut, fm = run.cfg, run.circular, run.cut, run.moving
     w = default_window(scfg).samples
     M, W, a = scfg.channels, scfg.window_len, scfg.hop
@@ -504,7 +505,7 @@ def _outer_loop(run, cfg, rounds, omega_of, trace=None):
         sub = None
         if trace is not None:
             sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
-        state = gcpa_inner(state, None, run, omega, cfg, trace=sub)
+        state = gcpa_inner(state, run, omega, cfg, trace=sub)
         xhat_prev, xhat = xhat, state.x
         info["outer_iters_used"] = j + 1
         # the starting synthesis is not an output: the first change compared
@@ -521,7 +522,12 @@ def _outer_loop(run, cfg, rounds, omega_of, trace=None):
 
 
 def _tf_only(run, cfg, trace=None):
-    """The TF-domain ablation on one run; returns what ``_outer_loop`` does."""
+    """The TF-domain ablation on one run; returns what ``_outer_loop`` does.
+
+    Plain Chambolle-Pock on min_X lam*||D X||_1 over the coefficient
+    matrices that agree with Xc on the reliable columns: omega = 0, so no IF
+    estimate and no outer loop.  tau*sigma*4 <= 1 covers ||D|| <= 2.
+    """
     M = run.cfg.channels
     Xc, cut = run.Xc, run.cut
     X = X_bar = Xc.astype(complex)  # never updated in place
@@ -551,77 +557,20 @@ def _tf_only(run, cfg, trace=None):
 
 
 def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=None):
-    """Restore the gaps of one FrameRun of X_corr (run None: the whole
-    spectrogram as given) with one of ``METHODS``, all over the run's span,
-    x_true's too; zero_cols lists every gap column.  Returns (the grid
-    columns of the run's gaps, their coefficients (M rows), info)."""
+    """Restore the gaps of one FrameRun of X_corr with one of ``METHODS``,
+    all over the run's span, x_true's too; zero_cols lists every gap column.
+    Returns (the grid columns of the run's gaps, their coefficients (M rows),
+    info)."""
     obs = _observe(X_corr, _zero_cols(zero_cols), run)
     if method == "tf_only":
         return (obs.cols, *_tf_only(obs, cfg, trace))
-    if run is None:
-        obs.x0 = initial_state(X_corr).x
     omega_of = lambda xhat: _estimate(xhat, obs)
     if method == "bphain_oracle":
-        start = X_corr.config.hop * (run.start if run else 0)
+        start = X_corr.config.hop * run.start
         omega = _estimate(np.take(x_true, start + np.arange(len(obs.x0)), mode="wrap"), obs)
         omega_of = lambda xhat: omega
     rounds = cfg.outer_iters + 1 if method == "uphain" else 1
     return (obs.cols, *_outer_loop(obs, cfg, rounds, omega_of, trace))
-
-
-def _whole(X_corr, mask, cfg, method, x_true=None, trace=None, return_info=False):
-    """A driver's solve of the whole spectrogram as given, into a copy."""
-    cols, values, info = solve_run(X_corr, mask, None, cfg, method, x_true, trace)
-    out = np.array(X_corr.data)
-    out[:, cols] = values
-    out = Spectrogram(out, X_corr.config)
-    return (out, info) if return_info else out
-
-
-def uphain_tf(X_corr, mask, cfg, trace=None, return_info=False):
-    """Iterated solver: IF re-estimation before every inner run.
-
-    X_corr must already be peak-normalized with masked columns zeroed.  The
-    outer loop runs at most cfg.outer_iters + 1 inner rounds and stops once
-    consecutive outputs move less than cfg.epsilon in l2.  Reliable columns
-    of the result equal X_corr exactly.
-    """
-    return _whole(X_corr, mask, cfg, "uphain", trace=trace, return_info=return_info)
-
-
-def bphain_tf(X_corr, mask, cfg, omega_source="corrupted", x_true=None,
-              trace=None, return_info=False):
-    """Single-pass variant: the IF is estimated once, then frozen.
-
-    omega_source selects where the estimate comes from: "corrupted" uses the
-    synthesized observation, "oracle" uses the supplied ground-truth signal.
-    One inner run of the shared outer loop.
-    """
-    if omega_source == "oracle":
-        if x_true is None:
-            raise ValueError("omega_source='oracle' requires x_true")
-        x_true = np.asarray(x_true, dtype=float)
-        if x_true.shape != (X_corr.config.signal_len,):
-            raise ValueError("x_true length does not match the spectrogram config")
-        method = "bphain_oracle"
-    elif omega_source == "corrupted":
-        method = "bphain"
-    else:
-        raise ValueError(f"unknown omega_source {omega_source!r}")
-    return _whole(X_corr, mask, cfg, method, x_true, trace, return_info)
-
-
-def cpa_tf_only(X_corr, mask, cfg, trace=None, return_info=False):
-    """Ablation without phase correction, primal kept in the TF domain.
-
-    Solves min_X lam*||D X||_1 + (feasibility indicator) directly over
-    coefficient matrices with plain Chambolle-Pock: the time-direction total
-    variation at omega = 0, so no IF estimate and no outer loop, one run of
-    cfg.inner_iters iterations.  Step condition tau*sigma*4 <= 1 covers the
-    operator norm here too (||D|| <= 2).  The iterates stay conjugate-
-    symmetric, so the loop runs on rows 0..M//2 and expands once at the end.
-    """
-    return _whole(X_corr, mask, cfg, "tf_only", trace=trace, return_info=return_info)
 
 
 def operator_norm_estimate(apply, apply_adjoint, probe_shape, iters=50, seed=0):

@@ -31,7 +31,7 @@ from tfpaint.phase_prior import (
     time_variation,
     time_variation_adjoint,
 )
-from tfpaint.pipeline import apply_mask, inpaint_spectrogram, make_mask
+from tfpaint.pipeline import ColumnMask, apply_mask, inpaint_spectrogram, make_mask
 from tfpaint.prox import (
     p_shrinkage,
     prox_conjugate,
@@ -39,7 +39,7 @@ from tfpaint.prox import (
     prox_l2_squared,
     soft_threshold,
 )
-from tfpaint.solver import SolverConfig, default_window, operator_norm_estimate, uphain_tf
+from tfpaint.solver import SolverConfig, default_window, operator_norm_estimate
 from tfpaint.stft import (
     Spectrogram,
     StftConfig,
@@ -298,10 +298,11 @@ def test_criterion_10_early_stopping(reference_runs):
     x = 0.9 * (x / np.max(np.abs(x)))
     X = analyze(x, default_window(CFG), CFG).data.copy()
     X[:, [8]] = 0.0
-    out, info = uphain_tf(Spectrogram(X, CFG), np.array([8]), SolverConfig(),
-                          return_info=True)
-    assert info["stopped_early"]
-    assert info["outer_iters_used"] <= 10
+    out, info = inpaint_spectrogram(Spectrogram(X, CFG), ColumnMask(CFG.n_frames, [8]),
+                                    scfg=SolverConfig(), return_info=True)
+    # one run, stopped under the cap of outer_iters + 1 = 11 rounds
+    (rounds,) = info["outer_iters_used"]
+    assert rounds <= 10
 
     for rounds in reference_runs[(1, 1)]["info"]["outer_iters_used"]:
         assert rounds <= 10

@@ -8,6 +8,7 @@ from tfpaint.phase_prior import (
     time_variation,
     time_variation_adjoint,
 )
+from tfpaint.pipeline import ColumnMask, inpaint_spectrogram
 from tfpaint.prox import Thresholder, default_thresholder, project_feasible
 from tfpaint.solver import (
     FREE_DREL,
@@ -19,15 +20,12 @@ from tfpaint.solver import (
     _free_samples,
     _observe,
     _trace_terms,
-    bphain_tf,
-    cpa_tf_only,
     default_window,
+    find_gaps,
     frame_runs,
     gcpa_inner,
-    initial_state,
     operator_norm_estimate,
     solve_run,
-    uphain_tf,
 )
 from tfpaint.stft import (
     Spectrogram,
@@ -60,8 +58,31 @@ def corrupted(x, zero_cols):
     return Spectrogram(X, SEG)
 
 
-def omega_for(x_init):
-    return estimate_if(x_init, make_hann(2048), make_hann_derivative(2048), SEG)
+def circle(scfg, zero):
+    """The whole circle as one frame run, as ``frame_runs`` folds a run that
+    would reach round it onto itself."""
+    return FrameRun(0, scfg.n_frames, tuple(find_gaps(zero)))
+
+
+def observed(Xc, zero, run=None):
+    """(state0, run, omega): ``run`` of Xc (by default the first that
+    ``frame_runs`` makes of zero, or the whole circle when there is no gap)
+    as ``solve_run`` sets it up, its start with a zero dual, and the IF of
+    that start."""
+    scfg = Xc.config
+    if run is None:
+        run = (frame_runs(zero, scfg) or [circle(scfg, zero)])[0]
+    obs = _observe(Xc, zero, run)
+    st0 = SolverState(obs.x0, np.zeros((scfg.channels, run.count - 1), complex))
+    omega = estimate_if(obs.x0, make_hann(scfg.window_len),
+                        make_hann_derivative(scfg.window_len), scfg, circular=obs.circular)
+    return st0, obs, omega
+
+
+def restore(Xc, zero, cfg, method="uphain", **kwargs):
+    """``inpaint_spectrogram`` of Xc with the gap columns ``zero``."""
+    mask = ColumnMask(Xc.config.n_frames, zero)
+    return inpaint_spectrogram(Xc, mask, method, cfg, **kwargs)
 
 
 # ---------------------------------------------------------------- config
@@ -117,21 +138,23 @@ def test_config_rejects_bad_fields():
 
 def test_zero_input_is_fixed_point():
     X0 = Spectrogram(np.zeros((SEG.channels, SEG.n_frames), complex), SEG)
+    zero = np.arange(3, 7)
+    obs = _observe(X0, zero, circle(SEG, zero))
     state0 = SolverState(
         np.zeros(SEG.signal_len),
         np.zeros((SEG.channels, SEG.n_frames - 1), complex),
     )
     omega = np.zeros((SEG.channels, SEG.n_frames))
-    out = gcpa_inner(state0, np.arange(3, 7), X0, omega, SolverConfig(inner_iters=25))
+    out = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=25))
     assert not np.any(out.x)
     assert not np.any(out.Z)
 
 
 def test_fully_observed_reaches_feasibility():
     Xc = corrupted(three_tone(), EMPTY)
-    state0 = initial_state(Xc)
-    st = gcpa_inner(state0, EMPTY, Xc, omega_for(state0.x), SolverConfig(inner_iters=100))
-    res = np.linalg.norm(analyze(st.x, default_window(SEG), SEG).data - Xc.data)
+    state0, obs, omega = observed(Xc, EMPTY)
+    st = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=100))
+    res = np.linalg.norm(analyze(st.x * obs.peak, default_window(SEG), SEG).data - Xc.data)
     assert res <= 1e-6
 
 
@@ -141,18 +164,16 @@ def test_consistent_input_barely_moves():
     t = np.arange(SEG.signal_len)
     x = 0.9 * np.cos(2 * np.pi * 56 * t / 2048)
     Xc = Spectrogram(analyze(x, default_window(SEG), SEG).data, SEG)
-    state0 = initial_state(Xc)
-    st = gcpa_inner(state0, EMPTY, Xc, omega_for(state0.x), SolverConfig(inner_iters=200))
+    state0, obs, omega = observed(Xc, EMPTY)
+    st = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=200))
     assert np.max(np.abs(st.x - state0.x)) < 1e-8
 
 
 def tone_gap_trace(zero, cfg):
     t = np.arange(SEG.signal_len)
     x = 0.9 * np.cos(2 * np.pi * (440.3 / 16000.0) * t)
-    Xc = corrupted(x, zero)
-    state0 = initial_state(Xc)
     rows = []
-    gcpa_inner(state0, zero, Xc, omega_for(state0.x), cfg,
+    gcpa_inner(*observed(corrupted(x, zero), zero), cfg,
                trace=lambda i, o, f: rows.append((o, f)))
     return np.array(rows).T
 
@@ -188,28 +209,28 @@ def unsafe_config():
 
 def test_divergence_detected():
     zero = np.arange(6, 10)
-    Xc = corrupted(three_tone(), zero)
-    state0 = initial_state(Xc)
+    case = observed(corrupted(three_tone(), zero), zero)
     bad = unsafe_config()
     with pytest.raises(DivergenceError) as err:
-        gcpa_inner(state0, zero, Xc, omega_for(state0.x), bad)
+        gcpa_inner(*case, bad)
     assert err.value.iteration >= 1
 
 
 def test_unsafe_steps_cannot_diverge_without_free_samples():
     zero = np.array([8])
     x = three_tone()
-    Xc = corrupted(x, zero)
-    state0 = initial_state(Xc)
-    st = gcpa_inner(state0, zero, Xc, omega_for(state0.x), unsafe_config())
-    assert np.max(np.abs(st.x - x)) <= 1e-12
+    (run,) = frame_runs(zero, SEG)
+    state0, obs, omega = observed(corrupted(x, zero), zero, run)
+    st = gcpa_inner(state0, obs, omega, unsafe_config())
+    span = (SEG.hop * run.start + np.arange(len(st.x))) % SEG.signal_len
+    assert np.max(np.abs(st.x * obs.peak - x[span])) <= 1e-12
 
 
 def test_inner_does_not_mutate_input_state():
-    Xc = corrupted(three_tone(), np.array([8]))
-    state0 = initial_state(Xc)
+    zero = np.array([8])
+    state0, obs, omega = observed(corrupted(three_tone(), zero), zero)
     x0 = state0.x.copy()
-    gcpa_inner(state0, np.array([8]), Xc, omega_for(state0.x), SolverConfig(inner_iters=3))
+    gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=3))
     assert np.array_equal(state0.x, x0)
     assert not np.any(state0.Z)
 
@@ -219,14 +240,14 @@ def test_inner_does_not_mutate_input_state():
 
 def test_uphain_nothing_masked_returns_input():
     Xc = corrupted(three_tone(), EMPTY)
-    out = uphain_tf(Xc, EMPTY, SolverConfig(inner_iters=3, outer_iters=1))
+    out = restore(Xc, EMPTY, SolverConfig(inner_iters=3, outer_iters=1))
     assert np.array_equal(out.data, Xc.data)
 
 
 def test_uphain_reliable_columns_bit_exact():
     zero = np.array([5, 6])
     Xc = corrupted(three_tone(), zero)
-    out = uphain_tf(Xc, zero, SolverConfig(inner_iters=10, outer_iters=1))
+    out = restore(Xc, zero, SolverConfig(inner_iters=10, outer_iters=1))
     keep = np.ones(SEG.n_frames, dtype=bool)
     keep[zero] = False
     assert np.array_equal(out.data[:, keep], Xc.data[:, keep])
@@ -235,12 +256,11 @@ def test_uphain_reliable_columns_bit_exact():
 
 def test_uphain_stop_check_starts_at_second_round():
     zero = np.array([8])
-    Xc = corrupted(three_tone(), zero)
+    (run,) = frame_runs(zero, SEG)
     # an enormous epsilon trips the criterion at its first evaluation, which
     # by construction happens after the second inner run, not the first
-    out, info = uphain_tf(
-        Xc, zero, SolverConfig(inner_iters=5, epsilon=1e9), return_info=True
-    )
+    *_, info = solve_run(corrupted(three_tone(), zero), zero, run,
+                         SolverConfig(inner_iters=5, epsilon=1e9))
     assert info["stopped_early"]
     assert info["outer_iters_used"] == 2
 
@@ -249,8 +269,8 @@ def test_uphain_deterministic():
     zero = np.array([7, 8])
     Xc = corrupted(three_tone(), zero)
     cfg = SolverConfig(inner_iters=8, outer_iters=1)
-    a = uphain_tf(Xc, zero, cfg)
-    b = uphain_tf(Xc, zero, cfg)
+    a = restore(Xc, zero, cfg)
+    b = restore(Xc, zero, cfg)
     assert np.array_equal(a.data, b.data)
 
 
@@ -259,7 +279,7 @@ def test_uphain_recovers_single_gap():
     x = three_tone()
     X_true = analyze(x, default_window(SEG), SEG).data
     Xc = corrupted(x, zero)
-    out = uphain_tf(Xc, zero, SolverConfig(inner_iters=200, outer_iters=3))
+    out = restore(Xc, zero, SolverConfig(inner_iters=200, outer_iters=3))
     err = np.linalg.norm(out.data[:, zero] - X_true[:, zero])
     ref = np.linalg.norm(X_true[:, zero])
     assert 20 * np.log10(ref / err) > 40.0
@@ -269,40 +289,25 @@ def test_bphain_oracle_matches_corrupted_source():
     zero = np.array([8])
     Xc = corrupted(three_tone(), zero)
     cfg = SolverConfig(inner_iters=15)
-    a = bphain_tf(Xc, zero, cfg)
+    a = restore(Xc, zero, cfg, "bphain")
     x_same = synthesize(Xc, default_window(SEG), SEG)
-    b = bphain_tf(Xc, zero, cfg, omega_source="oracle", x_true=x_same)
+    b = restore(Xc, zero, cfg, "bphain_oracle", x_true=x_same)
     assert np.array_equal(a.data, b.data)
 
 
-def test_bphain_argument_validation():
-    Xc = corrupted(three_tone(), EMPTY)
-    with pytest.raises(ValueError):
-        bphain_tf(Xc, EMPTY, SolverConfig(inner_iters=2), omega_source="oracle")
-    with pytest.raises(ValueError):
-        bphain_tf(Xc, EMPTY, SolverConfig(inner_iters=2), omega_source="guess")
-    with pytest.raises(ValueError):
-        bphain_tf(
-            Xc,
-            EMPTY,
-            SolverConfig(inner_iters=2),
-            omega_source="oracle",
-            x_true=np.zeros(3),
-        )
-
-
-def test_cpa_tf_only_feasibility():
+def test_tf_only_feasibility():
     zero = np.array([7, 8])
     Xc = corrupted(three_tone(), zero)
-    out = cpa_tf_only(Xc, zero, SolverConfig(inner_iters=10, outer_iters=1))
+    out = restore(Xc, zero, SolverConfig(inner_iters=10, outer_iters=1), "tf_only")
     keep = np.ones(SEG.n_frames, dtype=bool)
     keep[zero] = False
     assert np.array_equal(out.data[:, keep], Xc.data[:, keep])
-    empty_out = cpa_tf_only(corrupted(three_tone(), EMPTY), EMPTY, SolverConfig(inner_iters=3))
+    empty_out = restore(corrupted(three_tone(), EMPTY), EMPTY, SolverConfig(inner_iters=3),
+                        "tf_only")
     assert np.array_equal(empty_out.data, corrupted(three_tone(), EMPTY).data)
 
 
-def test_cpa_tf_only_is_one_run_without_phase_correction(monkeypatch):
+def test_tf_only_is_one_run_without_phase_correction(monkeypatch):
     import tfpaint.solver as solver_mod
 
     def no_estimate(*args, **kwargs):
@@ -310,9 +315,10 @@ def test_cpa_tf_only_is_one_run_without_phase_correction(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "estimate_if", no_estimate)
     zero = np.array([7, 8])
-    out, info = cpa_tf_only(corrupted(three_tone(), zero), zero,
-                            SolverConfig(inner_iters=10, outer_iters=3), return_info=True)
-    assert info["outer_iters_used"] == 1
+    out, info = restore(corrupted(three_tone(), zero), zero,
+                        SolverConfig(inner_iters=10, outer_iters=3), "tf_only",
+                        return_info=True)
+    assert info["outer_iters_used"] == [1]
     assert np.all(np.isfinite(out.data))
 
 
@@ -327,7 +333,7 @@ def test_uphain_beats_tf_only_on_gap():
         err = np.linalg.norm(out.data[:, zero] - X_true[:, zero])
         return 20 * np.log10(np.linalg.norm(X_true[:, zero]) / err)
 
-    assert gap_snr(uphain_tf(Xc, zero, cfg)) > gap_snr(cpa_tf_only(Xc, zero, cfg))
+    assert gap_snr(restore(Xc, zero, cfg)) > gap_snr(restore(Xc, zero, cfg, "tf_only"))
 
 
 # ---------------------------------------------------------------- norm probe
@@ -378,7 +384,7 @@ def test_gcpa_odd_channels():
     X = analyze(x, default_window(scfg), scfg).data.copy()
     zero = np.arange(5, 10)  # leaves samples 9 and 10 free
     X[:, zero] = 0.0
-    out = uphain_tf(Spectrogram(X, scfg), zero, SolverConfig(inner_iters=20, outer_iters=1))
+    out = restore(Spectrogram(X, scfg), zero, SolverConfig(inner_iters=20, outer_iters=1))
     keep = np.ones(15, dtype=bool)
     keep[zero] = False
     assert np.array_equal(out.data[:, keep], X[:, keep])
@@ -459,7 +465,8 @@ def two_dual_reference(x0, zero, Xc, omega, cfg, eta, iters):
 
 
 def oracle_case(scfg, zero, warm=False, gap_left=0.0):
-    """(state0, Xc, omega) for a gap in the three-tone signal on scfg.
+    """(state0, run, Xc, omega) for a gap in the three-tone signal on scfg,
+    solved on the whole circle; Xc is the observation at the run's scale.
 
     ``warm`` starts from a non-zero, conjugate-symmetric dual.  gap_left
     scales what the observation keeps on the gap columns; the solver must
@@ -468,15 +475,12 @@ def oracle_case(scfg, zero, warm=False, gap_left=0.0):
     w = default_window(scfg)
     X = analyze(three_tone(scfg.signal_len), w, scfg).data.copy()
     X[:, zero] *= gap_left
-    Xc = Spectrogram(X, scfg)
-    st = initial_state(Xc)
+    st, obs, omega = observed(Spectrogram(X, scfg), zero, circle(scfg, zero))
     if warm:
         rng = np.random.default_rng(5)
         V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data)
         st.Z = 0.01 * V / np.max(np.abs(V))
-    omega = estimate_if(st.x, make_hann(scfg.window_len),
-                        make_hann_derivative(scfg.window_len), scfg)
-    return st, Xc, omega
+    return st, obs, Spectrogram(X / obs.peak, scfg), omega
 
 
 SHORT = StftConfig(window_len=1024, hop=256, channels=2048, signal_len=8192)
@@ -500,11 +504,11 @@ ODD = StftConfig(window_len=992, hop=248, channels=1023, signal_len=8184)
 )
 def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind):
     zero = np.arange(6, 10) if scfg is SEG else np.arange(14, 18)
-    st0, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
+    st0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
     cfg = SolverConfig(inner_iters=30, alpha_relax=alpha,
                        thresholder=default_thresholder(kind))
     got_log, ref_log = [], []
-    got = gcpa_inner(st0, zero, Xc, omega, cfg, trace=lambda *r: got_log.append(r))
+    got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: got_log.append(r))
     ref = free_sample_reference(st0, zero, Xc, omega, cfg, trace=lambda *r: ref_log.append(r))
     assert not np.array_equal(got.x, st0.x)  # the free samples moved
     for a, b in ((got.x, ref.x), (got.Z, ref.Z)):
@@ -526,13 +530,13 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
     # below the constrained minimum.)
     scfg = StftConfig(window_len=64, hop=16, channels=64, signal_len=512)
     zero = np.arange(10, 16)
-    st0, Xc, omega = oracle_case(scfg, zero)
+    st0, obs, Xc, omega = oracle_case(scfg, zero)
     cfg = SolverConfig(inner_iters=3000)
     rot = correction_factors(omega, scfg.hop, scfg.channels)
     reliable = np.ones(scfg.n_frames, dtype=bool)
     reliable[zero] = False
 
-    free = gcpa_inner(st0, zero, Xc, omega, cfg).x
+    free = gcpa_inner(st0, obs, omega, cfg).x
     two = two_dual_reference(st0.x, zero, Xc, omega, cfg, eta=4.0, iters=3000)
     fixed, x_det = fixed_values(Xc, reliable)
     two[fixed] = x_det
@@ -544,11 +548,10 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
 
 
 def run_case(scfg, zero, warm=False, noise=0.0):
-    """(state0, X_corr, omega, k, moving frames) for the gap columns ``zero``
-    of the three-tone signal, where X_corr is the whole Spectrogram when
-    scfg is SEG, else the one frame run ``frame_runs`` makes, as
-    ``solve_run`` sets it up; noise > 0 adds that much (relative) complex
-    noise, which no real signal has, to the observation."""
+    """(state0, run, omega, k, moving frames) for the one frame run
+    ``frame_runs`` makes of the gap columns ``zero`` of the three-tone
+    signal, as ``solve_run`` sets it up; noise > 0 adds that much (relative)
+    complex noise, which no real signal has, to the observation."""
     w = default_window(scfg)
     X = analyze(three_tone(scfg.signal_len), w, scfg).data.copy()
     if noise:
@@ -556,29 +559,23 @@ def run_case(scfg, zero, warm=False, noise=0.0):
         X += noise * np.max(np.abs(X)) * (rng.standard_normal(X.shape)
                                           + 1j * rng.standard_normal(X.shape))
     X[:, zero] = 0.0
-    run = None if scfg is SEG else frame_runs(zero, scfg)[0]
-    obs = _observe(Spectrogram(X, scfg), zero, run)
-    x0 = initial_state(Spectrogram(X, scfg)).x if run is None else obs.x0
-    k = len(obs.reliable)
-    Z0 = np.zeros((scfg.channels, k - 1), complex)
+    (run,) = frame_runs(zero, scfg)
+    st0, obs, omega = observed(Spectrogram(X, scfg), zero, run)
+    k = run.count
     if warm:
         rng = np.random.default_rng(5)
-        frames = np.arange(k) if run is None else (run.start + np.arange(k)) % scfg.n_frames
+        frames = (run.start + np.arange(k)) % scfg.n_frames
         V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data[:, frames])
-        Z0 = 0.01 * V / np.max(np.abs(V))
-    omega = estimate_if(x0, make_hann(scfg.window_len), make_hann_derivative(scfg.window_len),
-                        scfg, circular=run is None)
-    target = Spectrogram(X, scfg) if run is None else obs
-    return SolverState(x0, Z0), target, omega, k, obs.moving.stop - obs.moving.start
+        st0.Z = 0.01 * V / np.max(np.abs(V))
+    return st0, obs, omega, k, obs.moving.stop - obs.moving.start
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
 def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
     # counts transformed frames, the rows of each rfft/irfft input: an
     # iteration analyses and synthesizes the moving frames once each, and
-    # the set-up is at most one analysis (the fixed frames at x_det) and one
-    # synthesis (x_det itself, when handed a whole Spectrogram) of the run's
-    # frames
+    # the set-up is at most one analysis of the run's frames (the fixed
+    # frames at x_det)
     rows = {"rfft": [], "irfft": []}
     for name in rows:
         def counted(a, *args, _f=getattr(np.fft, name), _log=rows[name], **kw):
@@ -588,32 +585,31 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
             return _f(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, counted)
 
-    def count(case, zero, iters, alpha, trace=None):
+    def count(case, iters, alpha, trace=None):
         for log in rows.values():
             log.clear()
-        st0, X_corr, omega = case
         cfg = SolverConfig(inner_iters=iters, alpha_relax=alpha)
-        gcpa_inner(st0, zero, X_corr, omega, cfg, trace=trace)
+        gcpa_inner(*case, cfg, trace=trace)
         return {name: (len(log), sum(log)) for name, log in rows.items()}
 
-    # a whole Spectrogram (every frame moves), a 4-column frame run (8
-    # frames, 6 moving) and a 1-column frame run at the default geometry (3
-    # frames, none moving)
+    # the whole circle (a 4-column gap on 16 frames reaches round it: every
+    # frame moves), a 4-column frame run (8 frames, 6 moving) and a 1-column
+    # frame run at the default geometry (3 frames, none moving)
     for scfg, zero, n_moving in ((SEG, np.arange(6, 10), SEG.n_frames),
                                  (RUNS, np.arange(14, 18), 6),
                                  (RUNS, np.array([14]), 0)):
         *case, k, moving = run_case(scfg, zero, warm)
         assert moving == n_moving
         for alpha in (1.0, 1.5):
-            few, many = count(case, zero, 5, alpha), count(case, zero, 15, alpha)
+            few, many = count(case, 5, alpha), count(case, 15, alpha)
             for name in rows:
                 assert many[name][1] - few[name][1] == 10 * moving
                 assert few[name][0] - (5 if moving else 0) <= 1
                 assert few[name][1] - 5 * moving <= k
         # tracing adds no transform
         log = []
-        few = count(case, zero, 5, 1.0, trace=lambda *r: log.append(r))
-        many = count(case, zero, 15, 1.0, trace=lambda *r: log.append(r))
+        few = count(case, 5, 1.0, trace=lambda *r: log.append(r))
+        many = count(case, 15, 1.0, trace=lambda *r: log.append(r))
         for name in rows:
             assert many[name][1] - few[name][1] == 10 * moving
         assert [r[0] for r in log] == [*range(1, 6), *range(1, 16)]
@@ -639,7 +635,7 @@ def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
     assert moving == 0 and np.any(st0.Z)
     cfg = SolverConfig(inner_iters=25)
     log = []
-    got = gcpa_inner(st0, None, obs, omega, cfg, trace=lambda *r: log.append(r))
+    got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: log.append(r))
     assert not calls
     assert np.array_equal(got.x, obs.x_det)
     assert np.array_equal(got.Z, st0.Z)
@@ -647,7 +643,7 @@ def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
     assert log == [(i, *terms) for i in range(1, cfg.inner_iters + 1)]
     # untraced, omega is not even turned into phase factors
     monkeypatch.setattr(solver_mod, "correction_factors", None)
-    assert np.array_equal(gcpa_inner(st0, None, obs, omega, cfg).x, obs.x_det)
+    assert np.array_equal(gcpa_inner(st0, obs, omega, cfg).x, obs.x_det)
 
 
 @pytest.mark.parametrize("alpha, kind", [(1.0, "soft"), (1.5, "soft"), (1.0, "l2_block")],
@@ -664,7 +660,7 @@ def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind):
     st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
     assert moving > 0
     log = []
-    got = gcpa_inner(st0, None, obs, omega, cfg, trace=lambda *r: log.append(r))
+    got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: log.append(r))
     assert len(log) == cfg.inner_iters
     obj, feas = fresh_trace_terms(got.x, obs, omega, cfg.lam)
     assert log[-1][1] == pytest.approx(obj, rel=1e-12, abs=0.0)
@@ -713,7 +709,10 @@ def test_narrow_gap_restores_to_round_off(zero):
     zero = np.array(zero)
     x = three_tone()
     Xc = corrupted(x, zero)
-    out, info = uphain_tf(Xc, zero, SolverConfig(inner_iters=20), return_info=True)
+    (run,) = frame_runs(zero, SEG)
+    cols, values, info = solve_run(Xc, zero, run, SolverConfig(inner_iters=20))
+    out = Xc.data.copy()
+    out[:, cols] = values
     err = x - synthesize(out, default_window(SEG), SEG)
     assert 20 * np.log10(np.linalg.norm(x) / np.linalg.norm(err)) >= 200.0
     # the ordinary change rule stops it: the second round cannot move
@@ -802,9 +801,9 @@ def two_gaps(apart):
 
 
 @pytest.mark.parametrize("zero", [np.arange(14, 18), np.arange(0, 4), np.arange(28, 32),
-                                  two_gaps(1), two_gaps(2), two_gaps(3)],
+                                  two_gaps(1), two_gaps(2), two_gaps(3), np.arange(3, 28)],
                          ids=["interior", "first-column", "last-column",
-                              "apart-1", "apart-2", "apart-3"])
+                              "apart-1", "apart-2", "apart-3", "whole-circle"])
 def test_run_solve_matches_whole_spectrogram_reference(zero):
     N = RUNS.n_frames
     X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
@@ -824,10 +823,13 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
         frames = (run.start + np.arange(run.count)) % N
         span = (RUNS.hop * run.start + np.arange(len(obs.x0))) % RUNS.signal_len
         Z0 = np.zeros((RUNS.channels, run.count - 1), complex)
-        got = gcpa_inner(SolverState(obs.x0, Z0), None, obs, omega[:, frames], cfg)
-        assert got.x.shape == (RUNS.hop * (run.count - 1) + RUNS.window_len,)
+        got = gcpa_inner(SolverState(obs.x0, Z0), obs, omega[:, frames], cfg)
+        # a run's span, or the whole signal for the circle (frame_runs folds
+        # the 25-column gap into FrameRun(0, N, ...))
+        length = RUNS.hop * (run.count - 1) + RUNS.window_len
+        assert got.x.shape == (RUNS.signal_len if run.count == N else length,)
         assert np.max(np.abs(got.x - ref.x[span])) <= 1e-12 * np.max(np.abs(ref.x))
-        if len(run.gaps[0]) == 4:  # the free samples moved
+        if len(run.gaps[0]) >= 3:  # the free samples moved
             assert not np.array_equal(got.x[obs.free], obs.x0[obs.free])
 
 
@@ -856,10 +858,10 @@ def test_solvers_leave_their_inputs_unchanged(monkeypatch, zero, alpha, kind):
     # a round at another omega between two equal ones, as the outer loop
     # runs them, and that round again on a freshly set-up run
     other = 0.5 * omega.omega
-    first = gcpa_inner(st0, None, obs, omega, cfg)
-    between = gcpa_inner(st0, None, obs, other, cfg)
-    second = gcpa_inner(st0, None, obs, omega, cfg)
-    fresh = gcpa_inner(st0, None, run_case(RUNS, zero)[1], other, cfg)
+    first = gcpa_inner(st0, obs, omega, cfg)
+    between = gcpa_inner(st0, obs, other, cfg)
+    second = gcpa_inner(st0, obs, omega, cfg)
+    fresh = gcpa_inner(st0, run_case(RUNS, zero)[1], other, cfg)
     assert not np.array_equal(first.x, st0.x)
     assert not np.array_equal(first.x, between.x)
     assert np.array_equal(first.x, second.x) and np.array_equal(first.Z, second.Z)
@@ -914,13 +916,21 @@ def reference_tf_only(Xc, zero, cfg, trace):
 
 
 @pytest.mark.parametrize("kind", ["soft", "l2_block"])
-def test_cpa_tf_only_matches_full_spectrum_reference(kind):
+def test_tf_only_matches_full_spectrum_reference(kind):
+    # on the whole circle; the reference sees the observation at the run's
+    # scale, and the run's output is scaled back
     zero = np.array([7, 8])
     Xc = corrupted(three_tone(), zero)
+    run = circle(SEG, zero)
+    peak = _observe(Xc, zero, run).peak
     cfg = SolverConfig(inner_iters=40, thresholder=default_thresholder(kind))
     got_log, ref_log = [], []
-    got = cpa_tf_only(Xc, zero, cfg, trace=lambda *r: got_log.append(r)).data
-    ref = reference_tf_only(Xc, zero, cfg, trace=lambda *r: ref_log.append(r))
+    cols, values, _ = solve_run(Xc, zero, run, cfg, "tf_only",
+                                trace=lambda *r: got_log.append(r))
+    got = Xc.data.copy()
+    got[:, cols] = values
+    ref = peak * reference_tf_only(Spectrogram(Xc.data / peak, SEG), zero, cfg,
+                                   trace=lambda *r: ref_log.append(r))
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert not np.allclose(got[:, zero], 0.0)  # the gap was filled, not left empty
