@@ -163,11 +163,21 @@ def solver_config(args):
                         thresholder=th)
 
 
-def _default_jobs():
+def _jobs(flag):
+    """--jobs, else TFPAINT_JOBS, else None (``inpaint_spectrogram``'s
+    default: the available cores); a job count must be an integer >= 1."""
+    source, value = "--jobs", flag
+    if flag is None:
+        source, value = "TFPAINT_JOBS", os.environ.get("TFPAINT_JOBS")
+        if not value:
+            return None
     try:
-        return max(1, int(os.environ.get("TFPAINT_JOBS", "1")))
+        jobs = int(value)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{source} must be an integer >= 1, not {value!r}")
+    return jobs
 
 
 def _analyzed(x, mask, hop, window, channels, path):
@@ -208,6 +218,7 @@ def cmd_corrupt(args):
 
 
 def cmd_inpaint(args):
+    jobs = _jobs(args.jobs)
     _ensure_writable(args.force, args.out, args.spec_out, args.trace)
     mask, hop = read_mask(args.mask)
     if args.infile.endswith(".wav"):
@@ -249,7 +260,7 @@ def cmd_inpaint(args):
             rows.append((gap.start, i, obj, feas))
 
     out = inpaint_spectrogram(Xc, mask, method=method, scfg=solver_config(args),
-                              x_true=x_true, jobs=args.jobs, trace=trace)
+                              x_true=x_true, jobs=jobs, trace=trace)
     write_wav(args.out, rate,
               synthesize(out, default_window(out.config), out.config), args.force)
     if args.spec_out:
@@ -418,8 +429,9 @@ def build_parser():
                     help="write per-iteration objective/feasibility CSV here: "
                          "one block of rows per frame run, keyed by the start "
                          "column of its first gap")
-    ip.add_argument("--jobs", type=int, default=_default_jobs(),
-                    help="parallel frame-run workers (env TFPAINT_JOBS)")
+    ip.add_argument("--jobs", type=int, default=None,
+                    help="worker processes for the frame runs (default: env "
+                         "TFPAINT_JOBS, else the available cores)")
     ip.add_argument("--sr", type=int, default=16000,
                     help="output rate when the input is a spectrogram file")
     ip.add_argument("--force", action="store_true")

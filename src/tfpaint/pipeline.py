@@ -4,15 +4,24 @@ The driver groups the gaps of a mask into independent frame runs on the
 full-length frame grid (``solver.frame_runs``), solves each run on its own
 sample span, normalized to unit peak there (``solver.solve_run``), and
 writes the reconstructed gap columns back.  Reliable columns never pass
-through the solver, so they survive bit-exactly.
+through the solver, so they survive bit-exactly.  The runs that take
+inner steps are solved in a pool of forked processes.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import METHODS, SolverConfig, find_gaps, frame_runs, solve_run  # noqa: F401
+from .solver import (  # noqa: F401
+    METHODS,
+    SolverConfig,
+    _observe,
+    find_gaps,
+    frame_runs,
+    solve_observed,
+)
 from .stft import Spectrogram
 
 
@@ -98,19 +107,64 @@ def apply_mask(X, mask):
     return out
 
 
+def _job_count(jobs):
+    """jobs, checked, or by default the number of cores this process may
+    run on."""
+    if jobs is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity on this platform
+            return os.cpu_count() or 1
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ValueError(f"jobs must be None or an integer >= 1, not {jobs!r}")
+    return int(jobs)
+
+
+def _solve(task, i):
+    """Solve set-up run i of task = (runs, scfg, method, x_true, traced).
+    Returns (its gap columns, their coefficients, info, its trace rows
+    (iteration, objective, feasibility), or None untraced)."""
+    runs, scfg, method, x_true, traced = task
+    rows = [] if traced else None
+    cb = (lambda *row: rows.append(row)) if traced else None
+    return (*solve_observed(runs[i], scfg, method, x_true, cb), rows)
+
+
+_TASK = None  # a pool worker's task, inherited through fork
+
+
+def _adopt(task):
+    global _TASK
+    _TASK = task
+
+
+def _solve_forked(i):
+    return _solve(_TASK, i)
+
+
 def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
-                        jobs=1, return_info=False, trace=None):
+                        jobs=None, return_info=False, trace=None):
     """Reconstruct every gap of a corrupted spectrogram, run by run.
 
     x_true (time-domain ground truth) is required by method
-    "bphain_oracle" only.  jobs > 1 solves the frame runs in a thread pool;
-    results are written back in run order either way, so the output is
-    identical for any job count.  trace, if given, is called with
-    (gap, iteration, objective, feasibility) for every inner iteration of
-    every run (concurrently when jobs > 1); gap is the run's first gap.
-    info["gaps"] lists the runs (``solver.FrameRun``) and
-    info["outer_iters_used"] the outer rounds of each.
+    "bphain_oracle" only.  jobs (None or an integer >= 1) caps the worker
+    processes; None means the cores this process may run on.  Runs that
+    take inner steps (those with a moving frame, and every run of
+    "tf_only") are solved in a pool of that many processes started with
+    ``fork``, which inherit the set-up runs instead of receiving them; the
+    rest are solved in this process.  No pool is started with jobs=1, with
+    fewer than two runs to step, or in a process that runs other threads
+    (where fork is unsafe).  Results are written back in run
+    order, so the output is identical for any job count.  trace, if
+    given, is called in this process with (gap, iteration, objective,
+    feasibility) for every inner iteration of every run, gap being the
+    run's first gap: each run's rows are delivered together, in run
+    order, once it and every run before it have finished, so the trace
+    too is the same for any job count.  info["gaps"] lists the runs
+    (``solver.FrameRun``) and info["outer_iters_used"] the outer rounds
+    of each.
     """
+    jobs = _job_count(jobs)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
     if scfg is None:
@@ -125,17 +179,37 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
         raise ValueError("mask length does not match spectrogram columns")
 
     runs = frame_runs(mask.zero_cols, X_corr.config)
+    observed = [_observe(X_corr, mask.zero_cols, run) for run in runs]
+    task = (observed, scfg, method, x_true, trace is not None)
+    stepping = [i for i, obs in enumerate(observed) if method == "tf_only" or obs.moves]
 
-    def solve(run):
-        cb = None if trace is None else lambda i, obj, feas: trace(run.gaps[0], i, obj, feas)
-        return solve_run(X_corr, mask.zero_cols, run, scfg, method, x_true, trace=cb)
+    futures, pool = {}, None
+    # fork copies only the calling thread, so a process with other threads
+    # (whose locks a worker could inherit held) solves in-process
+    if (jobs > 1 and len(stepping) > 1 and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        # imported here: they would add about 18 ms to a 28 ms package import
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    with ThreadPoolExecutor(max_workers=max(jobs or 1, 1)) as pool:
-        results = list(pool.map(solve, runs))
+        pool = ProcessPoolExecutor(min(jobs, len(stepping)), get_context("fork"),
+                                   initializer=_adopt, initargs=(task,))
+    try:
+        if pool is not None:
+            futures = {i: pool.submit(_solve_forked, i) for i in stepping}
+        results = [None if i in futures else _solve(task, i) for i in range(len(runs))]
+        for i, run in enumerate(runs):
+            if i in futures:
+                results[i] = futures[i].result()
+            for row in results[i][3] or ():
+                trace(run.gaps[0], *row)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     out = X_corr.data.copy()
-    for cols, values, _ in results:
+    for cols, values, *_ in results:
         out[:, cols] = values
     result = Spectrogram(out, X_corr.config)
-    info = {"gaps": runs, "outer_iters_used": [sub["outer_iters_used"] for *_, sub in results]}
+    info = {"gaps": runs, "outer_iters_used": [sub["outer_iters_used"] for _, _, sub, _ in results]}
     return (result, info) if return_info else result

@@ -59,11 +59,18 @@ FREE_DREL = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate stops being finite."""
+    """Raised when an iterate stops being finite.
+
+    args is (iteration,) and the message is built on demand, so the error
+    pickles (it crosses from a pool worker) without doubling its message.
+    """
 
     def __init__(self, iteration):
-        super().__init__(f"solver diverged at iteration {iteration}")
+        super().__init__(iteration)
         self.iteration = iteration
+
+    def __str__(self):
+        return f"solver diverged at iteration {self.iteration}"
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,7 @@ class _Run:
     touch a free sample (their contiguous hull, the whole circle, or none);
     cols, the grid columns of its gaps; cut, the position of its pair
     N-1 -> 0, which is no difference term (or an empty slice); peak, the
-    scale its data was divided by."""
+    scale its data was divided by; start, the run's first frame."""
 
     cfg: object
     circular: bool
@@ -257,6 +264,13 @@ class _Run:
     cut: object
     x0: np.ndarray
     peak: float
+    start: int
+
+    @property
+    def moves(self):
+        """Whether a frame of the run touches a free sample, so that an
+        iteration can move x."""
+        return self.moving.stop > self.moving.start
 
 
 def _observe(X_corr, zero, run):
@@ -292,7 +306,7 @@ def _observe(X_corr, zero, run):
     gaps = np.flatnonzero(~reliable[inner])
     cut = N - 1 - start if start + count > N and not circular else slice(0)
     return _Run(cfg, circular, Xh[inner], reliable[inner], gaps, frames[inner][gaps],
-                free, x_det, _frame_plan(cfg, start, count), moving, cut, x0, peak)
+                free, x_det, _frame_plan(cfg, start, count), moving, cut, x0, peak, start)
 
 
 def _row_weights(M):
@@ -420,13 +434,12 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
 
     x = np.where(run.free, state0.x, run.x_det)
     Z = _hermitian_half(state0.Z)
-    moving = fm.stop > fm.start
     # with no moving frame, x stays x_det and no output depends on the
     # dual: skip its steps, and omega unless a trace needs it
-    if not moving and trace is None:
+    if not run.moves and trace is None:
         return SolverState(x, _expand(Z, M))
     rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
-    if not moving:
+    if not run.moves:
         A = _rfft_frames(x, w, scfg, circular) * run.ramp
         terms = _trace_terms(A, rot, run.Xc, run.reliable, M, cfg.lam, cut)
         for i in range(cfg.inner_iters):
@@ -494,14 +507,17 @@ def _estimate(x, run):
 def _outer_loop(run, cfg, rounds, omega_of, trace=None):
     """Up to ``rounds`` inner runs from run.x0, each at omega_of(current
     reconstruction), stopping once consecutive outputs move less than
-    cfg.epsilon in l2; returns (the gap columns, M rows, at scale; info)."""
+    cfg.epsilon in l2; returns (the gap columns, M rows, at scale; info).
+    A run with no moving frame and no trace takes no IF estimate:
+    ``gcpa_inner`` would not read it."""
     scfg = run.cfg
     state = SolverState(run.x0, np.zeros((scfg.channels, len(run.reliable) - 1), dtype=complex))
     xhat = state.x
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
+    needs_omega = run.moves or trace is not None
 
     for j in range(rounds):
-        omega = omega_of(xhat)
+        omega = omega_of(xhat) if needs_omega else None
         sub = None
         if trace is not None:
             sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
@@ -561,14 +577,19 @@ def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=N
     all over the run's span, x_true's too; zero_cols lists every gap column.
     Returns (the grid columns of the run's gaps, their coefficients (M rows),
     info)."""
-    obs = _observe(X_corr, _zero_cols(zero_cols), run)
+    return solve_observed(_observe(X_corr, _zero_cols(zero_cols), run), cfg, method,
+                          x_true, trace)
+
+
+def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
+    """``solve_run`` on a run ``_observe`` has set up."""
     if method == "tf_only":
         return (obs.cols, *_tf_only(obs, cfg, trace))
     omega_of = lambda xhat: _estimate(xhat, obs)
     if method == "bphain_oracle":
-        start = X_corr.config.hop * run.start
-        omega = _estimate(np.take(x_true, start + np.arange(len(obs.x0)), mode="wrap"), obs)
-        omega_of = lambda xhat: omega
+        # one round, so the oracle's estimate is taken at most once
+        truth = np.take(x_true, obs.cfg.hop * obs.start + np.arange(len(obs.x0)), mode="wrap")
+        omega_of = lambda xhat: _estimate(truth, obs)
     rounds = cfg.outer_iters + 1 if method == "uphain" else 1
     return (obs.cols, *_outer_loop(obs, cfg, rounds, omega_of, trace))
 

@@ -160,17 +160,40 @@ def test_pshrink_defaults():
     assert th.p == 0.9 and th.lam == 0.01
 
 
-def test_jobs_env_default(monkeypatch):
+def test_jobs_env_default(tmp_path, monkeypatch, capsys):
+    # --jobs, else TFPAINT_JOBS, else the library's default (None: the
+    # available cores), resolved when the command runs
+    x = make_test_signal("multitone", 1.0, SR, seed=12)
+    clean = wav_path(tmp_path, "c.wav", x)
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    seen = []
+
+    def spy(Xc, mask, **kw):
+        seen.append(kw["jobs"])
+        return Xc
+
+    monkeypatch.setattr(cli, "inpaint_spectrogram", spy)
+    base = ["inpaint", "--in", clean, "--mask", mask, "--out", str(tmp_path / "r.wav"),
+            "--force"]
+    monkeypatch.delenv("TFPAINT_JOBS", raising=False)
+    assert build_parser().parse_args(base).jobs is None
+    assert main(base) == 0
+    monkeypatch.setenv("TFPAINT_JOBS", "")
+    assert main(base) == 0
     monkeypatch.setenv("TFPAINT_JOBS", "4")
-    args = build_parser().parse_args(
-        ["inpaint", "--in", "a", "--mask", "m", "--out", "b"]
-    )
-    assert args.jobs == 4
-    monkeypatch.setenv("TFPAINT_JOBS", "soon")
-    args = build_parser().parse_args(
-        ["inpaint", "--in", "a", "--mask", "m", "--out", "b"]
-    )
-    assert args.jobs == 1
+    assert main(base) == 0
+    assert main(base + ["--jobs", "3"]) == 0
+    assert seen == [None, None, 4, 3]
+    capsys.readouterr()
+
+    # a job count that is not an integer >= 1 is an error, not 1
+    for env, flag in (("soon", []), ("0", []), ("-2", []), ("2.5", []), ("4", ["--jobs", "0"])):
+        monkeypatch.setenv("TFPAINT_JOBS", env)
+        assert main(base + flag) == 2
+        err = capsys.readouterr().err
+        assert ("--jobs" if flag else "TFPAINT_JOBS") in err and "integer >= 1" in err
+    assert len(seen) == 4
 
 
 # ---------------------------------------------------------------- commands

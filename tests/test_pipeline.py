@@ -1,10 +1,16 @@
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tfpaint
 from tfpaint.pipeline import (
     METHODS,
     ColumnMask,
@@ -223,10 +229,94 @@ def test_inpaint_job_count_does_not_change_bits():
     mask = make_mask(2, SR, HOP, 2)
     Xc, _ = corrupted(60, mask)
     assert len(find_gaps(mask)) == 2
-    seq, info1 = inpaint_spectrogram(Xc, mask, scfg=FAST, return_info=True)
+    seq, info1 = inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=1, return_info=True)
     par, info8 = inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=8, return_info=True)
     assert np.array_equal(seq.data, par.data)
     assert info1["outer_iters_used"] == info8["outer_iters_used"]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started while it is active."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pool_gives_serial_output_and_trace(method, pools):
+    # two 4-column gaps: two runs with moving frames, solved in the pool
+    mask = make_mask(2, SR, HOP, 4)
+    Xc, _ = corrupted(60, mask)
+    x_true = tones(cfg_for(60).signal_len) if method == "bphain_oracle" else None
+    solved = {}
+    for jobs in (1, 2, 8):
+        rows = []
+        out, info = inpaint_spectrogram(
+            Xc, mask, method, scfg=FAST, x_true=x_true, jobs=jobs, return_info=True,
+            trace=lambda gap, *row: rows.append((gap.start, *row)))
+        solved[jobs] = out.data, info["outer_iters_used"], rows
+    assert pools == [2, 2]  # jobs=1 starts none; a worker per run at most
+    rounds = 2 if method == "uphain" else 1
+    seq = solved[1]
+    assert len(seq[2]) == 2 * rounds * FAST.inner_iters
+    assert [r[0] for r in seq[2]] == sorted(r[0] for r in seq[2])  # in run order
+    for par in (solved[2], solved[8]):
+        assert np.array_equal(par[0], seq[0])
+        assert par[1] == seq[1] and par[2] == seq[2]
+
+
+def test_runs_that_cannot_move_start_no_pool(pools):
+    # width-1 gaps leave no free sample: nothing to step, so nothing to fork
+    mask = make_mask(3, SR, HOP, 1)
+    Xc, _ = corrupted(92, mask)
+    inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=2)
+    # one run to step is solved in this process too
+    mask = make_mask(1, SR, HOP, 4)
+    Xc, _ = corrupted(28, mask)
+    inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=2)
+    assert pools == []
+
+
+def test_threaded_caller_solves_in_process(pools):
+    # fork is unsafe with other threads running: a call from a second
+    # thread solves in-process, with the same output
+    mask = make_mask(2, SR, HOP, 4)
+    Xc, _ = corrupted(60, mask)
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=2)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and pools == []
+    assert np.array_equal(got[0].data, inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=1).data)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, "2", True])
+def test_inpaint_rejects_bad_job_counts(jobs):
+    mask = make_mask(1, SR, HOP, 1)
+    Xc, _ = corrupted(28, mask)
+    with pytest.raises(ValueError, match="jobs"):
+        inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=jobs)
+
+
+def test_import_starts_no_pool_machinery():
+    # the pool's modules are imported on first use, not with the package
+    # (tfpaint.cli's scipy.io imports concurrent.futures on its own)
+    code = ("import sys, tfpaint; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(tfpaint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_inpaint_normalization_invariance():
@@ -287,6 +377,21 @@ def test_inpaint_divergence_propagates():
         inpaint_spectrogram(Xc, mask, scfg=WILD)
 
 
+def test_divergence_is_the_same_in_the_pool(pools):
+    # two 4-column gaps diverge in their runs; a pool worker's error reaches
+    # the caller as the serial one does, from the first run in run order
+    mask = make_mask(2, SR, HOP, 4)
+    Xc, _ = corrupted(60, mask)
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(DivergenceError) as err:
+            inpaint_spectrogram(Xc, mask, scfg=WILD, jobs=jobs)
+        errors.append((err.value.iteration, str(err.value)))
+    assert pools == [2]
+    assert errors[0] == errors[1]
+    assert errors[0][1] == f"solver diverged at iteration {errors[0][0]}"
+
+
 def test_inpaint_one_column_gap_has_nothing_to_diverge():
     # the reliable columns fix every sample, so the unsafe steps never act
     mask = make_mask(1, SR, HOP, 1)
@@ -335,7 +440,7 @@ def test_every_mask_restores(case):
     Xc = apply_mask(analyze(x, default_window(cfg), cfg), mask)
     kw = dict(method=method, scfg=CORPUS, x_true=x if method == "bphain_oracle" else None,
               return_info=True)
-    out, info = inpaint_spectrogram(Xc, mask, **kw)
+    out, info = inpaint_spectrogram(Xc, mask, jobs=1, **kw)
     par, info2 = inpaint_spectrogram(Xc, mask, jobs=2, **kw)
     assert np.array_equal(out.data, par.data)
     assert info["outer_iters_used"] == info2["outer_iters_used"]
