@@ -6,9 +6,9 @@ import json
 import math
 import os
 import sys
+import wave
 
 import numpy as np
-from scipy.io import wavfile
 
 from .evaluate import (
     DEFAULT_LAMBDA_GRID,
@@ -49,21 +49,35 @@ def _ensure_writable(force, *paths):
 
 def read_wav(path):
     """16-bit PCM mono -> (rate, float samples in [-1, 1))."""
-    rate, data = wavfile.read(path)
-    if data.ndim != 1:
+    with open(path, "rb") as fh:
+        try:
+            with wave.open(fh) as wav:
+                channels, width, rate = wav.getnchannels(), wav.getsampwidth(), wav.getframerate()
+                n = wav.getnframes()
+                raw = wav.readframes(n)
+        except (wave.Error, EOFError) as e:
+            raise ValueError(f"{path}: not a readable PCM WAV file ({str(e) or 'cut short'})")
+    if channels != 1:
         raise ValueError(f"{path}: mono audio required")
-    if data.dtype != np.int16:
-        raise ValueError(f"{path}: 16-bit PCM required, got {data.dtype}")
+    if width != 2:
+        raise ValueError(f"{path}: 16-bit PCM required, got {8 * width}-bit")
+    if len(raw) != n * width:
+        raise ValueError(f"{path}: truncated sample data")
     if rate != 16000:
         print(f"warning: {path}: {rate} Hz (presets assume 16 kHz)",
               file=sys.stderr)
-    return int(rate), data.astype(float) / 32768.0
+    return rate, np.frombuffer(raw, dtype="<i2") / 32768.0
 
 
 def write_wav(path, rate, x, force=False):
+    """Float samples -> 16-bit PCM mono, rounded and clipped."""
     _ensure_writable(force, path)
     q = np.clip(np.round(np.asarray(x) * 32768.0), -32768, 32767)
-    wavfile.write(path, rate, q.astype(np.int16))
+    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(int(rate))
+        wav.writeframes(q.astype("<i2").tobytes())
 
 
 def read_mask(path):

@@ -149,20 +149,19 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
     x_true (time-domain ground truth) is required by method
     "bphain_oracle" only.  jobs (None or an integer >= 1) caps the worker
     processes; None means the cores this process may run on.  Runs that
-    take inner steps (those with a moving frame, and every run of
-    "tf_only") are solved in a pool of that many processes started with
-    ``fork``, which inherit the set-up runs instead of receiving them; the
-    rest are solved in this process.  No pool is started with jobs=1, with
-    fewer than two runs to step, or in a process that runs other threads
-    (where fork is unsafe).  Results are written back in run
-    order, so the output is identical for any job count.  trace, if
-    given, is called in this process with (gap, iteration, objective,
-    feasibility) for every inner iteration of every run, gap being the
-    run's first gap: each run's rows are delivered together, in run
-    order, once it and every run before it have finished, so the trace
-    too is the same for any job count.  info["gaps"] lists the runs
-    (``solver.FrameRun``) and info["outer_iters_used"] the outer rounds
-    of each.
+    take inner steps (those with a moving frame, whatever the method) are
+    solved in a pool of that many processes started with ``fork``, which
+    inherit the set-up runs instead of receiving them; the rest are solved
+    in this process.  No pool is started with jobs=1, with fewer than two
+    runs to step, or in a process that runs other threads (where fork is
+    unsafe).  Results are written back in run order, so the output is
+    identical for any job count.  trace, if given, is called in this
+    process with (gap, iteration, objective, feasibility) for every inner
+    iteration of every run, gap being the run's first gap: each run's rows
+    are delivered together, in run order, once it and every run before it
+    have finished, so the trace too is the same for any job count.
+    info["gaps"] lists the runs (``solver.FrameRun``) and
+    info["outer_iters_used"] the outer rounds of each.
     """
     jobs = _job_count(jobs)
     if method not in METHODS:
@@ -181,7 +180,7 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
     runs = frame_runs(mask.zero_cols, X_corr.config)
     observed = [_observe(X_corr, mask.zero_cols, run) for run in runs]
     task = (observed, scfg, method, x_true, trace is not None)
-    stepping = [i for i, obs in enumerate(observed) if method == "tf_only" or obs.moves]
+    stepping = [i for i, obs in enumerate(observed) if obs.moves]
 
     futures, pool = {}, None
     # fork copies only the calling thread, so a process with other threads

@@ -1,16 +1,16 @@
 """Primal-dual solvers for spectrogram inpainting.
 
-The workhorse is a Chambolle-Pock iteration whose primal lives in the time
-domain (a real signal) while its one dual is a TF matrix; the penalty is the
-phase-corrected total variation of the analysis coefficients.  The data
-constraint -- agree with the observation on the reliable columns -- needs
-no dual: each column is one frame and M >= W, so the reliable columns fix
-the signal wherever their windows reach, and the iteration moves only the
-samples they leave free (see ``gcpa_inner``).  A real primal sees only the
-conjugate-symmetric part of a coefficient matrix, so the dual is kept on
-frequency rows 0..M//2 and goes through the real-input frame operator of
-``stft``.  Every solver uses the tight default window and one dual step,
-``_dual_step``, whose block norms count the mirrored rows.
+The one iteration loop, ``gcpa_inner``, is a Chambolle-Pock iteration
+whose primal lives in the time domain (a real signal) while its one dual is
+a TF matrix; the penalty is the phase-corrected total variation of the
+analysis coefficients.  The data constraint -- agree with the observation
+on the reliable columns -- needs no dual: each column is one frame and
+M >= W, so the reliable columns fix the signal wherever their windows
+reach, and the iteration moves only the samples they leave free.  A real
+primal sees only the conjugate-symmetric part of a coefficient matrix, so
+the dual is kept on frequency rows 0..M//2 and goes through the real-input
+frame operator of ``stft``.  The loop uses the tight default window and one
+dual step, ``_dual_step``, whose block norms count the mirrored rows.
 
 ``frame_runs`` groups the gaps of a mask into independent runs of frames
 on the full-length grid, and ``solve_run`` solves one on its own sample
@@ -22,9 +22,13 @@ of ``METHODS``:
 * ``bphain``  -- one inner run at an IF estimated once from the
   corrupted observation; ``bphain_oracle`` estimates it from a supplied
   ground-truth signal instead.
-* ``tf_only`` -- the ablation without phase correction: a plain
-  Chambolle-Pock iteration on the time-direction total variation
-  (omega = 0) whose primal stays in the TF domain, on rows 0..M//2; one run.
+* ``tf_only`` -- the ablation without phase correction: ``bphain``'s one
+  inner run with omega fixed at 0 (every correction factor is 1), i.e. the
+  plain time-direction total variation on the same free samples; no IF
+  estimate.
+
+Every method runs ``_outer_loop`` over ``gcpa_inner``; they differ only in
+where omega comes from and in the number of rounds.
 """
 
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .phase_prior import _coeffs, correction_factors, estimate_if
-from .prox import Thresholder, project_feasible
+from .prox import Thresholder
 from .stft import (
     _expand,
     _frame_plan,
@@ -537,41 +541,6 @@ def _outer_loop(run, cfg, rounds, omega_of, trace=None):
     return _expand(A[run.gaps] * run.ramp[run.gaps], scfg.channels) * run.peak, info
 
 
-def _tf_only(run, cfg, trace=None):
-    """The TF-domain ablation on one run; returns what ``_outer_loop`` does.
-
-    Plain Chambolle-Pock on min_X lam*||D X||_1 over the coefficient
-    matrices that agree with Xc on the reliable columns: omega = 0, so no IF
-    estimate and no outer loop.  tau*sigma*4 <= 1 covers ||D|| <= 2.
-    """
-    M = run.cfg.channels
-    Xc, cut = run.Xc, run.cut
-    X = X_bar = Xc.astype(complex)  # never updated in place
-    Z = np.zeros((len(Xc) - 1, Xc.shape[1]), dtype=complex)
-    DZ, mag = np.zeros_like(X), np.empty(Z.shape)
-    tau, sigma = cfg.tau, cfg.sigma
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(cfg.inner_iters):
-            Q = Z + sigma * (X_bar[:-1] - X_bar[1:])
-            Q[cut] = 0.0
-            Z = _dual_step(Q, cfg.thresholder, M, mag)
-            DZ[-1] = 0.0  # DZ = D* Z
-            DZ[:-1] = Z
-            DZ[1:] -= Z
-            # project_feasible keeps columns: it sees the M-row orientation
-            X_new = project_feasible((X - tau * DZ).T, run.gaps, Xc.T).T
-            X_bar = 2.0 * X_new - X
-            X = X_new
-            if not _finite(X):
-                raise DivergenceError(i + 1)
-            if trace is not None:
-                trace(i + 1, *_trace_terms(X, 1.0, Xc, run.reliable, M, cfg.lam, cut))
-
-    info = {"outer_iters_used": 1, "stopped_early": False, "final_change": None}
-    return _expand(X[run.gaps], M) * run.peak, info
-
-
 def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=None):
     """Restore the gaps of one FrameRun of X_corr with one of ``METHODS``,
     all over the run's span, x_true's too; zero_cols lists every gap column.
@@ -583,13 +552,13 @@ def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=N
 
 def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
     """``solve_run`` on a run ``_observe`` has set up."""
-    if method == "tf_only":
-        return (obs.cols, *_tf_only(obs, cfg, trace))
     omega_of = lambda xhat: _estimate(xhat, obs)
     if method == "bphain_oracle":
         # one round, so the oracle's estimate is taken at most once
         truth = np.take(x_true, obs.cfg.hop * obs.start + np.arange(len(obs.x0)), mode="wrap")
         omega_of = lambda xhat: _estimate(truth, obs)
+    elif method == "tf_only":
+        omega_of = lambda xhat: np.zeros((obs.cfg.channels, len(obs.reliable)))
     rounds = cfg.outer_iters + 1 if method == "uphain" else 1
     return (obs.cols, *_outer_loop(obs, cfg, rounds, omega_of, trace))
 

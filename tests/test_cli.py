@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import wave
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ def test_wav_round_trip(tmp_path):
     write_wav(p2, SR, back)
     _, again = read_wav(p2)
     assert np.array_equal(again, back)
+    # the file is the one scipy's writer makes, clipping at both ends
+    x = np.random.default_rng(3).uniform(-1.1, 1.1, 1001)
+    p3 = tmp_path / "c.wav"
+    write_wav(str(p3), SR, x)
+    theirs = open(wav_path(tmp_path, "theirs.wav", x), "rb").read()
+    assert len(theirs) == 44 + 2 * 1001
+    assert p3.read_bytes() == theirs
 
 
 def test_wav_validation(tmp_path):
@@ -58,6 +66,22 @@ def test_wav_validation(tmp_path):
     wavfile.write(fl, SR, np.zeros(100, dtype=np.float32))
     with pytest.raises(ValueError):
         read_wav(str(fl))
+    u8 = tmp_path / "u8.wav"
+    with wave.open(str(u8), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(1)
+        fh.setframerate(SR)
+        fh.writeframes(bytes(100))
+    junk = tmp_path / "junk.wav"
+    junk.write_bytes(b"this is not a RIFF file" * 4)
+    whole = open(wav_path(tmp_path, "whole.wav", np.zeros(100)), "rb").read()
+    cut, cut_data = tmp_path / "cut.wav", tmp_path / "cut_data.wav"
+    cut.write_bytes(whole[:30])  # inside the header
+    cut_data.write_bytes(whole[:100])  # 28 of the 100 samples the header declares
+    for bad in (u8, junk, cut, cut_data):
+        with pytest.raises(ValueError, match="wav"):
+            read_wav(str(bad))
+    assert main(["snr", "--ref", str(cut), "--test", str(cut)]) == 2
 
 
 def test_mask_file_round_trip(tmp_path):

@@ -307,16 +307,17 @@ def test_inpaint_rejects_bad_job_counts(jobs):
 
 
 def test_import_starts_no_pool_machinery():
-    # the pool's modules are imported on first use, not with the package
-    # (tfpaint.cli's scipy.io imports concurrent.futures on its own)
-    code = ("import sys, tfpaint; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules))")
+    # the pool's modules are imported on first use, not with the package,
+    # and nothing needs scipy (the CLI reads WAV files with the stdlib)
     src = os.path.dirname(os.path.dirname(tfpaint.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    for module in ("tfpaint", "tfpaint.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in ('scipy', 'multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]", module
 
 
 def test_inpaint_normalization_invariance():

@@ -314,8 +314,10 @@ def test_bphain_oracle_matches_corrupted_source():
 
 
 def test_tf_only_feasibility():
-    zero = np.array([7, 8])
+    # a 4-column gap leaves samples free, so the run takes inner steps
+    zero = np.arange(6, 10)
     Xc = corrupted(three_tone(), zero)
+    assert observed(Xc, zero)[1].moves
     out = restore(Xc, zero, SolverConfig(inner_iters=10, outer_iters=1), "tf_only")
     keep = np.ones(SEG.n_frames, dtype=bool)
     keep[zero] = False
@@ -332,16 +334,19 @@ def test_tf_only_is_one_run_without_phase_correction(monkeypatch):
         raise AssertionError("tf_only must not estimate the IF")
 
     monkeypatch.setattr(solver_mod, "estimate_if", no_estimate)
-    zero = np.array([7, 8])
+    zero = np.arange(6, 10)
+    rows = []
     out, info = restore(corrupted(three_tone(), zero), zero,
                         SolverConfig(inner_iters=10, outer_iters=3), "tf_only",
-                        return_info=True)
+                        return_info=True, trace=lambda *r: rows.append(r))
     assert info["outer_iters_used"] == [1]
+    assert [r[1] for r in rows] == list(range(1, 11))
     assert np.all(np.isfinite(out.data))
 
 
 def test_uphain_beats_tf_only_on_gap():
-    zero = np.array([7, 8])
+    # on a gap with free samples the phase-aware prior is worth tens of dB
+    zero = np.arange(6, 10)
     x = three_tone()
     X_true = analyze(x, default_window(SEG), SEG).data
     Xc = corrupted(x, zero)
@@ -351,7 +356,7 @@ def test_uphain_beats_tf_only_on_gap():
         err = np.linalg.norm(out.data[:, zero] - X_true[:, zero])
         return 20 * np.log10(np.linalg.norm(X_true[:, zero]) / err)
 
-    assert gap_snr(restore(Xc, zero, cfg)) > gap_snr(restore(Xc, zero, cfg, "tf_only"))
+    assert gap_snr(restore(Xc, zero, cfg)) > gap_snr(restore(Xc, zero, cfg, "tf_only")) + 20.0
 
 
 # ---------------------------------------------------------------- norm probe
@@ -912,46 +917,32 @@ def test_solvers_leave_their_inputs_unchanged(monkeypatch, zero, alpha, kind):
                 assert np.array_equal(getattr(made_run, name), snap[name]), (method, name)
 
 
-# ------------------------------------------------ full-spectrum tf_only oracle
-
-
-def reference_tf_only(Xc, zero, cfg, trace):
-    """Textbook TF-domain Chambolle-Pock on all M rows."""
-    X = Xc.data.astype(complex)
-    X_bar = X.copy()
-    Z = np.zeros((X.shape[0], X.shape[1] - 1), dtype=complex)
-    reliable = np.ones(X.shape[1], dtype=bool)
-    reliable[zero] = False
-    for i in range(cfg.inner_iters):
-        Q = Z + cfg.sigma * time_variation(X_bar)
-        Z = Q - cfg.thresholder(Q)
-        X_new = project_feasible(X - cfg.tau * time_variation_adjoint(Z), zero, Xc.data)
-        X_bar = 2.0 * X_new - X
-        X = X_new
-        trace(i + 1, cfg.lam * float(np.sum(np.abs(time_variation(X)))),
-              float(np.linalg.norm((X - Xc.data)[:, reliable])))
-    return project_feasible(X, zero, Xc.data)
+# ------------------------------------------------ tf_only at omega = 0
 
 
 @pytest.mark.parametrize("kind", ["soft", "l2_block"])
-def test_tf_only_matches_full_spectrum_reference(kind):
-    # on the whole circle; the reference sees the observation at the run's
-    # scale, and the run's output is scaled back
-    zero = np.array([7, 8])
+def test_tf_only_matches_free_sample_reference_at_zero_omega(kind):
+    # tf_only is one inner run at omega = 0 on the free samples: on the
+    # whole circle, the reference sees the observation at the run's scale,
+    # and the run's output is scaled back
+    zero = np.arange(6, 10)
     Xc = corrupted(three_tone(), zero)
     run = circle(SEG, zero)
-    peak = _observe(Xc, zero, run).peak
-    cfg = SolverConfig(inner_iters=40, thresholder=default_thresholder(kind))
+    obs = _observe(Xc, zero, run)
+    cfg = SolverConfig(inner_iters=30, thresholder=default_thresholder(kind))
     got_log, ref_log = [], []
-    cols, values, _ = solve_run(Xc, zero, run, cfg, "tf_only",
-                                trace=lambda *r: got_log.append(r))
-    got = Xc.data.copy()
-    got[:, cols] = values
-    ref = peak * reference_tf_only(Spectrogram(Xc.data / peak, SEG), zero, cfg,
-                                   trace=lambda *r: ref_log.append(r))
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert not np.allclose(got[:, zero], 0.0)  # the gap was filled, not left empty
+    cols, values, info = solve_run(Xc, zero, run, cfg, "tf_only",
+                                   trace=lambda *r: got_log.append(r))
+    st0 = SolverState(obs.x0, np.zeros((SEG.channels, SEG.n_frames - 1), complex))
+    ref = free_sample_reference(st0, zero, Spectrogram(Xc.data / obs.peak, SEG),
+                                np.zeros((SEG.channels, SEG.n_frames)), cfg,
+                                trace=lambda *r: ref_log.append(r))
+    want = obs.peak * analyze(ref.x, default_window(SEG), SEG).data[:, zero]
+    assert info["outer_iters_used"] == 1
+    assert np.array_equal(cols, zero)
+    assert not np.array_equal(ref.x[obs.free], obs.x0[obs.free])  # the free samples moved
+    assert values.shape == want.shape
+    assert np.max(np.abs(values - want)) <= 1e-10 * np.max(np.abs(want))
     assert len(got_log) == len(ref_log) == cfg.inner_iters
     for (i1, o1, f1), (i2, o2, f2) in zip(got_log, ref_log):
         assert i1 == i2
