@@ -114,7 +114,8 @@ def write_spectrogram(path, X, force=False):
         fh.write(SPGM_MAGIC)
         fh.write(np.array([M, N, X.config.hop, X.config.window_len],
                           dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(X.data.astype("<c16", copy=False)).tobytes())
+        # the array's own buffer; only a non-contiguous or big-endian one is copied
+        np.ascontiguousarray(X.data, dtype="<c16").tofile(fh)
 
 
 def read_spectrogram(path):
@@ -221,8 +222,7 @@ def cmd_corrupt(args):
     _ensure_writable(args.force, args.out, args.spec_out)
     mask, hop = read_mask(args.mask)
     rate, x = read_wav(args.infile)
-    X = _analyzed(x, mask, hop, args.window, args.channels, args.infile)
-    Xc = apply_mask(X, mask)
+    Xc = apply_mask(_analyzed(x, mask, hop, args.window, args.channels, args.infile), mask)
     write_wav(args.out, rate, synthesize(Xc, default_window(Xc.config), Xc.config),
               args.force)
     if args.spec_out:
@@ -275,6 +275,7 @@ def cmd_inpaint(args):
 
     out = inpaint_spectrogram(Xc, mask, method=method, scfg=solver_config(args),
                               x_true=x_true, jobs=jobs, trace=trace)
+    del Xc  # the restoration holds every column: keep one coefficient array
     write_wav(args.out, rate,
               synthesize(out, default_window(out.config), out.config), args.force)
     if args.spec_out:

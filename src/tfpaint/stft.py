@@ -30,16 +30,27 @@ Conventions (these matter; everything downstream relies on them):
 * Frames are read through a strided view and overlap-added hop by hop, for
   any hop; no index grid is kept.  The private helpers also take k frames of
   a span buffer of a*(k-1) + W samples; only the whole circle folds.
+* ``analyze`` and ``synthesize`` run the full-length frame operator one
+  block of frames at a time (``_blocks``, about 2 MB of coefficients each),
+  so neither makes a whole-file temporary: a 60 s analysis holds its result
+  and little more, a synthesis its signal.  The phase ramp of any frame is a
+  row of one cached table of P = M/gcd(a, M) rows (``_frame_plan``).  The
+  blocks give the bits of the one-pass transforms.
 
 Exactness of the frame algebra additionally requires ``channels`` to divide
 ``signal_len`` (alias spacing must be a multiple of the FFT length); the
 config validates this.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# Coefficients of rows 0..M//2 per frame block of analyze and synthesize
+# (64 frames at M = 2048): each block temporary is about 2 MB.
+_BLOCK_COEFFS = 2**17
 
 
 @dataclass(frozen=True)
@@ -156,18 +167,30 @@ def _window(g, cfg):
 
 
 @lru_cache(maxsize=64)
-def _frame_plan(cfg, start, count):
-    """Phase ramp ramp[j, m] = exp(-i*2*pi*m*a*n / M), n = start + j, for
-    count frames and rows m = 0..M//2 (period N in n, as M divides a*N).
+def _ramp_table(a, M):
+    """Rows n = 0..P-1 of the phase ramp, P = M / gcd(a, M) (read-only).
 
-    It converts frame-local FFT phase to the frequency-invariant convention.
-    The exponent m*a*n is reduced modulo M in integers first, so every row
+    The exponent m*a*n is reduced modulo M in integers first, so every entry
     is rounded once and the Nyquist row is exactly 1 when a*n is even.
     """
-    a, M = cfg.hop, cfg.channels
-    n = start + np.arange(count)
+    n = np.arange(M // math.gcd(a, M))
     k = (((a * n) % M)[:, None] * np.arange(M // 2 + 1)[None, :]) % M
-    return np.exp(-2j * np.pi * k / M)
+    table = np.exp(-2j * np.pi * k / M)
+    table.flags.writeable = False
+    return table
+
+
+def _frame_plan(cfg, start, count):
+    """Phase ramp ramp[j, m] = exp(-i*2*pi*m*a*n / M), n = start + j, for
+    count frames and rows m = 0..M//2; start may be negative or past N.
+
+    It converts frame-local FFT phase to the frequency-invariant convention.
+    Frame n's ramp depends only on a*n mod M, which has period
+    P = M / gcd(a, M) in n (4 at the defaults), so the rows are looked up in
+    one cached table of P rows: no per-call or whole-file ramp is computed.
+    """
+    table = _ramp_table(cfg.hop, cfg.channels)
+    return table[(start + np.arange(count)) % len(table)]
 
 
 def _rfft_frames(x, w, cfg, circular=True):
@@ -206,6 +229,16 @@ def _overlap_add(contrib, cfg, circular=True):
     return ext.ravel()[: a * (k - 1) + W]
 
 
+def _windowed_irfft(V, w, cfg):
+    """Per-frame contributions (k x W) of the k frames of V (k, M//2+1):
+    the real inverse FFT of the conjugate-symmetric spectrum, scaled by M
+    and windowed."""
+    M = cfg.channels
+    contrib = np.fft.irfft(V, n=M)[:, : cfg.window_len]
+    contrib *= w * M
+    return contrib
+
+
 def _irfft_frames(V, w, cfg, circular=True):
     """Real adjoint of the full-spectrum _rfft_frames, given rows 0..M//2
     of each of the k frames of V (k, M//2+1).
@@ -215,26 +248,19 @@ def _irfft_frames(V, w, cfg, circular=True):
     even M's Nyquist row do not reach the signal.  Scaled by M, windowed,
     then overlap-added.
     """
-    M = cfg.channels
-    contrib = np.fft.irfft(V, n=M)[:, : cfg.window_len]
-    contrib *= w * M
-    return _overlap_add(contrib, cfg, circular)
+    return _overlap_add(_windowed_irfft(V, w, cfg), cfg, circular)
 
 
-def _synthesize(H, w, cfg):
-    """Synthesis of the conjugate-symmetric matrix with rows 0..M//2 = H
-    (frames-major, (N, M//2+1))."""
-    return _irfft_frames(H * np.conj(_frame_plan(cfg, 0, cfg.n_frames)), w, cfg)
-
-
-def _expand(H, M):
+def _expand(H, M, out=None):
     """All M rows, by k columns, of the conjugate-symmetric matrix whose
-    rows 0..M//2 are the frames-major H (k, M//2+1)."""
+    rows 0..M//2 are the frames-major H (k, M//2+1); written to out (an
+    (M, k) array or view) when given."""
     half = H.shape[1]
-    full = np.empty((M, len(H)), dtype=H.dtype)
-    full[:half] = H.T
-    np.conj(H[:, (M - 1) // 2 : 0 : -1].T, out=full[half:])
-    return full
+    if out is None:
+        out = np.empty((M, len(H)), dtype=H.dtype)
+    out[:half] = H.T
+    np.conj(H[:, (M - 1) // 2 : 0 : -1].T, out=out[half:])
+    return out
 
 
 def _hermitian_half(X):
@@ -253,16 +279,35 @@ def _hermitian_half(X):
     return out
 
 
+def _blocks(cfg):
+    """(start, stop) of the consecutive frame blocks of the full-length
+    transforms: about _BLOCK_COEFFS half-spectrum coefficients each."""
+    N = cfg.n_frames
+    step = max(1, _BLOCK_COEFFS // cfg.channels)
+    return [(s, min(s + step, N)) for s in range(0, N, step)]
+
+
 def analyze(x, g, cfg):
     """STFT of a real signal; returns a Spectrogram (M x N complex).
 
     Rows M//2+1..M-1 are the exact conjugate mirror of rows (M-1)//2..1.
+    The result is filled one frame block at a time (rFFT, ramp, mirrored
+    rows), so no full-size temporary is made.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.signal_len,):
         raise ValueError("signal length does not match config")
-    A = _rfft_frames(x, _window(g, cfg), cfg) * _frame_plan(cfg, 0, cfg.n_frames)
-    return Spectrogram(_expand(A, cfg.channels), cfg)
+    w = _window(g, cfg)
+    W, a, M, L = cfg.window_len, cfg.hop, cfg.channels, cfg.signal_len
+    out = np.empty((M, cfg.n_frames), dtype=complex)
+    for s, e in _blocks(cfg):
+        lo, hi = a * s, a * (e - 1) + W
+        # only the last block's frames reach round the circle
+        span = x[lo:hi] if hi <= L else np.concatenate((x[lo:], x[: hi - L]))
+        A = _rfft_frames(span, w, cfg, circular=False)
+        A *= _frame_plan(cfg, s, e - s)
+        _expand(A, M, out=out[:, s:e])
+    return Spectrogram(out, cfg)
 
 
 def synthesize(X, g, cfg):
@@ -273,11 +318,35 @@ def synthesize(X, g, cfg):
     part is synthesized.  This equals the real part of the complex
     synthesis sum, which makes this the exact adjoint with respect to the
     real inner product for any complex input.
+
+    The frames go through one block at a time.  A hop block of samples sums
+    the contributions of its q = ceil(W/a) frames in a fixed order, so the
+    last q - 1 frames' contributions are carried into the next block's
+    overlap-add and every sample gets the bits of the one-pass sum; the
+    overhang past the end folds onto the front last.
     """
     data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
     if data.shape != (cfg.channels, cfg.n_frames):
         raise ValueError("spectrogram shape does not match config")
-    return _synthesize(_hermitian_half(data), _window(g, cfg), cfg)
+    w = _window(g, cfg)
+    W, a = cfg.window_len, cfg.hop
+    keep = -(-W // a) - 1  # frames carried from block to block
+    x = np.empty(cfg.signal_len)
+    carry = np.empty((0, W))
+    for s, e in _blocks(cfg):
+        # conj(ramp) * half, in this order: numpy can round a complex
+        # product differently with its operands swapped, and this is the
+        # order the one-pass product took (numpy elides the temporary and
+        # reuses it) on any file of 2**14 or more half-spectrum coefficients
+        V = np.conj(_frame_plan(cfg, s, e - s))
+        V *= _hermitian_half(data[:, s:e])
+        frames = np.concatenate((carry, _windowed_irfft(V, w, cfg)))
+        summed = _overlap_add(frames, cfg, circular=False)
+        x[a * s : a * e] = summed[a * len(carry) : a * (len(carry) + e - s)]
+        carry = frames[max(0, len(frames) - keep) :]
+    # the last frames' W - a samples past the end fold onto the front
+    x[: W - a] += summed[a * len(frames) :]
+    return x
 
 
 def symmetry_residual(X):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import wave
 
 import numpy as np
@@ -20,8 +21,8 @@ from tfpaint.cli import (
     write_wav,
 )
 from tfpaint.evaluate import make_test_signal
-from tfpaint.pipeline import ColumnMask
-from tfpaint.stft import Spectrogram, StftConfig
+from tfpaint.pipeline import ColumnMask, apply_mask
+from tfpaint.stft import Spectrogram, StftConfig, analyze, default_window
 
 SR = 16000
 
@@ -113,6 +114,18 @@ def test_spectrogram_file_round_trip_bit_exact(tmp_path):
     back = read_spectrogram(p)
     assert np.array_equal(back.data, data)
     assert back.config == cfg
+    # the coefficients go to the file straight from the array; the bytes
+    # are the header and the array's own little-endian bytes
+    header = cli.SPGM_MAGIC + np.array([2048, 16, 512, 2048], dtype="<u4").tobytes()
+    with open(p, "rb") as fh:
+        assert fh.read() == header + data.astype("<c16").tobytes()
+    # a Fortran-ordered and a big-endian array write the same bytes
+    q = str(tmp_path / "y.spgm")
+    write_spectrogram(q, Spectrogram(np.asfortranarray(data), cfg))
+    r = str(tmp_path / "z.spgm")
+    write_spectrogram(r, Spectrogram(data.astype(">c16"), cfg))
+    with open(p, "rb") as a, open(q, "rb") as b, open(r, "rb") as c:
+        assert a.read() == b.read() == c.read()
 
 
 @pytest.mark.parametrize("cfg", [StftConfig(2048, 512, 2048, 16 * 512), StftConfig(9, 3, 9, 27)],
@@ -515,3 +528,29 @@ def test_inpaint_rejects_nonsymmetric_spectrogram(tmp_path, capsys):
                  "--spec-out", str(spec), "--inner", "5", "--outer", "1"]) == 2
     assert "not conjugate-symmetric" in capsys.readouterr().err
     assert not out.exists() and not spec.exists()
+
+
+def test_inpaint_holds_about_two_coefficient_arrays(tmp_path):
+    # in-process tfpaint inpaint on a 20 s .spgm: the corrupted and the
+    # restored coefficients meet once (the restoration is a copy), and the
+    # full-length synthesis and the file writer add no third array
+    cfg = StftConfig(signal_len=624 * 512)
+    x = make_test_signal("multitone", cfg.signal_len / SR, SR, seed=3)[: cfg.signal_len]
+    mask = ColumnMask(624, np.array([100, 101, 300, 301, 302]))
+    spgm, mk = str(tmp_path / "c.spgm"), str(tmp_path / "m.json")
+    Xc = apply_mask(analyze(x, default_window(cfg), cfg), mask)
+    write_spectrogram(spgm, Xc)
+    write_mask(mk, mask, 512)
+    nbytes = Xc.data.nbytes
+    del Xc
+    args = ["inpaint", "--in", spgm, "--mask", mk, "--method", "bphain",
+            "--inner", "5", "--jobs", "1", "--out", str(tmp_path / "r.wav"),
+            "--spec-out", str(tmp_path / "r.spgm"), "--trace", str(tmp_path / "t.csv")]
+    tracemalloc.start()
+    try:
+        rc = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 2.3 * nbytes, peak / nbytes

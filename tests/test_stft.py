@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,14 @@ from tfpaint.stft import (
     Spectrogram,
     StftConfig,
     Window,
+    _blocks,
+    _expand,
     _frame_plan,
+    _hermitian_half,
     _irfft_frames,
     _rfft_frames,
     analyze,
+    default_window,
     make_hann,
     make_hann_derivative,
     symmetry_residual,
@@ -291,3 +297,99 @@ def test_frame_run_matches_full_signal_analysis(start, count):
             weight[-1] = 1.0
         lhs = np.sum(weight * np.real(np.conj(V) * A))
         assert abs(lhs - np.dot(x[span], back)) <= 1e-10 * max(1.0, abs(lhs))
+
+
+# Geometries of the frame-block tests, each with how its blocks must fall.
+BLOCKED = {
+    # several blocks, the last one partial
+    "several-blocks": StftConfig(window_len=16, hop=4, channels=16, signal_len=4 * 16484),
+    # fewer frames than one block, at the paper's window, hop and channels
+    "one-block": StftConfig(signal_len=40 * 512),
+    # a hop that does not divide the window (partial last hop chunk)
+    "uneven-hop": StftConfig(window_len=6, hop=4, channels=8, signal_len=4 * 32780),
+    "odd-M": StftConfig(window_len=9, hop=3, channels=9, signal_len=3 * 30000),
+    # q - 1 = 511 frames carried, more than a block of 256
+    "long-carry": StftConfig(window_len=512, hop=1, channels=512, signal_len=1024),
+}
+
+
+def direct_ramp(cfg, start, count):
+    """exp(-2*pi*i*((a*n mod M)*m mod M)/M) for frames n = start.. and rows
+    m = 0..M//2, straight from the formula."""
+    a, M = cfg.hop, cfg.channels
+    n = start + np.arange(count)
+    k = (((a * n) % M)[:, None] * np.arange(M // 2 + 1)[None, :]) % M
+    return np.exp(-2j * np.pi * k / M)
+
+
+def one_pass_analyze(x, w, cfg):
+    """All frames at once: rFFT of the circularly read frames, the
+    whole-file ramp, the mirrored rows."""
+    A = _rfft_frames(x, w, cfg) * direct_ramp(cfg, 0, cfg.n_frames)
+    return _expand(A, cfg.channels)
+
+
+def one_pass_synthesize(X, w, cfg):
+    """All frames at once: the whole-file ramp times the Hermitian half,
+    irFFT, window, one overlap-add with the overhang folded."""
+    V = np.conj(direct_ramp(cfg, 0, cfg.n_frames)) * _hermitian_half(X)
+    return _irfft_frames(V, w, cfg)
+
+
+def test_block_geometries_fall_as_named():
+    step = {name: _blocks(cfg)[0][1] for name, cfg in BLOCKED.items()}
+    cfg = BLOCKED["several-blocks"]
+    assert len(_blocks(cfg)) >= 3 and cfg.n_frames % step["several-blocks"]
+    assert _blocks(BLOCKED["one-block"]) == [(0, 40)]
+    for name in ("uneven-hop", "odd-M"):
+        assert len(_blocks(BLOCKED[name])) >= 2 and BLOCKED[name].n_frames % step[name]
+    cfg = BLOCKED["long-carry"]
+    assert -(-cfg.window_len // cfg.hop) - 1 > step["long-carry"]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_blocked_transforms_equal_one_pass(name):
+    # analyze and synthesize run a block of frames at a time; the blocks
+    # give the bits of the one-pass transforms
+    cfg = BLOCKED[name]
+    rng = np.random.default_rng(len(name))
+    w = default_window(cfg).samples
+    x = rng.standard_normal(cfg.signal_len)
+    X = analyze(x, w, cfg)
+    assert np.array_equal(X.data, one_pass_analyze(x, w, cfg))
+    Y = random_coeffs(rng, cfg)
+    for Z in (X.data, Y, Y.real):
+        assert np.array_equal(synthesize(Z, w, cfg), one_pass_synthesize(Z, w, cfg))
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT, UNEVEN, BLOCKED["odd-M"], BLOCKED["long-carry"],
+                                 StftConfig(window_len=2048, hop=384, channels=2048,
+                                            signal_len=2048 * 3 * 5)],
+                         ids=["default", "uneven", "odd-M", "hop-1", "hop-384"])
+def test_frame_plan_equals_direct_ramp(cfg):
+    # the table lookup gives the formula's bits for any start: negative
+    # ones (a run's reach before frame 0) and ones past N
+    N = cfg.n_frames
+    for start in (-2 * N - 3, -5, -1, 0, 7, N - 2, N, N + 3, 3 * N + 1):
+        assert np.array_equal(_frame_plan(cfg, start, 9), direct_ramp(cfg, start, 9))
+    assert np.array_equal(_frame_plan(cfg, 0, N), direct_ramp(cfg, 0, N))
+
+
+def test_full_length_transforms_stay_within_memory_bounds():
+    # the 60 s geometry of the CLI benchmark: 1872 frames, 61.3 MB of
+    # coefficients; a whole-file ramp alone would take 31 MB
+    cfg = StftConfig(signal_len=1872 * 512)
+    w = default_window(cfg)
+    x = np.random.default_rng(60).standard_normal(cfg.signal_len)
+    tracemalloc.start()
+    try:
+        X = analyze(x, w, cfg)
+        analyze_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        synthesize(X, w, cfg)
+        synthesize_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert analyze_peak <= X.data.nbytes + 25e6
+    assert synthesize_peak <= 25e6
