@@ -316,6 +316,7 @@ def _suite(args):
 
 
 def cmd_sweep(args):
+    jobs = _jobs(args.jobs)
     _ensure_writable(args.force, args.out, args.json)
     suite = _suite(args)
     mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
@@ -327,7 +328,7 @@ def cmd_sweep(args):
     records = sweep_lambda(suite, mask, grid, scfg=solver_config(args),
                            method=args.method.replace("-", "_"),
                            window_len=args.window, hop=args.hop,
-                           channels=args.channels)
+                           channels=args.channels, jobs=jobs)
     write_results(args.out, args.json, records, force=args.force)
     best = max(records, key=lambda r: r.snr_db)
     print(f"best lambda {best.lambda_:g} with mean SNR {best.snr_db:.2f} dB "
@@ -336,6 +337,7 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
+    jobs = _jobs(args.jobs)
     _ensure_writable(args.force, args.out, args.json)
     suite = _suite(args)
     methods = [m.strip().replace("-", "_") for m in args.methods.split(",")]
@@ -349,7 +351,7 @@ def cmd_compare(args):
     records, summary = compare_methods(suite, masks, methods,
                                        scfg=solver_config(args),
                                        window_len=args.window, hop=args.hop,
-                                       channels=args.channels)
+                                       channels=args.channels, jobs=jobs)
     write_results(args.out, args.json, records, summary=summary,
                   force=args.force)
     for row in summary:
@@ -398,6 +400,9 @@ def build_parser():
     grid.add_argument("--json", default=None, help="optional JSON mirror path")
     grid.add_argument("--force", action="store_true",
                       help="overwrite existing outputs")
+    grid.add_argument("--jobs", type=int, default=None,
+                      help="worker processes for the restorations (default: env "
+                           "TFPAINT_JOBS, else the available cores)")
 
     p = argparse.ArgumentParser(prog="tfpaint",
                                 description="Reconstruct missing spectrogram "

@@ -3,11 +3,12 @@
 import dataclasses
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import apply_mask, find_gaps, inpaint_spectrogram
+from .pipeline import _fan_out, _job_count, apply_mask, find_gaps, inpaint_spectrogram
 from .solver import SolverConfig
 from .stft import StftConfig, analyze, default_window, synthesize
 
@@ -17,8 +18,10 @@ class EvalRecord:
     """One evaluation result row.
 
     lambda is a reserved word, so the field is lambda_; file emission uses
-    the plain name.  runtime_s is wall-clock and therefore the one field
-    that is not reproducible bit-for-bit.
+    the plain name.  runtime_s is the wall time of the solve
+    (``inpaint_spectrogram``), measured in the process that solved the
+    record, and therefore the one field that is not reproducible
+    bit-for-bit.
     """
 
     method: str
@@ -142,25 +145,54 @@ def _with_lambda(scfg, lam):
     return dataclasses.replace(scfg, lam=lam, thresholder=th)
 
 
-def _run_one(x, mask, method, scfg, window_len, hop, channels, x_true_needed):
+def _span(x, mask, hop):
     n = mask.n_cols * hop
     if len(x) < n:
         raise ValueError("signal shorter than the mask span")
-    x = np.asarray(x, dtype=float)[:n]
+    return np.asarray(x, dtype=float)[:n]
+
+
+def _run_one(setup, record):
+    """Restore record (method, scfg, mask, signal index): analysis, mask,
+    inpainting, synthesis.  Returns (the restored signal, the solve's wall
+    time, the rounded mean of its per-run outer rounds)."""
+    signals, window_len, hop, channels, jobs = setup
+    method, scfg, mask, s = record
+    x = _span(signals[s][1], mask, hop)
     cfg = StftConfig(window_len=window_len, hop=hop, channels=channels,
-                     signal_len=n)
+                     signal_len=len(x))
     X = analyze(x, default_window(cfg), cfg)
     Xc = apply_mask(X, mask)
     t0 = time.perf_counter()
     rec, info = inpaint_spectrogram(
         Xc, mask, method=method, scfg=scfg,
-        x_true=x if x_true_needed else None, return_info=True,
+        x_true=x if method == "bphain_oracle" else None, jobs=jobs,
+        return_info=True,
     )
     dt = time.perf_counter() - t0
     x_hat = synthesize(rec, default_window(cfg), cfg)
     outers = info["outer_iters_used"]
-    mean_outer = int(round(np.mean(outers))) if outers else 0
-    return snr(x, x_hat), dt, mean_outer
+    return x_hat, dt, int(round(np.mean(outers))) if outers else 0
+
+
+def _scores(signals, records, window_len, hop, channels, jobs):
+    """(SNR, runtime_s, mean outer rounds) of every record (method, scfg,
+    mask, signal index), in record order.
+
+    Several records are restored in a pool of jobs forked processes
+    (``pipeline._fan_out``), each solving its frame runs in-process; a
+    single record gets the jobs for its runs instead.  The SNR is taken
+    here, as each restoration arrives, so only one is held at a time.
+    """
+    jobs = _job_count(jobs)
+    if not signals:
+        raise ValueError("no signals")
+    for _, _, mask, s in records:  # a short signal fails here, before any pool
+        _span(signals[s][1], mask, hop)
+    setup = (signals, window_len, hop, channels, jobs if len(records) == 1 else 1)
+    with closing(_fan_out(_run_one, setup, records, jobs)) as restored:
+        return [(snr(_span(signals[s][1], mask, hop), x_hat), dt, outer)
+                for (_, _, mask, s), (x_hat, dt, outer) in zip(records, restored)]
 
 
 def _gap_len(mask):
@@ -168,39 +200,38 @@ def _gap_len(mask):
     return len(gaps[0]) if gaps else 0
 
 
-def _mean_records(signals, mask, configs, method, window_len, hop, channels):
+def _mean_records(signals, mask, configs, method, window_len, hop, channels, jobs):
     """One record per solver config: SNR and runtime averaged over the
     signals, iters_outer_used the rounded mean of per-gap outer counts."""
-    gl = _gap_len(mask)
+    signals = list(signals)
+    n, gl = len(signals), _gap_len(mask)
+    scores = _scores(signals, [(method, scfg, mask, s) for scfg in configs for s in range(n)],
+                     window_len, hop, channels, jobs)
     records = []
-    for scfg in configs:
-        snrs, times, outers = [], [], []
-        for _, x in signals:
-            s, dt, mo = _run_one(x, mask, method, scfg, window_len, hop,
-                                 channels, x_true_needed=False)
-            snrs.append(s)
-            times.append(dt)
-            outers.append(mo)
+    for k, scfg in enumerate(configs):
+        snrs, times, outers = zip(*scores[k * n:(k + 1) * n])
         records.append(EvalRecord(
             method=method,
             mask_gap_cols=gl,
-            signal_id=f"mean({len(signals)})",
+            signal_id=f"mean({n})",
             snr_db=float(np.mean(snrs)),
             runtime_s=float(np.mean(times)),
             lambda_=scfg.lam,
             iters_inner=scfg.inner_iters,
-            iters_outer_used=int(round(np.mean(outers))) if outers else 0,
+            iters_outer_used=int(round(np.mean(outers))),
         ))
     return records
 
 
 def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
-                 method="uphain", window_len=2048, hop=512, channels=2048):
+                 method="uphain", window_len=2048, hop=512, channels=2048,
+                 jobs=None):
     """Mean reconstruction SNR per regularization weight.
 
     signals is [(signal_id, samples)].  One record per grid value: snr_db
     and runtime_s are means over the signals, iters_outer_used the rounded
-    mean of per-gap outer counts.
+    mean of per-gap outer counts.  jobs is ``inpaint_spectrogram``'s: the
+    (value, signal) restorations run in a pool of that many processes.
     """
     lambda_grid = list(lambda_grid)
     if not lambda_grid:
@@ -208,11 +239,11 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
     if scfg is None:
         scfg = SolverConfig()
     configs = [_with_lambda(scfg, float(lam)) for lam in lambda_grid]
-    return _mean_records(signals, mask, configs, method, window_len, hop, channels)
+    return _mean_records(signals, mask, configs, method, window_len, hop, channels, jobs)
 
 
 def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
-                     window_len=2048, hop=512, channels=2048):
+                     window_len=2048, hop=512, channels=2048, jobs=None):
     """Mean reconstruction SNR per inner-iteration budget."""
     inner_grid = [int(i) for i in inner_grid]
     if not inner_grid:
@@ -220,44 +251,48 @@ def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
     if scfg is None:
         scfg = SolverConfig()
     configs = [dataclasses.replace(scfg, inner_iters=inner) for inner in inner_grid]
-    return _mean_records(signals, mask, configs, method, window_len, hop, channels)
+    return _mean_records(signals, mask, configs, method, window_len, hop, channels, jobs)
 
 
 def compare_methods(signals, masks, methods, scfg=None, window_len=2048,
-                    hop=512, channels=2048):
+                    hop=512, channels=2048, jobs=None):
     """Every method on every (signal, mask); returns (records, summary).
 
     records has one EvalRecord per run.  summary has one dict per
     (method, gap length) with the mean SNR over the signals — the table
-    the ordering claims are judged on.
+    the ordering claims are judged on.  jobs is ``inpaint_spectrogram``'s:
+    the records are restored in a pool of that many processes, and
+    everything but runtime_s is the same for any job count.
     """
     if scfg is None:
         scfg = SolverConfig()
+    signals = list(signals)
+    cells = [(method, mask) for method in methods for mask in masks]
+    scores = iter(_scores(signals, [(method, scfg, mask, s) for method, mask in cells
+                                    for s in range(len(signals))],
+                          window_len, hop, channels, jobs))
     records = []
     summary = []
-    for method in methods:
-        needs_truth = method == "bphain_oracle"
-        for mask in masks:
-            gl = _gap_len(mask)
-            snrs = []
-            for sid, x in signals:
-                s, dt, mo = _run_one(x, mask, method, scfg, window_len, hop,
-                                     channels, x_true_needed=needs_truth)
-                records.append(EvalRecord(
-                    method=method,
-                    mask_gap_cols=gl,
-                    signal_id=sid,
-                    snr_db=s,
-                    runtime_s=dt,
-                    lambda_=scfg.lam,
-                    iters_inner=scfg.inner_iters,
-                    iters_outer_used=mo,
-                ))
-                snrs.append(s)
-            summary.append({
-                "method": method,
-                "gap_cols": gl,
-                "mean_snr_db": float(np.mean(snrs)),
-                "signals": len(signals),
-            })
+    for method, mask in cells:
+        gl = _gap_len(mask)
+        snrs = []
+        for sid, _ in signals:
+            s, dt, mo = next(scores)
+            records.append(EvalRecord(
+                method=method,
+                mask_gap_cols=gl,
+                signal_id=sid,
+                snr_db=s,
+                runtime_s=dt,
+                lambda_=scfg.lam,
+                iters_inner=scfg.inner_iters,
+                iters_outer_used=mo,
+            ))
+            snrs.append(s)
+        summary.append({
+            "method": method,
+            "gap_cols": gl,
+            "mean_snr_db": float(np.mean(snrs)),
+            "signals": len(signals),
+        })
     return records, summary

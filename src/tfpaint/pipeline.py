@@ -10,6 +10,8 @@ inner steps are solved in a pool of forked processes.
 
 import os
 import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +122,48 @@ def _job_count(jobs):
     return int(jobs)
 
 
+_WORK = None  # a pool worker's (fn, shared), inherited through fork
+
+
+def _adopt(fn, shared):
+    global _WORK
+    _WORK = fn, shared
+
+
+def _call(item):
+    fn, shared = _WORK
+    return fn(shared, item)
+
+
+def _fan_out(fn, shared, items, jobs):
+    """Yield fn(shared, item) for every item, in item order.
+
+    The calls run in a pool of min(jobs, len(items)) processes started with
+    ``fork``, which inherit fn and shared: only items and results are
+    pickled, and a result is not held here once yielded.  They run in this
+    process instead with jobs=1, fewer than two items, no ``os.fork``, or
+    other threads running (fork copies only the calling thread, so a worker
+    could inherit a lock held).  A worker's exception is raised here.
+    Closing the generator stops the pool.
+    """
+    if jobs < 2 or len(items) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        for item in items:
+            yield fn(shared, item)
+        return
+    # imported here: they would add about 18 ms to a 28 ms package import
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(min(jobs, len(items)), get_context("fork"),
+                               initializer=_adopt, initargs=(fn, shared))
+    try:
+        pending = deque(pool.submit(_call, item) for item in items)
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _solve(task, i):
     """Solve set-up run i of task = (runs, scfg, method, x_true, traced).
     Returns (its gap columns, their coefficients, info, its trace rows
@@ -128,18 +172,6 @@ def _solve(task, i):
     rows = [] if traced else None
     cb = (lambda *row: rows.append(row)) if traced else None
     return (*solve_observed(runs[i], scfg, method, x_true, cb), rows)
-
-
-_TASK = None  # a pool worker's task, inherited through fork
-
-
-def _adopt(task):
-    global _TASK
-    _TASK = task
-
-
-def _solve_forked(i):
-    return _solve(_TASK, i)
 
 
 def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
@@ -182,29 +214,13 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
     task = (observed, scfg, method, x_true, trace is not None)
     stepping = [i for i, obs in enumerate(observed) if obs.moves]
 
-    futures, pool = {}, None
-    # fork copies only the calling thread, so a process with other threads
-    # (whose locks a worker could inherit held) solves in-process
-    if (jobs > 1 and len(stepping) > 1 and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        # imported here: they would add about 18 ms to a 28 ms package import
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(min(jobs, len(stepping)), get_context("fork"),
-                                   initializer=_adopt, initargs=(task,))
-    try:
-        if pool is not None:
-            futures = {i: pool.submit(_solve_forked, i) for i in stepping}
-        results = [None if i in futures else _solve(task, i) for i in range(len(runs))]
+    # the stepping runs go to the pool; the rest are solved here meanwhile
+    with closing(_fan_out(_solve, task, stepping, jobs)) as stepped:
+        results = []
         for i, run in enumerate(runs):
-            if i in futures:
-                results[i] = futures[i].result()
-            for row in results[i][3] or ():
+            results.append(next(stepped) if observed[i].moves else _solve(task, i))
+            for row in results[-1][3] or ():
                 trace(run.gaps[0], *row)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
     out = X_corr.data.copy()
     for cols, values, *_ in results:

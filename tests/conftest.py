@@ -1,8 +1,14 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run.
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+holds the fixtures that several test files share.
 
 The criteria live in test_acceptance.py as test_criterion_NN_* functions;
 everything else in tests/ is ordinary unit coverage and is not summarized.
 """
+
+import concurrent.futures
+import os
+
+import pytest
 
 ACCEPTANCE_LABELS = {
     1: "frame round-trip and energy preservation",
@@ -16,6 +22,23 @@ ACCEPTANCE_LABELS = {
     9: "feasibility and determinism",
     10: "early stopping on stationary inputs",
 }
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started while it is active.
+    A pool started inside a pool worker fails the call that started it."""
+    started, caller = [], os.getpid()
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            if os.getpid() != caller:
+                raise AssertionError("a pool worker started a pool of its own")
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
 
 
 def _criterion_of(nodeid):

@@ -488,6 +488,35 @@ def test_sweep_and_compare_check_outputs_before_running(tmp_path, monkeypatch,
     assert out.read_bytes() == b"keep" and not js.exists()
 
 
+@pytest.mark.parametrize("command, target", [("sweep", "sweep_lambda"),
+                                             ("compare", "compare_methods")])
+def test_sweep_and_compare_take_jobs(tmp_path, monkeypatch, capsys, command, target):
+    # --jobs, else TFPAINT_JOBS, else None, as inpaint takes them
+    seen = []
+
+    def spy(*a, **kw):
+        seen.append(kw["jobs"])
+        raise ValueError("stop after the call")
+
+    monkeypatch.setattr(cli, target, spy)
+    out = tmp_path / "s.csv"
+    args = [command, "--seconds", "1", "--kinds", "tone", "--gap-cols", "1",
+            "--out", str(out)]
+    monkeypatch.delenv("TFPAINT_JOBS", raising=False)
+    assert main(args) == 2
+    assert main(args + ["--jobs", "3"]) == 2
+    monkeypatch.setenv("TFPAINT_JOBS", "4")
+    assert main(args) == 2
+    assert seen == [None, 3, 4]
+    capsys.readouterr()
+    # a bad count stops the command before any work, with nothing written
+    for env, flag in (("0", []), ("4", ["--jobs", "-1"])):
+        monkeypatch.setenv("TFPAINT_JOBS", env)
+        assert main(args + flag) == 2
+        assert "integer >= 1" in capsys.readouterr().err
+    assert len(seen) == 3 and not out.exists()
+
+
 def test_inpaint_rejects_nonfinite_spectrogram(tmp_path, capsys):
     clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=14))
     mask = str(tmp_path / "m.json")

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from tfpaint import evaluate, solver
 from tfpaint.evaluate import (
     DEFAULT_LAMBDA_GRID,
     EvalRecord,
@@ -16,7 +20,7 @@ from tfpaint.evaluate import (
 )
 from tfpaint.pipeline import apply_mask, make_mask
 from tfpaint.prox import Thresholder
-from tfpaint.solver import SolverConfig, default_window
+from tfpaint.solver import DivergenceError, SolverConfig, default_window
 from tfpaint.stft import StftConfig, analyze, synthesize
 
 SR, HOP, M = 16000, 512, 2048
@@ -230,10 +234,100 @@ def test_harness_snr_deterministic():
     assert a == b
 
 
-def test_short_signal_rejected():
+def test_short_signal_rejected(pools):
     mask = make_mask(1, SR, HOP, 1)
     with pytest.raises(ValueError):
         sweep_lambda([("short", np.ones(100))], mask, [1e-2], scfg=FAST)
+    # every length is checked here before a pool starts
+    sigs = signals_one() + [("short", np.ones(100))]
+    with pytest.raises(ValueError, match="shorter"):
+        compare_methods(sigs, [mask], ["uphain", "bphain"], scfg=FAST, jobs=2)
+    assert pools == []
+
+
+# -------------------------------------------------------------------- pool
+
+
+def multitones(n, seconds=1.0):
+    return [(f"m{i}", make_test_signal("multitone", seconds, SR, seed=i)) for i in range(n)]
+
+
+def fixed(records):
+    # every field but the solve's wall time
+    return [dataclasses.replace(r, runtime_s=0.0) for r in records]
+
+
+def test_harness_gives_the_same_records_for_any_jobs(pools):
+    # 2 signals x 2 moving widths x 2 methods = 8 records; 2 values x 2 = 4
+    sigs = multitones(2)
+    masks = [make_mask(1, SR, HOP, g) for g in (3, 4)]
+    compared = {jobs: compare_methods(sigs, masks, ["uphain", "tf_only"], scfg=FAST, jobs=jobs)
+                for jobs in (1, 2, 8)}
+    swept = {jobs: sweep_lambda(sigs, masks[1], [1e-3, 1e-2], scfg=FAST, jobs=jobs)
+             for jobs in (1, 2, 8)}
+    assert pools == [2, 8, 2, 4]  # one per call, a worker per record at most
+    for jobs in (2, 8):
+        assert fixed(compared[jobs][0]) == fixed(compared[1][0])
+        assert compared[jobs][1] == compared[1][1]
+        assert fixed(swept[jobs]) == fixed(swept[1])
+    assert all(r.runtime_s > 0.0 for r in compared[2][0] + swept[8])
+
+
+def test_harness_pools_one_level_deep(pools):
+    one_gap = make_mask(1, SR, HOP, 4)
+    compare_methods(multitones(2), [one_gap], ["uphain"], scfg=FAST, jobs=1)
+    compare_methods(multitones(1), [one_gap], ["uphain"], scfg=FAST, jobs=2)
+    assert pools == []  # jobs=1, and one record with one run to step
+    # records of two moving runs each: a worker solves both of its runs
+    # itself (the fixture fails a pool started in a worker) ...
+    two_gaps = make_mask(2, SR, HOP, 4)
+    sweep_iterations(multitones(2, 2.0), two_gaps, [5], scfg=FAST, jobs=2)
+    assert pools == [2]
+    # ... while a single record hands the jobs to its runs
+    sweep_iterations(multitones(1, 2.0), two_gaps, [5], scfg=FAST, jobs=2)
+    assert pools == [2, 2]
+
+
+def test_harness_takes_each_snr_in_the_caller(monkeypatch):
+    # patched as the benchmark patches it, to keep every compared pair
+    calls, program_snr = [], evaluate.snr
+
+    def keep(x_ref, x_test):
+        calls.append((os.getpid(), x_ref, x_test))
+        return program_snr(x_ref, x_test)
+
+    monkeypatch.setattr(evaluate, "snr", keep)
+    sigs = multitones(2)
+    mask = make_mask(1, SR, HOP, 4)
+    records, _ = compare_methods(sigs, [mask], ["uphain", "bphain"], scfg=FAST, jobs=2)
+    assert len(calls) == len(records) == 4
+    n = mask.n_cols * HOP
+    for (pid, x_ref, x_test), r in zip(calls, records):
+        assert pid == os.getpid()
+        assert np.array_equal(x_ref, dict(sigs)[r.signal_id][:n])
+        assert x_test.shape == (n,) and program_snr(x_ref, x_test) == r.snr_db
+
+
+def test_worker_error_reaches_the_caller(monkeypatch, pools):
+    def diverge(*args, **kwargs):
+        raise DivergenceError(7)
+
+    monkeypatch.setattr(solver, "gcpa_inner", diverge)  # fork carries it over
+    mask = make_mask(1, SR, HOP, 4)
+    with pytest.raises(DivergenceError) as err:
+        compare_methods(multitones(2), [mask], ["uphain", "tf_only"], scfg=FAST, jobs=2)
+    assert err.value.iteration == 7
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, "2", True])
+def test_harness_rejects_bad_job_counts(jobs):
+    mask = make_mask(1, SR, HOP, 1)
+    with pytest.raises(ValueError, match="jobs"):
+        compare_methods(signals_one(), [mask], ["uphain"], scfg=FAST, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_lambda(signals_one(), mask, [1e-2], scfg=FAST, jobs=jobs)
 
 
 def restoration_error(gap_cols):

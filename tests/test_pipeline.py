@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -233,20 +232,6 @@ def test_inpaint_job_count_does_not_change_bits():
     par, info8 = inpaint_spectrogram(Xc, mask, scfg=FAST, jobs=8, return_info=True)
     assert np.array_equal(seq.data, par.data)
     assert info1["outer_iters_used"] == info8["outer_iters_used"]
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the process pools started while it is active."""
-    started = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return started
 
 
 @pytest.mark.parametrize("method", METHODS)
