@@ -1,4 +1,8 @@
-"""Time-frequency audio inpainting with a phase-corrected variation prior."""
+"""Time-frequency audio inpainting with a phase-corrected variation prior.
+
+The names imported below are the public API; ``from tfpaint import *``
+binds them (and the submodules).
+"""
 
 from .evaluate import (
     DEFAULT_LAMBDA_GRID,
@@ -59,52 +63,3 @@ from .stft import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_LAMBDA_GRID",
-    "EvalRecord",
-    "compare_methods",
-    "make_test_signal",
-    "snr",
-    "sweep_iterations",
-    "sweep_lambda",
-    "synthetic_suite",
-    "IFMatrix",
-    "VariationMatrix",
-    "correction_factors",
-    "estimate_if",
-    "ipctv_value",
-    "phase_correct",
-    "phase_correct_adjoint",
-    "time_variation",
-    "time_variation_adjoint",
-    "METHODS",
-    "ColumnMask",
-    "apply_mask",
-    "find_gaps",
-    "inpaint_spectrogram",
-    "make_mask",
-    "Thresholder",
-    "default_thresholder",
-    "p_shrinkage",
-    "project_feasible",
-    "prox_conjugate",
-    "prox_l2_block",
-    "prox_l2_squared",
-    "smooth_hard",
-    "soft_threshold",
-    "DivergenceError",
-    "SolverConfig",
-    "default_window",
-    "operator_norm_estimate",
-    "Spectrogram",
-    "StftConfig",
-    "Window",
-    "analyze",
-    "make_hann",
-    "make_hann_derivative",
-    "symmetry_residual",
-    "synthesize",
-    "tight_window",
-    "__version__",
-]

@@ -336,41 +336,6 @@ def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
     return obj, float(np.sqrt(np.sum(diff2[reliable])))
 
 
-def _traced_terms(F, run, ramp_rot, rot, lam, alpha):
-    """The trace terms of gcpa_inner's iterate without an analysis of it.
-
-    F is the frame-local analysis of the starting x.  Returns step(Fbar):
-    given the analysis of xbar on the moving frames, it moves theirs to
-    that of the relaxed iterate x + (alpha/2)*(xbar - x) (the analysis is
-    linear) and returns what ``_trace_terms`` does there, to round-off.
-    Only the moving frames and the differences they enter are recomputed;
-    rot has unit modulus, so |A - Xc| = |A*rot - Xc*rot|.
-    """
-    k, fm = len(F), run.moving
-    wt = _row_weights(run.cfg.channels)
-    V = F * ramp_rot  # A * rot, where A = F * ramp
-    Xr = run.Xc * rot
-    fixed = run.reliable.copy()
-    fixed[fm] = False
-    fixed_sum = np.sum(wt * np.abs(V[fixed] - Xr[fixed]) ** 2)
-    rel = run.reliable[fm]
-    Fx, Vm, Xrm, rrm = F[fm].copy(), V[fm], Xr[fm][rel], ramp_rot[fm]
-    p0, p1 = max(fm.start - 1, 0), min(fm.stop, k - 1)  # the pairs that move
-    var = wt * np.abs(V[:-1] - V[1:])
-    var[run.cut] = 0.0
-    half = alpha / 2.0
-
-    def step(Fbar):
-        Fx[:] += half * (Fbar - Fx)
-        np.multiply(Fx, rrm, out=Vm)
-        np.multiply(wt, np.abs(V[p0:p1] - V[p0 + 1 : p1 + 1]), out=var[p0:p1])
-        var[run.cut] = 0.0
-        feas2 = fixed_sum + np.sum(wt * np.abs(Vm[rel] - Xrm) ** 2)
-        return lam * float(np.sum(var)), float(np.sqrt(feas2))
-
-    return step
-
-
 def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
     """(free, x_det): the samples the reliable columns leave free, and the
     values they fix everywhere else, for the frames from ``start`` that Xc
@@ -396,10 +361,13 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     run is one frame run as ``_observe`` sets it up; state0 lives on its
     span and k - 1 pairs, omega on its k frames.  state0 is not mutated.
     ``trace``, if given, is called after each iteration with (iteration,
-    objective, feasibility_residual) where the objective is
-    lam * ||D R_omega ana(x)||_1; tracing costs no transform: the analysis
-    of x is carried along from the loop's analysis of the extrapolated point
-    (``_traced_terms``).
+    objective, feasibility_residual), as ``_trace_terms`` gives them at x.
+    Tracing costs no transform: T = sigma*D(R_omega ana(x)) (the cut pair
+    zero) and the reliable moving frames' sigma*R_omega ana(x) are carried
+    along from the loop's own differences Q and its A2 of the extrapolated
+    point, relaxed by alpha/2 as x is (the analysis is linear), so a row is
+    (lam/sigma)*sum|T| and a fixed-frame feasibility constant plus the
+    carried frames, to round-off.
     Divergence (a non-finite moving sample) raises DivergenceError with the
     iteration index.
 
@@ -419,9 +387,8 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     per call, and a frame that touches no free sample adds nothing to a
     free sample in the overlap-add.  A run with no moving frame (a
     1-2-column gap at hop W/4) cannot move x from x_det, and only x reaches
-    the outputs, so it runs no dual step at all: it returns x_det and its
-    starting dual, and uses omega only for a trace (the terms at x_det,
-    once per iteration).
+    the outputs, so it takes zero steps: it returns x_det and its starting
+    dual, and uses omega only for a trace, which repeats the row at x_det.
 
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
     a coefficient matrix, so the observation and the starting dual enter
@@ -443,19 +410,26 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     if not run.moves and trace is None:
         return SolverState(x, _expand(Z, M))
     rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
-    if not run.moves:
-        A = _rfft_frames(x, w, scfg, circular) * run.ramp
-        terms = _trace_terms(A, rot, run.Xc, run.reliable, M, cfg.lam, cut)
-        for i in range(cfg.inner_iters):
-            trace(i + 1, *terms)
-        return SolverState(x, _expand(Z, M))
-
-    ramp_rot = run.ramp * rot
-    ramp_rot_sigma = ramp_rot * cfg.sigma  # corrected analysis, dual step folded
     F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
+    if not run.moves:  # zero steps: every row is the one at x_det
+        row = _trace_terms(F * run.ramp, rot, run.Xc, run.reliable, M, cfg.lam, cut)
+        for i in range(cfg.inner_iters):
+            trace(i + 1, *row)
+        return SolverState(x, _expand(Z, M))
+    ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
     A2 = F * ramp_rot_sigma
     if trace is not None:
-        traced = _traced_terms(F, run, ramp_rot, rot, cfg.lam, alpha)
+        # T = sigma*D(R_omega A x) over the pairs, C = A2 over the reliable
+        # moving frames; rot has unit modulus, so |A - Xc| = |C - Xs| / sigma
+        wt, half, pm = _row_weights(M), alpha / 2.0, slice(max(fm.start - 1, 0), fm.stop)
+        T = A2[:-1] - A2[1:]
+        T[cut] = 0.0
+        Xs = run.Xc * rot * cfg.sigma
+        fixed = run.reliable.copy()
+        fixed[fm] = False
+        fixed2 = np.sum(wt * np.abs(A2[fixed] - Xs[fixed]) ** 2)  # constant
+        rel = fm.start + np.flatnonzero(run.reliable[fm])
+        C, Xs = A2[rel], Xs[rel]
 
     # xm, the moving frames' samples, is a view of x, updated in place
     span = slice(None) if circular else slice(a * fm.start, a * (fm.stop - 1) + W)
@@ -480,9 +454,12 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
 
             np.multiply(x_half, 2.0, out=xbar)
             xbar -= xm
-            Fbar = _rfft_frames(xbar, w, scfg, circular)
-            np.multiply(Fbar, ramp_rot_sigma[fm], out=A2[fm])
+            np.multiply(_rfft_frames(xbar, w, scfg, circular), ramp_rot_sigma[fm], out=A2[fm])
             np.subtract(A2[:-1], A2[1:], out=Q)
+            if trace is not None:  # relaxed as x is below
+                T[pm] += half * (Q[pm] - T[pm])
+                T[cut] = 0.0
+                C += half * (A2[rel] - C)
             Q += Z
             Q[cut] = 0.0
             _dual_step(Q, cfg.thresholder, M, mag)  # Q holds the dual step now
@@ -498,7 +475,8 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
             if not _finite(xm):
                 raise DivergenceError(i + 1)
             if trace is not None:
-                trace(i + 1, *traced(Fbar))
+                trace(i + 1, cfg.lam / cfg.sigma * float(np.sum(wt * np.abs(T))),
+                      float(np.sqrt(fixed2 + np.sum(wt * np.abs(C - Xs) ** 2)) / cfg.sigma))
 
     return SolverState(x, _expand(Z, M))
 

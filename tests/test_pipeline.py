@@ -257,6 +257,31 @@ def test_pool_gives_serial_output_and_trace(method, pools):
         assert par[1] == seq[1] and par[2] == seq[2]
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_leaves_output_and_info_unchanged(method, pools):
+    # two runs that move (so jobs=2 forks) and a 1-column gap that cannot:
+    # tracing changes no bit of the output or info, at any job count
+    mask = ColumnMask(60, [*range(10, 14), 30, *range(45, 49)])
+    Xc, _ = corrupted(60, mask)
+    x_true = tones(cfg_for(60).signal_len) if method == "bphain_oracle" else None
+    solved = []
+    for jobs in (1, 2):
+        for traced in (False, True):
+            rows = []
+            out, info = inpaint_spectrogram(
+                Xc, mask, method, scfg=FAST, x_true=x_true, jobs=jobs, return_info=True,
+                trace=(lambda gap, *row: rows.append((gap.start, *row))) if traced else None)
+            solved.append((out.data.tobytes(), info))
+            if traced:
+                still = [r[2:] for r in rows if r[0] == 30]
+                # one block of rows per round, each repeating the terms at x_det
+                assert len(still) == FAST.inner_iters * info["outer_iters_used"][1]
+                for j in range(0, len(still), FAST.inner_iters):
+                    assert set(still[j : j + FAST.inner_iters]) == {still[j]}
+    assert pools == [2, 2]
+    assert all(s == solved[0] for s in solved)
+
+
 def test_runs_that_cannot_move_start_no_pool(pools):
     # width-1 gaps leave no free sample: nothing to step, so nothing to fork
     mask = make_mask(3, SR, HOP, 1)

@@ -511,24 +511,26 @@ ODD = StftConfig(window_len=992, hop=248, channels=1023, signal_len=8184)
 
 
 @pytest.mark.parametrize(
-    "scfg, alpha, warm, gap_left, kind",
+    "scfg, alpha, warm, gap_left, kind, sigma",
     [
-        (SEG, 1.0, False, 0.0, "soft"),
-        (SEG, 1.5, False, 0.0, "soft"),
-        (SEG, 1.5, True, 0.0, "soft"),
-        (SEG, 1.0, False, 0.5, "soft"),
+        (SEG, 1.0, False, 0.0, "soft", 1.0),
+        (SEG, 1.5, False, 0.0, "soft", 1.0),
+        (SEG, 1.5, True, 0.0, "soft", 1.0),
+        (SEG, 1.0, False, 0.5, "soft", 1.0),
         # a block norm must count the mirrored rows the solver does not store
-        (SEG, 1.0, True, 0.0, "l2_block"),
-        (SHORT, 1.5, True, 0.0, "soft"),
-        (ODD, 1.0, True, 0.0, "soft"),
+        (SEG, 1.0, True, 0.0, "l2_block", 1.0),
+        (SHORT, 1.5, True, 0.0, "soft", 1.0),
+        (ODD, 1.0, True, 0.0, "soft", 1.0),
+        # tau*sigma*4 = 1 at sigma != 1, which scales the carried trace
+        (SEG, 1.5, True, 0.0, "soft", 0.5),
     ],
     ids=["alpha1", "alpha1.5", "warm-dual", "stale-gap", "l2-block",
-         "short-window", "odd-channels"],
+         "short-window", "odd-channels", "sigma0.5"],
 )
-def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind):
+def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind, sigma):
     zero = np.arange(6, 10) if scfg is SEG else np.arange(14, 18)
     st0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
-    cfg = SolverConfig(inner_iters=30, alpha_relax=alpha,
+    cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=30, alpha_relax=alpha,
                        thresholder=default_thresholder(kind))
     got_log, ref_log = [], []
     got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: got_log.append(r))
@@ -669,17 +671,19 @@ def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
     assert np.array_equal(gcpa_inner(st0, obs, omega, cfg).x, obs.x_det)
 
 
-@pytest.mark.parametrize("alpha, kind", [(1.0, "soft"), (1.5, "soft"), (1.0, "l2_block")],
-                         ids=["alpha1", "alpha1.5", "l2-block"])
+@pytest.mark.parametrize("alpha, kind, sigma", [(1.0, "soft", 1.0), (1.5, "soft", 1.0),
+                                                (1.0, "l2_block", 1.0), (1.5, "soft", 0.5)],
+                         ids=["alpha1", "alpha1.5", "l2-block", "sigma0.5"])
 @pytest.mark.parametrize("zero, noise", [(np.arange(14, 18), 0.0),
                                          (np.array([30, 31, 0, 1]), 0.0),
                                          (np.arange(14, 18), 1e-3)],
                          ids=["interior", "file-end", "noisy"])
-def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind):
+def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind, sigma):
     # the trace carries the analysis of x along instead of taking it; after
     # 500 iterations its terms still match a new analysis of the output
     # (with noise, the frames that do not move leave a residual of their own)
-    cfg = SolverConfig(inner_iters=500, alpha_relax=alpha, thresholder=default_thresholder(kind))
+    cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=500, alpha_relax=alpha,
+                       thresholder=default_thresholder(kind))
     st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
     assert moving > 0
     log = []
