@@ -2,7 +2,7 @@
 
 The driver groups the gaps of a mask into independent frame runs on the
 full-length frame grid (``solver.frame_runs``), solves each run on its own
-sample span, normalized to unit peak there (``solver.solve_run``), and
+sample span, normalized to unit peak there (``solver.solve_observed``), and
 writes the reconstructed gap columns back.  Reliable columns never pass
 through the solver, so they survive bit-exactly.  The runs that take
 inner steps are solved in a pool of forked processes.

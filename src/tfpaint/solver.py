@@ -13,9 +13,9 @@ frame operator of ``stft``.  The loop uses the tight default window and one
 dual step, ``_dual_step``, whose block norms count the mirrored rows.
 
 ``frame_runs`` groups the gaps of a mask into independent runs of frames
-on the full-length grid, and ``solve_run`` solves one on its own sample
-span (a run that reaches round the circle is the whole circle), with one
-of ``METHODS``:
+on the full-length grid, ``_observe`` sets one up on its own sample span
+(a run that reaches round the circle is the whole circle), and
+``solve_observed`` solves it with one of ``METHODS``:
 
 * ``uphain``  -- re-estimates the instantaneous frequency from the
   current reconstruction before every inner run (the full iterated method).
@@ -27,8 +27,8 @@ of ``METHODS``:
   plain time-direction total variation on the same free samples; no IF
   estimate.
 
-Every method runs ``_outer_loop`` over ``gcpa_inner``; they differ only in
-where omega comes from and in the number of rounds.
+Every method runs ``solve_observed``'s outer loop over ``gcpa_inner``; they
+differ only in where omega comes from and in the number of rounds.
 """
 
 from dataclasses import dataclass
@@ -121,8 +121,8 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Primal signal x over a run's span plus the dual matrix Z (M x (k-1)
-    for the run's k frames)."""
+    """Primal signal x over a run's span plus the dual Z on rows 0..M//2 of
+    the run's k - 1 frame pairs, frames-major: (k - 1, M//2 + 1)."""
 
     x: np.ndarray
     Z: np.ndarray
@@ -204,6 +204,13 @@ def _reach(start, count, cfg):
     return r, frames, slice(a * r, a * (r + count - 1) + W)
 
 
+def _d_rel(reliable, cfg, circular):
+    """The overlap-add of M*w**2 over the frames flagged ``reliable``: the
+    share of each sample's tight-frame energy that they carry."""
+    w = default_window(cfg).samples
+    return _overlap_add(reliable[:, None] * (w * (w * cfg.channels)), cfg, circular)
+
+
 def frame_runs(zero_cols, cfg):
     """Group the gaps of a mask into independent frame runs.
 
@@ -215,12 +222,11 @@ def frame_runs(zero_cols, cfg):
     """
     gaps = find_gaps(zero_cols)
     W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
-    w = default_window(cfg).samples
     reliable = ~np.isin(np.arange(N), _zero_cols(zero_cols))
     spans = []
     for gap in gaps:
         _, frames, span = _reach(gap.start, len(gap), cfg)
-        d_rel = _overlap_add(reliable[frames][:, None] * (w * (w * cfg.channels)), cfg, False)
+        d_rel = _d_rel(reliable[frames], cfg, False)
         free = a * gap.start + np.flatnonzero(d_rel[span] <= FREE_DREL)
         lo, hi = gap.start, gap.stop - 1
         if free.size:
@@ -280,7 +286,15 @@ class _Run:
 def _observe(X_corr, zero, run):
     """Set up a FrameRun of X_corr from the columns that reach it, scaled so
     the synthesized observation, its start, peaks at 1 on its span (lam
-    keeps its scale)."""
+    keeps its scale).
+
+    syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
+    the reliable frames (``_d_rel``; the mask removes whole frames, M >= W).
+    So a signal agreeing with the observation Xc on the reliable columns has
+    d_rel*x = b with b = syn(P_rel Xc), and the run's x_det = b / d_rel
+    wherever d_rel > 0.  Samples with d_rel <= FREE_DREL are left free
+    instead, where the division would amplify errors in Xc too much.
+    """
     cfg = X_corr.config
     N = cfg.n_frames
     w = default_window(cfg).samples
@@ -291,11 +305,15 @@ def _observe(X_corr, zero, run):
     reliable = ~np.isin(frames, zero)
 
     ramp = _frame_plan(cfg, start - reach, len(frames))
-    x0 = _irfft_frames(Xh * np.conj(ramp), w, cfg, circular)[span]
+    cr = np.conj(ramp)
+    # cr * Xh at every size: numpy's temporary elision swaps the operands from 256 KiB on
+    x0 = _irfft_frames(cr * Xh, w, cfg, circular)[span]
     peak = float(np.max(np.abs(x0))) or 1.0
     Xh, x0 = Xh / peak, x0 / peak
-    free, x_det = _free_samples(Xh, reliable, w, cfg, start - reach, circular)
-    free, x_det = free[span], x_det[span]
+    d_rel = _d_rel(reliable, cfg, circular)[span]
+    free = d_rel <= FREE_DREL
+    x_det = _irfft_frames(Xh * reliable[:, None] * cr, w, cfg, circular)[span]
+    x_det /= np.maximum(d_rel, FREE_DREL)
 
     f = np.flatnonzero(free)
     if not f.size:
@@ -310,7 +328,7 @@ def _observe(X_corr, zero, run):
     gaps = np.flatnonzero(~reliable[inner])
     cut = N - 1 - start if start + count > N and not circular else slice(0)
     return _Run(cfg, circular, Xh[inner], reliable[inner], gaps, frames[inner][gaps],
-                free, x_det, _frame_plan(cfg, start, count), moving, cut, x0, peak, start)
+                free, x_det, ramp[inner], moving, cut, x0, peak, start)
 
 
 def _row_weights(M):
@@ -336,30 +354,13 @@ def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
     return obj, float(np.sqrt(np.sum(diff2[reliable])))
 
 
-def _free_samples(Xc, reliable, w, scfg, start=0, circular=True):
-    """(free, x_det): the samples the reliable columns leave free, and the
-    values they fix everywhere else, for the frames from ``start`` that Xc
-    (rows 0..M//2, frames-major) and ``reliable`` cover: over their span, or
-    the circle.
-
-    syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
-    the reliable frames (the mask removes whole frames, M >= W).  So a
-    signal agreeing with Xc on the reliable columns has d_rel*x = b with
-    b = syn(P_rel Xc), and x = b / d_rel wherever d_rel > 0.  Samples with
-    d_rel <= FREE_DREL are left free instead, where the division would
-    amplify errors in Xc too much.
-    """
-    d_rel = _overlap_add(reliable[:, None] * (w * (w * scfg.channels)), scfg, circular)
-    ramp = _frame_plan(scfg, start, len(reliable))
-    x_det = _irfft_frames(Xc * reliable[:, None] * np.conj(ramp), w, scfg, circular)
-    return d_rel <= FREE_DREL, x_det / np.maximum(d_rel, FREE_DREL)
-
-
 def gcpa_inner(state0, run, omega, cfg, trace=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega.
 
     run is one frame run as ``_observe`` sets it up; state0 lives on its
-    span and k - 1 pairs, omega on its k frames.  state0 is not mutated.
+    span and k - 1 pairs, its dual Z on rows 0..M//2, frames-major
+    (k - 1, M//2 + 1), as the returned one is; omega lives on its k frames.
+    state0 is not mutated.
     ``trace``, if given, is called after each iteration with (iteration,
     objective, feasibility_residual), as ``_trace_terms`` gives them at x.
     Tracing costs no transform: T = sigma*D(R_omega ana(x)) (the cut pair
@@ -372,8 +373,8 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     iteration index.
 
     Free samples.  The reliable columns fix x wherever their windows reach
-    (``_free_samples``), so the feasible set is "those samples at x_det,
-    the rest free", and the data constraint needs no dual: this is plain
+    (``_observe``), so the feasible set is "those samples at x_det, the
+    rest free", and the data constraint needs no dual: this is plain
     Chambolle-Pock on min lam*||D R_omega ana(x)||_1 over the free samples.
     The primal step moves only the free samples and holds the others at
     x_det; the start is reset to x_det there too, so relaxation keeps every
@@ -391,12 +392,11 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     dual, and uses omega only for a trace, which repeats the row at x_det.
 
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
-    a coefficient matrix, so the observation and the starting dual enter
-    through that part, and the iteration runs on its rows 0..M//2 with the
-    real-input transforms of ``stft``, frames-major.  The returned dual is
-    conjugate-symmetric.  Fixed phase factors (frame ramp, omega rotation,
-    step scales) are folded into single precomputed matrices, and the
-    loop's work arrays are allocated once.
+    a coefficient matrix, so the observation enters through that part, and
+    the iteration and its dual run on its rows 0..M//2 with the real-input
+    transforms of ``stft``, frames-major.  Fixed phase factors (frame ramp,
+    omega rotation, step scales) are folded into single precomputed
+    matrices, and the loop's work arrays are allocated once.
     """
     scfg, circular, cut, fm = run.cfg, run.circular, run.cut, run.moving
     w = default_window(scfg).samples
@@ -404,18 +404,18 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     alpha = cfg.alpha_relax
 
     x = np.where(run.free, state0.x, run.x_det)
-    Z = _hermitian_half(state0.Z)
+    Z = state0.Z.copy()
     # with no moving frame, x stays x_det and no output depends on the
     # dual: skip its steps, and omega unless a trace needs it
     if not run.moves and trace is None:
-        return SolverState(x, _expand(Z, M))
+        return SolverState(x, Z)
     rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
     F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
     if not run.moves:  # zero steps: every row is the one at x_det
         row = _trace_terms(F * run.ramp, rot, run.Xc, run.reliable, M, cfg.lam, cut)
         for i in range(cfg.inner_iters):
             trace(i + 1, *row)
-        return SolverState(x, _expand(Z, M))
+        return SolverState(x, Z)
     ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
     A2 = F * ramp_rot_sigma
     if trace is not None:
@@ -478,67 +478,51 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
                 trace(i + 1, cfg.lam / cfg.sigma * float(np.sum(wt * np.abs(T))),
                       float(np.sqrt(fixed2 + np.sum(wt * np.abs(C - Xs) ** 2)) / cfg.sigma))
 
-    return SolverState(x, _expand(Z, M))
+    return SolverState(x, Z)
 
 
-def _estimate(x, run):
-    gh, gd = _if_windows(run.cfg.window_len)
-    return estimate_if(x, gh, gd, run.cfg, circular=run.circular)
-
-
-def _outer_loop(run, cfg, rounds, omega_of, trace=None):
-    """Up to ``rounds`` inner runs from run.x0, each at omega_of(current
-    reconstruction), stopping once consecutive outputs move less than
-    cfg.epsilon in l2; returns (the gap columns, M rows, at scale; info).
-    A run with no moving frame and no trace takes no IF estimate:
-    ``gcpa_inner`` would not read it."""
-    scfg = run.cfg
-    state = SolverState(run.x0, np.zeros((scfg.channels, len(run.reliable) - 1), dtype=complex))
-    xhat = state.x
+def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
+    """Restore the gaps of a FrameRun ``_observe`` has set up with one of
+    ``METHODS`` (x_true, a whole signal, is read over the run's span): up to
+    cfg.outer_iters + 1 inner runs (uphain; 1 otherwise) from obs.x0, each
+    at the omega of the current reconstruction, until consecutive outputs
+    move less than cfg.epsilon in l2.  Returns (the grid columns of the
+    run's gaps, their coefficients (M rows), info).  A run with no moving
+    frame and no trace takes no IF estimate, which ``gcpa_inner`` would not
+    read."""
+    scfg = obs.cfg
+    estimate = lambda x: estimate_if(x, *_if_windows(scfg.window_len), scfg,
+                                     circular=obs.circular)
+    omega_of = estimate
+    if method == "bphain_oracle":
+        # one round, so the oracle's estimate is taken at most once
+        truth = np.take(x_true, scfg.hop * obs.start + np.arange(len(obs.x0)), mode="wrap")
+        omega_of = lambda xhat: estimate(truth)
+    elif method == "tf_only":
+        omega_of = lambda xhat: np.zeros((scfg.channels, len(obs.reliable)))
+    rounds = cfg.outer_iters + 1 if method == "uphain" else 1
+    state = SolverState(obs.x0, np.zeros_like(obs.Xc[1:]))  # a zero dual on the k - 1 pairs
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
-    needs_omega = run.moves or trace is not None
 
     for j in range(rounds):
-        omega = omega_of(xhat) if needs_omega else None
+        prev = state.x
+        omega = omega_of(prev) if obs.moves or trace is not None else None
         sub = None
         if trace is not None:
             sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
-        state = gcpa_inner(state, run, omega, cfg, trace=sub)
-        xhat_prev, xhat = xhat, state.x
+        state = gcpa_inner(state, obs, omega, cfg, trace=sub)
         info["outer_iters_used"] = j + 1
         # the starting synthesis is not an output: the first change compared
         # is the one between the first two inner runs
         if j >= 1:
-            change = float(np.linalg.norm(xhat - xhat_prev))
+            change = float(np.linalg.norm(state.x - prev))
             info["final_change"] = change
             if change < cfg.epsilon:
                 info["stopped_early"] = True
                 break
 
-    A = _rfft_frames(xhat, default_window(scfg).samples, scfg, run.circular)
-    return _expand(A[run.gaps] * run.ramp[run.gaps], scfg.channels) * run.peak, info
-
-
-def solve_run(X_corr, zero_cols, run, cfg, method="uphain", x_true=None, trace=None):
-    """Restore the gaps of one FrameRun of X_corr with one of ``METHODS``,
-    all over the run's span, x_true's too; zero_cols lists every gap column.
-    Returns (the grid columns of the run's gaps, their coefficients (M rows),
-    info)."""
-    return solve_observed(_observe(X_corr, _zero_cols(zero_cols), run), cfg, method,
-                          x_true, trace)
-
-
-def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
-    """``solve_run`` on a run ``_observe`` has set up."""
-    omega_of = lambda xhat: _estimate(xhat, obs)
-    if method == "bphain_oracle":
-        # one round, so the oracle's estimate is taken at most once
-        truth = np.take(x_true, obs.cfg.hop * obs.start + np.arange(len(obs.x0)), mode="wrap")
-        omega_of = lambda xhat: _estimate(truth, obs)
-    elif method == "tf_only":
-        omega_of = lambda xhat: np.zeros((obs.cfg.channels, len(obs.reliable)))
-    rounds = cfg.outer_iters + 1 if method == "uphain" else 1
-    return (obs.cols, *_outer_loop(obs, cfg, rounds, omega_of, trace))
+    A = _rfft_frames(state.x, default_window(scfg).samples, scfg, obs.circular)
+    return obs.cols, _expand(A[obs.gaps] * obs.ramp[obs.gaps], scfg.channels) * obs.peak, info
 
 
 def operator_norm_estimate(apply, apply_adjoint, probe_shape, iters=50, seed=0):

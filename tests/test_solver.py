@@ -18,22 +18,25 @@ from tfpaint.solver import (
     FrameRun,
     SolverConfig,
     SolverState,
+    _d_rel,
     _dual_step,
-    _free_samples,
     _observe,
+    _reach,
     _trace_terms,
     default_window,
     find_gaps,
     frame_runs,
     gcpa_inner,
     operator_norm_estimate,
-    solve_run,
+    solve_observed,
 )
 from tfpaint.stft import (
     Spectrogram,
     StftConfig,
     _expand,
+    _frame_plan,
     _hermitian_half,
+    _irfft_frames,
     _rfft_frames,
     analyze,
     make_hann,
@@ -66,16 +69,21 @@ def circle(scfg, zero):
     return FrameRun(0, scfg.n_frames, tuple(find_gaps(zero)))
 
 
+def half_zeros(scfg, pairs):
+    """A zero dual on rows 0..M//2 of ``pairs`` frame pairs, frames-major."""
+    return np.zeros((pairs, scfg.channels // 2 + 1), complex)
+
+
 def observed(Xc, zero, run=None):
     """(state0, run, omega): ``run`` of Xc (by default the first that
     ``frame_runs`` makes of zero, or the whole circle when there is no gap)
-    as ``solve_run`` sets it up, its start with a zero dual, and the IF of
-    that start."""
+    as ``solve_observed`` starts it: from x0 with a zero dual, and the IF
+    of that start."""
     scfg = Xc.config
     if run is None:
         run = (frame_runs(zero, scfg) or [circle(scfg, zero)])[0]
     obs = _observe(Xc, zero, run)
-    st0 = SolverState(obs.x0, np.zeros((scfg.channels, run.count - 1), complex))
+    st0 = SolverState(obs.x0, half_zeros(scfg, run.count - 1))
     omega = estimate_if(obs.x0, make_hann(scfg.window_len),
                         make_hann_derivative(scfg.window_len), scfg, circular=obs.circular)
     return st0, obs, omega
@@ -142,10 +150,7 @@ def test_zero_input_is_fixed_point():
     X0 = Spectrogram(np.zeros((SEG.channels, SEG.n_frames), complex), SEG)
     zero = np.arange(3, 7)
     obs = _observe(X0, zero, circle(SEG, zero))
-    state0 = SolverState(
-        np.zeros(SEG.signal_len),
-        np.zeros((SEG.channels, SEG.n_frames - 1), complex),
-    )
+    state0 = SolverState(np.zeros(SEG.signal_len), half_zeros(SEG, SEG.n_frames - 1))
     omega = np.zeros((SEG.channels, SEG.n_frames))
     out = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=25))
     assert not np.any(out.x)
@@ -268,8 +273,8 @@ def test_uphain_stop_check_starts_at_second_round():
     (run,) = frame_runs(zero, SEG)
     # an enormous epsilon trips the criterion at its first evaluation, which
     # by construction happens after the second inner run, not the first
-    *_, info = solve_run(corrupted(three_tone(), zero), zero, run,
-                         SolverConfig(inner_iters=5, epsilon=1e9))
+    *_, info = solve_observed(_observe(corrupted(three_tone(), zero), zero, run),
+                              SolverConfig(inner_iters=5, epsilon=1e9))
     assert info["stopped_early"]
     assert info["outer_iters_used"] == 2
 
@@ -442,8 +447,9 @@ def fixed_values(Xc, reliable):
 
 
 def free_sample_reference(state0, zero, Xc, omega, cfg, trace):
-    """Textbook Chambolle-Pock on all M rows: the primal step moves every
-    sample, then the fixed ones are reset to x_det."""
+    """Textbook Chambolle-Pock on all M rows (state0's dual, on rows
+    0..M//2, is expanded to them): the primal step moves every sample, then
+    the fixed ones are reset to x_det."""
     scfg = Xc.config
     w = default_window(scfg)
     rot = correction_factors(omega, scfg.hop, scfg.channels)
@@ -451,7 +457,7 @@ def free_sample_reference(state0, zero, Xc, omega, cfg, trace):
     reliable[zero] = False
     fixed, x_det = fixed_values(Xc, reliable)
     alpha = cfg.alpha_relax
-    x, Z = state0.x.copy(), state0.Z.copy()
+    x, Z = state0.x.copy(), _expand(state0.Z, scfg.channels)
     x[fixed] = x_det
     for i in range(cfg.inner_iters):
         back = synthesize(time_variation_adjoint(Z) * np.conj(rot), w, scfg)
@@ -502,7 +508,7 @@ def oracle_case(scfg, zero, warm=False, gap_left=0.0):
     if warm:
         rng = np.random.default_rng(5)
         V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data)
-        st.Z = 0.01 * V / np.max(np.abs(V))
+        st.Z = _hermitian_half(0.01 * V / np.max(np.abs(V)))
     return st, obs, Spectrogram(X / obs.peak, scfg), omega
 
 
@@ -536,7 +542,7 @@ def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind, s
     got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: got_log.append(r))
     ref = free_sample_reference(st0, zero, Xc, omega, cfg, trace=lambda *r: ref_log.append(r))
     assert not np.array_equal(got.x, st0.x)  # the free samples moved
-    for a, b in ((got.x, ref.x), (got.Z, ref.Z)):
+    for a, b in ((got.x, ref.x), (_expand(got.Z, scfg.channels), ref.Z)):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
     assert len(got_log) == len(ref_log) == cfg.inner_iters
@@ -575,7 +581,7 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
 def run_case(scfg, zero, warm=False, noise=0.0):
     """(state0, run, omega, k, moving frames) for the one frame run
     ``frame_runs`` makes of the gap columns ``zero`` of the three-tone
-    signal, as ``solve_run`` sets it up; noise > 0 adds that much (relative)
+    signal, as ``solve_observed`` starts it; noise > 0 adds that much (relative)
     complex noise, which no real signal has, to the observation."""
     w = default_window(scfg)
     X = analyze(three_tone(scfg.signal_len), w, scfg).data.copy()
@@ -591,7 +597,7 @@ def run_case(scfg, zero, warm=False, noise=0.0):
         rng = np.random.default_rng(5)
         frames = (run.start + np.arange(k)) % scfg.n_frames
         V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data[:, frames])
-        st0.Z = 0.01 * V / np.max(np.abs(V))
+        st0.Z = _hermitian_half(0.01 * V / np.max(np.abs(V)))
     return st0, obs, omega, k, obs.moving.stop - obs.moving.start
 
 
@@ -725,8 +731,9 @@ def test_free_sample_counts_at_quarter_hop(width, n_free):
     # threshold frees the 7 samples either side whose d_rel is below it
     reliable = np.ones(SEG.n_frames, dtype=bool)
     reliable[5 : 5 + width] = False
-    free, _ = _free_samples(np.zeros((SEG.n_frames, SEG.channels // 2 + 1), complex),
-                            reliable, default_window(SEG).samples, SEG)
+    zero = np.flatnonzero(~reliable)
+    X0 = Spectrogram(np.zeros((SEG.channels, SEG.n_frames), complex), SEG)
+    free = _observe(X0, zero, circle(SEG, zero)).free
     assert int(np.sum(free)) == n_free
     assert np.array_equal(free, reliable_energy(SEG, reliable) <= FREE_DREL)
 
@@ -737,7 +744,7 @@ def test_narrow_gap_restores_to_round_off(zero):
     x = three_tone()
     Xc = corrupted(x, zero)
     (run,) = frame_runs(zero, SEG)
-    cols, values, info = solve_run(Xc, zero, run, SolverConfig(inner_iters=20))
+    cols, values, info = solve_observed(_observe(Xc, zero, run), SolverConfig(inner_iters=20))
     out = Xc.data.copy()
     out[:, cols] = values
     err = x - synthesize(out, default_window(SEG), SEG)
@@ -758,9 +765,12 @@ def test_fixed_samples_stable_under_observation_noise():
     rng = np.random.default_rng(11)
     E = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
     E *= 1e-9 * np.max(np.abs(H)) / np.max(np.abs(E)) * reliable[:, None]
-    free, x_det = _free_samples(H, reliable, w, SEG)
-    free_n, x_noisy = _free_samples(H + E, reliable, w, SEG)
-    assert np.array_equal(free, free_n)
+    # on the circle, as _observe forms them: free by d_rel, x_det = b / d_rel
+    d_rel = _d_rel(reliable, SEG, True)
+    free = d_rel <= FREE_DREL
+    cr = np.conj(_frame_plan(SEG, 0, SEG.n_frames))
+    x_det, x_noisy = (_irfft_frames(Hn * reliable[:, None] * cr, w, SEG, True)
+                      / np.maximum(d_rel, FREE_DREL) for Hn in (H, H + E))
     moved = np.abs(x_noisy - x_det)[~free]
     noise = np.linalg.norm(_expand(E, SEG.channels))
     assert np.all(moved <= noise / np.sqrt(reliable_energy(SEG, reliable)[~free]))
@@ -820,6 +830,28 @@ def test_run_peak_matches_synthesis():
     assert obs.peak < 0.9  # three_tone peaks at 0.9; the span sees less
 
 
+WIDE = StftConfig(window_len=2048, hop=384, channels=2048, signal_len=384 * 64)
+
+
+@pytest.mark.parametrize("width", [1, 6])
+def test_run_start_takes_one_product_order_at_any_size(width):
+    # numpy computes Xh * np.conj(ramp) as np.conj(ramp) * Xh once the
+    # temporary reaches 256 KiB, and the two can differ in the last bit;
+    # the 1-column run (13 frames) is below that size, the 6-column above
+    zero = np.arange(30, 30 + width)
+    X = analyze(three_tone(WIDE.signal_len), default_window(WIDE), WIDE).data.copy()
+    X[:, zero] = 0.0
+    (run,) = frame_runs(zero, WIDE)
+    obs = _observe(Spectrogram(X, WIDE), zero, run)
+    reach, frames, span = _reach(run.start, run.count, WIDE)
+    Xh = _hermitian_half(X[:, frames])
+    assert (Xh.nbytes < 2**18) == (width == 1)
+    ramp = _frame_plan(WIDE, run.start - reach, len(frames))
+    x0 = _irfft_frames(np.conj(ramp) * Xh, default_window(WIDE).samples, WIDE, False)[span]
+    assert obs.peak == np.max(np.abs(x0))
+    assert np.array_equal(obs.x0, x0 / obs.peak)
+
+
 def two_gaps(apart):
     # a 4-column gap (run 6..13) and a 1-column gap whose run starts
     # `apart` frames after it; at apart = 1 the second gap lies among the
@@ -845,11 +877,11 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
         obs = _observe(Spectrogram(X, RUNS), zero, run)
         # the reference solves the whole spectrogram at the run's scale
         whole = Spectrogram(X / obs.peak, RUNS)
-        st0 = SolverState(x0 / obs.peak, np.zeros((RUNS.channels, N - 1), complex))
+        st0 = SolverState(x0 / obs.peak, half_zeros(RUNS, N - 1))
         ref = free_sample_reference(st0, zero, whole, omega, cfg, trace=lambda *r: None)
         frames = (run.start + np.arange(run.count)) % N
         span = (RUNS.hop * run.start + np.arange(len(obs.x0))) % RUNS.signal_len
-        Z0 = np.zeros((RUNS.channels, run.count - 1), complex)
+        Z0 = half_zeros(RUNS, run.count - 1)
         got = gcpa_inner(SolverState(obs.x0, Z0), obs, omega[:, frames], cfg)
         # a run's span, or the whole signal for the circle (frame_runs folds
         # the 25-column gap into FrameRun(0, N, ...))
@@ -867,13 +899,11 @@ RUN_ARRAYS = ("x0", "x_det", "free", "Xc", "ramp")
                          ids=["alpha1", "alpha1.5", "l2-block"])
 @pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([30, 31, 0, 1])],
                          ids=["interior", "file-end"])
-def test_solvers_leave_their_inputs_unchanged(monkeypatch, zero, alpha, kind):
+def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
     # the outer loop hands one _Run to up to outer_iters + 1 inner runs, and
     # its ramp is frame_plan's cached array: an in-place write to any of
     # them, or a fixed-frame analysis kept from an earlier call, would leak
     # into the next round
-    import tfpaint.solver as solver_mod
-
     cfg = SolverConfig(inner_iters=10, outer_iters=2, alpha_relax=alpha,
                        thresholder=default_thresholder(kind))
     st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
@@ -898,27 +928,36 @@ def test_solvers_leave_their_inputs_unchanged(monkeypatch, zero, alpha, kind):
     for now, before in zip((st0.x, st0.Z, omega.omega), inputs):
         assert np.array_equal(now, before)
 
-    made = []
-
-    def observe(*args, _real=solver_mod._observe):
-        run = _real(*args)
-        made.append((run, {name: getattr(run, name).copy() for name in RUN_ARRAYS}))
-        return run
-
-    monkeypatch.setattr(solver_mod, "_observe", observe)
     X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
     X[:, zero] = 0.0
     X_corr = Spectrogram(X.copy(), RUNS)
     (run,) = frame_runs(zero, RUNS)
     for method in ("uphain", "tf_only"):
-        made.clear()
-        got = [solve_run(X_corr, zero, run, cfg, method) for _ in range(2)]
-        assert len(made) == 2
+        runs = [_observe(X_corr, zero, run) for _ in range(2)]
+        made = [(r, {name: getattr(r, name).copy() for name in RUN_ARRAYS}) for r in runs]
+        got = [solve_observed(r, cfg, method) for r in runs]
         assert np.array_equal(got[0][1], got[1][1])
         assert np.array_equal(X_corr.data, X)
         for made_run, snap in made:
             for name in RUN_ARRAYS:
                 assert np.array_equal(getattr(made_run, name), snap[name]), (method, name)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5], ids=["alpha1", "alpha1.5"])
+@pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([14])], ids=["moving", "fixed"])
+def test_inner_leaves_a_warm_state_unchanged(zero, alpha):
+    # the dual stays on rows 0..M//2 from round to round, so gcpa_inner
+    # must step a copy of state0.Z: at alpha 1 the loop swaps its two dual
+    # buffers, otherwise it updates Z in place
+    st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
+    assert (moving > 0) == (len(zero) > 1) and np.any(st0.Z)
+    x0, Z0 = st0.x.copy(), st0.Z.copy()
+    cfg = SolverConfig(inner_iters=5, alpha_relax=alpha)
+    for trace in (None, lambda *r: None):
+        got = gcpa_inner(st0, obs, omega, cfg, trace=trace)
+        assert np.array_equal(st0.x, x0) and np.array_equal(st0.Z, Z0)
+        assert not np.shares_memory(got.Z, st0.Z)
+        assert np.array_equal(got.Z, Z0) == (moving == 0)
 
 
 # ------------------------------------------------ tf_only at omega = 0
@@ -935,9 +974,9 @@ def test_tf_only_matches_free_sample_reference_at_zero_omega(kind):
     obs = _observe(Xc, zero, run)
     cfg = SolverConfig(inner_iters=30, thresholder=default_thresholder(kind))
     got_log, ref_log = [], []
-    cols, values, info = solve_run(Xc, zero, run, cfg, "tf_only",
-                                   trace=lambda *r: got_log.append(r))
-    st0 = SolverState(obs.x0, np.zeros((SEG.channels, SEG.n_frames - 1), complex))
+    cols, values, info = solve_observed(obs, cfg, "tf_only",
+                                        trace=lambda *r: got_log.append(r))
+    st0 = SolverState(obs.x0, half_zeros(SEG, SEG.n_frames - 1))
     ref = free_sample_reference(st0, zero, Spectrogram(Xc.data / obs.peak, SEG),
                                 np.zeros((SEG.channels, SEG.n_frames)), cfg,
                                 trace=lambda *r: ref_log.append(r))
