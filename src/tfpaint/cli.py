@@ -17,7 +17,8 @@ from .evaluate import (
     sweep_lambda,
     synthetic_suite,
 )
-from .pipeline import METHODS, ColumnMask, apply_mask, find_gaps, inpaint_spectrogram, make_mask
+from .pipeline import (METHODS, ColumnMask, _job_count, apply_mask, find_gaps,
+                       inpaint_spectrogram, make_mask)
 from .prox import Thresholder
 from .solver import DivergenceError, SolverConfig
 from .stft import Spectrogram, StftConfig, analyze, default_window, symmetry_residual, synthesize
@@ -31,6 +32,7 @@ THRESHOLDS = {
     "l2": "l2_block",
     "l2sq": "l2_squared",
 }
+METHOD_NAMES = [m.replace("_", "-") for m in METHODS]  # as the options spell them
 
 
 # ------------------------------------------------------------- file formats
@@ -187,15 +189,15 @@ def _jobs(flag):
         if not value:
             return None
     try:
-        jobs = int(value)
+        return _job_count(int(value))
     except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{source} must be an integer >= 1, not {value!r}")
-    return jobs
+        raise ValueError(f"{source} must be an integer >= 1, not {value!r}") from None
 
 
-def _analyzed(x, mask, hop, window, channels, path):
+def _masked_wav(path, mask, hop, args):
+    """(rate, the analysis of the WAV at path over the mask's span), its gap
+    columns re-zeroed: analysis of corrupted audio leaks into them."""
+    rate, x = read_wav(path)
     n = mask.n_cols * hop
     if len(x) < n:
         raise ValueError(f"{path}: audio shorter than the mask span "
@@ -203,8 +205,8 @@ def _analyzed(x, mask, hop, window, channels, path):
     if len(x) > n:
         print(f"warning: {path}: truncating to {n} samples to match the mask",
               file=sys.stderr)
-    cfg = StftConfig(window, hop, channels, n)
-    return analyze(x[:n], default_window(cfg), cfg)
+    cfg = StftConfig(args.window, hop, args.channels, n)
+    return rate, apply_mask(analyze(x[:n], default_window(cfg), cfg), mask)
 
 
 # ---------------------------------------------------------------- commands
@@ -221,8 +223,7 @@ def cmd_make_mask(args):
 def cmd_corrupt(args):
     _ensure_writable(args.force, args.out, args.spec_out)
     mask, hop = read_mask(args.mask)
-    rate, x = read_wav(args.infile)
-    Xc = apply_mask(_analyzed(x, mask, hop, args.window, args.channels, args.infile), mask)
+    rate, Xc = _masked_wav(args.infile, mask, hop, args)
     write_wav(args.out, rate, synthesize(Xc, default_window(Xc.config), Xc.config),
               args.force)
     if args.spec_out:
@@ -236,11 +237,7 @@ def cmd_inpaint(args):
     _ensure_writable(args.force, args.out, args.spec_out, args.trace)
     mask, hop = read_mask(args.mask)
     if args.infile.endswith(".wav"):
-        rate, x = read_wav(args.infile)
-        # analysis of corrupted audio leaks into the gap columns; the mask
-        # re-zeroes them so the solver treats them as missing
-        Xc = apply_mask(_analyzed(x, mask, hop, args.window, args.channels,
-                                  args.infile), mask)
+        rate, Xc = _masked_wav(args.infile, mask, hop, args)
     else:
         rate = args.sr
         Xc = read_spectrogram(args.infile)
@@ -250,8 +247,6 @@ def cmd_inpaint(args):
         if residual > 1e-6:
             raise ValueError(f"{args.infile}: coefficients are not conjugate-symmetric "
                              f"(residual {residual:.1e} > 1e-6); not from real audio")
-        if Xc.data.shape[1] != mask.n_cols:
-            raise ValueError("mask column count does not match the spectrogram")
         if Xc.config.hop != hop:
             raise ValueError("mask hop does not match the spectrogram hop")
         Xc = apply_mask(Xc, mask)
@@ -307,28 +302,28 @@ def cmd_snr(args):
     return 0
 
 
-def _suite(args):
+def _grid(args):
+    """(the synthetic suite, the harness keywords) of a sweep or comparison,
+    its job count and outputs checked first."""
+    jobs = _jobs(args.jobs)
+    _ensure_writable(args.force, args.out, args.json)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     suite = synthetic_suite(args.seconds, args.sr, seed=args.seed, kinds=kinds)
     if not suite:
         raise ValueError(f"no signals for kinds {args.kinds!r}")
-    return suite
+    return suite, dict(scfg=solver_config(args), window_len=args.window, hop=args.hop,
+                       channels=args.channels, jobs=jobs)
 
 
 def cmd_sweep(args):
-    jobs = _jobs(args.jobs)
-    _ensure_writable(args.force, args.out, args.json)
-    suite = _suite(args)
+    suite, harness = _grid(args)
     mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
                      placement=args.placement, seed=args.seed)
     if args.lambdas == "default":
         grid = DEFAULT_LAMBDA_GRID
     else:
         grid = [float(v) for v in args.lambdas.split(",")]
-    records = sweep_lambda(suite, mask, grid, scfg=solver_config(args),
-                           method=args.method.replace("-", "_"),
-                           window_len=args.window, hop=args.hop,
-                           channels=args.channels, jobs=jobs)
+    records = sweep_lambda(suite, mask, grid, method=args.method.replace("-", "_"), **harness)
     write_results(args.out, args.json, records, force=args.force)
     best = max(records, key=lambda r: r.snr_db)
     print(f"best lambda {best.lambda_:g} with mean SNR {best.snr_db:.2f} dB "
@@ -337,21 +332,13 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
-    jobs = _jobs(args.jobs)
-    _ensure_writable(args.force, args.out, args.json)
-    suite = _suite(args)
+    suite, harness = _grid(args)
     methods = [m.strip().replace("-", "_") for m in args.methods.split(",")]
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
     gap_lengths = [int(g) for g in args.gap_cols.split(",")]
     masks = [make_mask(args.seconds, args.sr, args.hop, g,
                        placement=args.placement, seed=args.seed)
              for g in gap_lengths]
-    records, summary = compare_methods(suite, masks, methods,
-                                       scfg=solver_config(args),
-                                       window_len=args.window, hop=args.hop,
-                                       channels=args.channels, jobs=jobs)
+    records, summary = compare_methods(suite, masks, methods, **harness)
     write_results(args.out, args.json, records, summary=summary,
                   force=args.force)
     for row in summary:
@@ -380,6 +367,10 @@ def build_parser():
                         help="p-shrinkage exponent (default 0.9)")
     solver.add_argument("--alpha", type=float, default=1e-2,
                         help="smooth-hard sharpness (default 0.01)")
+    solver.add_argument("--jobs", type=int, default=None,
+                        help="worker processes: for the frame runs in inpaint, for "
+                             "the records in sweep and compare (default: env "
+                             "TFPAINT_JOBS, else the available cores)")
 
     frame = argparse.ArgumentParser(add_help=False)
     frame.add_argument("--window", type=int, default=2048,
@@ -387,53 +378,50 @@ def build_parser():
     frame.add_argument("--channels", type=int, default=2048,
                        help="frequency channels (default 2048)")
 
-    grid = argparse.ArgumentParser(add_help=False)
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true",
+                       help="overwrite existing outputs")
+
+    # the mask's grid, shared by make-mask and the sweep/compare suite
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("--sr", type=int, default=16000)
+    span.add_argument("--hop", type=int, default=512)
+    span.add_argument("--placement", choices=["per-second-center", "seeded-random"],
+                      default="per-second-center")
+
+    grid = argparse.ArgumentParser(add_help=False, parents=[span, force])
     grid.add_argument("--seconds", type=float, default=5.0)
-    grid.add_argument("--sr", type=int, default=16000)
-    grid.add_argument("--hop", type=int, default=512)
     grid.add_argument("--seed", type=int, default=0)
     grid.add_argument("--kinds", default="multitone,chirp,tone",
                       help="comma list of signal kinds for the suite")
-    grid.add_argument("--placement", choices=["per-second-center", "seeded-random"],
-                      default="per-second-center")
     grid.add_argument("--out", required=True, help="CSV output path")
     grid.add_argument("--json", default=None, help="optional JSON mirror path")
-    grid.add_argument("--force", action="store_true",
-                      help="overwrite existing outputs")
-    grid.add_argument("--jobs", type=int, default=None,
-                      help="worker processes for the restorations (default: env "
-                           "TFPAINT_JOBS, else the available cores)")
 
     p = argparse.ArgumentParser(prog="tfpaint",
                                 description="Reconstruct missing spectrogram "
                                             "columns of audio recordings.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    mm = sub.add_parser("make-mask", help="write a gap mask as JSON")
+    mm = sub.add_parser("make-mask", parents=[span, force],
+                        help="write a gap mask as JSON")
     mm.add_argument("--seconds", type=float, required=True)
     mm.add_argument("--gap-cols", type=int, required=True,
                     help="gap width in spectrogram columns; with a one-column "
                          "margin each side it must fit in every second")
-    mm.add_argument("--sr", type=int, default=16000)
-    mm.add_argument("--hop", type=int, default=512)
-    mm.add_argument("--placement", choices=["per-second-center", "seeded-random"],
-                    default="per-second-center")
     mm.add_argument("--seed", type=int, default=None)
     mm.add_argument("--out", required=True)
-    mm.add_argument("--force", action="store_true")
     mm.set_defaults(func=cmd_make_mask)
 
-    co = sub.add_parser("corrupt", parents=[frame],
+    co = sub.add_parser("corrupt", parents=[frame, force],
                         help="zero masked columns of a recording")
     co.add_argument("--in", dest="infile", required=True, help="clean WAV")
     co.add_argument("--mask", required=True)
     co.add_argument("--out", required=True, help="corrupted WAV")
     co.add_argument("--spec-out", default=None,
                     help="also write the corrupted spectrogram (exact)")
-    co.add_argument("--force", action="store_true")
     co.set_defaults(func=cmd_corrupt)
 
-    ip = sub.add_parser("inpaint", parents=[solver, frame],
+    ip = sub.add_parser("inpaint", parents=[solver, frame, force],
                         help="reconstruct masked columns")
     ip.add_argument("--in", dest="infile", required=True,
                     help="corrupted WAV or spectrogram file")
@@ -441,20 +429,15 @@ def build_parser():
     ip.add_argument("--out", required=True, help="restored WAV")
     ip.add_argument("--spec-out", default=None,
                     help="also write the restored spectrogram")
-    ip.add_argument("--method", choices=["uphain", "bphain", "bphain-oracle",
-                                         "tf-only"], default="uphain")
+    ip.add_argument("--method", choices=METHOD_NAMES, default="uphain")
     ip.add_argument("--truth", default=None,
                     help="clean WAV (required for bphain-oracle)")
     ip.add_argument("--trace", default=None,
                     help="write per-iteration objective/feasibility CSV here: "
                          "one block of rows per frame run, keyed by the start "
                          "column of its first gap")
-    ip.add_argument("--jobs", type=int, default=None,
-                    help="worker processes for the frame runs (default: env "
-                         "TFPAINT_JOBS, else the available cores)")
     ip.add_argument("--sr", type=int, default=16000,
                     help="output rate when the input is a spectrogram file")
-    ip.add_argument("--force", action="store_true")
     ip.set_defaults(func=cmd_inpaint)
 
     sn = sub.add_parser("snr", help="SNR of a test WAV against a reference")
@@ -467,7 +450,7 @@ def build_parser():
     sw.add_argument("--gap-cols", type=int, default=3)
     sw.add_argument("--lambdas", default="default",
                     help='comma list of values, or "default" for the 10-point grid')
-    sw.add_argument("--method", choices=["uphain", "bphain", "tf-only"],
+    sw.add_argument("--method", choices=[m for m in METHOD_NAMES if m != "bphain-oracle"],
                     default="uphain")
     sw.set_defaults(func=cmd_sweep)
 
@@ -475,7 +458,7 @@ def build_parser():
                         help="method-versus-method SNR table")
     cp.add_argument("--gap-cols", default="1,3,6",
                     help="comma list of gap widths (default 1,3,6)")
-    cp.add_argument("--methods", default="uphain,bphain,bphain-oracle,tf-only")
+    cp.add_argument("--methods", default=",".join(METHOD_NAMES))
     cp.set_defaults(func=cmd_compare)
 
     return p

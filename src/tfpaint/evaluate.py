@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import _fan_out, _job_count, apply_mask, find_gaps, inpaint_spectrogram
+from .pipeline import METHODS, _fan_out, _job_count, apply_mask, find_gaps, inpaint_spectrogram
 from .solver import SolverConfig
 from .stft import StftConfig, analyze, default_window, synthesize
 
@@ -175,24 +175,36 @@ def _run_one(setup, record):
     return x_hat, dt, int(round(np.mean(outers))) if outers else 0
 
 
-def _scores(signals, records, window_len, hop, channels, jobs):
-    """(SNR, runtime_s, mean outer rounds) of every record (method, scfg,
-    mask, signal index), in record order.
+def _records(signals, cells, window_len, hop, channels, jobs):
+    """One EvalRecord per (method, scfg, mask) cell and signal, cell-major.
 
-    Several records are restored in a pool of jobs forked processes
+    Several restorations run in a pool of jobs forked processes
     (``pipeline._fan_out``), each solving its frame runs in-process; a
-    single record gets the jobs for its runs instead.  The SNR is taken
-    here, as each restoration arrives, so only one is held at a time.
+    single one gets the jobs for its runs instead.  The SNR is taken here,
+    as each restoration arrives, so only one is held at a time.
     """
     jobs = _job_count(jobs)
     if not signals:
         raise ValueError("no signals")
-    for _, _, mask, s in records:  # a short signal fails here, before any pool
-        _span(signals[s][1], mask, hop)
-    setup = (signals, window_len, hop, channels, jobs if len(records) == 1 else 1)
-    with closing(_fan_out(_run_one, setup, records, jobs)) as restored:
-        return [(snr(_span(signals[s][1], mask, hop), x_hat), dt, outer)
-                for (_, _, mask, s), (x_hat, dt, outer) in zip(records, restored)]
+    # an unknown method or a short signal fails here, before any solve
+    for method, _, mask in cells:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+        for _, x in signals:
+            _span(x, mask, hop)
+    items = [(method, scfg, mask, s) for method, scfg, mask in cells for s in range(len(signals))]
+    setup = (signals, window_len, hop, channels, jobs if len(items) == 1 else 1)
+    with closing(_fan_out(_run_one, setup, items, jobs)) as restored:
+        return [EvalRecord(
+            method=method,
+            mask_gap_cols=_gap_len(mask),
+            signal_id=signals[s][0],
+            snr_db=snr(_span(signals[s][1], mask, hop), x_hat),
+            runtime_s=dt,
+            lambda_=scfg.lam,
+            iters_inner=scfg.inner_iters,
+            iters_outer_used=outer,
+        ) for (method, scfg, mask, s), (x_hat, dt, outer) in zip(items, restored)]
 
 
 def _gap_len(mask):
@@ -200,27 +212,26 @@ def _gap_len(mask):
     return len(gaps[0]) if gaps else 0
 
 
-def _mean_records(signals, mask, configs, method, window_len, hop, channels, jobs):
-    """One record per solver config: SNR and runtime averaged over the
-    signals, iters_outer_used the rounded mean of per-gap outer counts."""
+def _mean_records(records, n):
+    """Each cell's n records (one per signal, as ``_records`` lists them)
+    as one: snr_db and runtime_s are means over the signals,
+    iters_outer_used the rounded mean over the signals of each record's
+    own rounded mean of its per-run outer rounds."""
+    return [dataclasses.replace(
+        group[0],
+        signal_id=f"mean({n})",
+        snr_db=float(np.mean([r.snr_db for r in group])),
+        runtime_s=float(np.mean([r.runtime_s for r in group])),
+        iters_outer_used=int(round(np.mean([r.iters_outer_used for r in group]))),
+    ) for group in (records[k:k + n] for k in range(0, len(records), n))]
+
+
+def _per_config(signals, mask, configs, method, window_len, hop, channels, jobs):
+    """One mean record per solver config."""
     signals = list(signals)
-    n, gl = len(signals), _gap_len(mask)
-    scores = _scores(signals, [(method, scfg, mask, s) for scfg in configs for s in range(n)],
-                     window_len, hop, channels, jobs)
-    records = []
-    for k, scfg in enumerate(configs):
-        snrs, times, outers = zip(*scores[k * n:(k + 1) * n])
-        records.append(EvalRecord(
-            method=method,
-            mask_gap_cols=gl,
-            signal_id=f"mean({n})",
-            snr_db=float(np.mean(snrs)),
-            runtime_s=float(np.mean(times)),
-            lambda_=scfg.lam,
-            iters_inner=scfg.inner_iters,
-            iters_outer_used=int(round(np.mean(outers))),
-        ))
-    return records
+    records = _records(signals, [(method, scfg, mask) for scfg in configs],
+                       window_len, hop, channels, jobs)
+    return _mean_records(records, len(signals))
 
 
 def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
@@ -230,7 +241,8 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
 
     signals is [(signal_id, samples)].  One record per grid value: snr_db
     and runtime_s are means over the signals, iters_outer_used the rounded
-    mean of per-gap outer counts.  jobs is ``inpaint_spectrogram``'s: the
+    mean over the signals of each restoration's own rounded mean of its
+    per-run outer rounds.  jobs is ``inpaint_spectrogram``'s: the
     (value, signal) restorations run in a pool of that many processes.
     """
     lambda_grid = list(lambda_grid)
@@ -239,7 +251,7 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
     if scfg is None:
         scfg = SolverConfig()
     configs = [_with_lambda(scfg, float(lam)) for lam in lambda_grid]
-    return _mean_records(signals, mask, configs, method, window_len, hop, channels, jobs)
+    return _per_config(signals, mask, configs, method, window_len, hop, channels, jobs)
 
 
 def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
@@ -251,7 +263,7 @@ def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
     if scfg is None:
         scfg = SolverConfig()
     configs = [dataclasses.replace(scfg, inner_iters=inner) for inner in inner_grid]
-    return _mean_records(signals, mask, configs, method, window_len, hop, channels, jobs)
+    return _per_config(signals, mask, configs, method, window_len, hop, channels, jobs)
 
 
 def compare_methods(signals, masks, methods, scfg=None, window_len=2048,
@@ -267,32 +279,12 @@ def compare_methods(signals, masks, methods, scfg=None, window_len=2048,
     if scfg is None:
         scfg = SolverConfig()
     signals = list(signals)
-    cells = [(method, mask) for method in methods for mask in masks]
-    scores = iter(_scores(signals, [(method, scfg, mask, s) for method, mask in cells
-                                    for s in range(len(signals))],
-                          window_len, hop, channels, jobs))
-    records = []
-    summary = []
-    for method, mask in cells:
-        gl = _gap_len(mask)
-        snrs = []
-        for sid, _ in signals:
-            s, dt, mo = next(scores)
-            records.append(EvalRecord(
-                method=method,
-                mask_gap_cols=gl,
-                signal_id=sid,
-                snr_db=s,
-                runtime_s=dt,
-                lambda_=scfg.lam,
-                iters_inner=scfg.inner_iters,
-                iters_outer_used=mo,
-            ))
-            snrs.append(s)
-        summary.append({
-            "method": method,
-            "gap_cols": gl,
-            "mean_snr_db": float(np.mean(snrs)),
-            "signals": len(signals),
-        })
+    records = _records(signals, [(method, scfg, mask) for method in methods for mask in masks],
+                       window_len, hop, channels, jobs)
+    summary = [{
+        "method": mean.method,
+        "gap_cols": mean.mask_gap_cols,
+        "mean_snr_db": mean.snr_db,
+        "signals": len(signals),
+    } for mean in _mean_records(records, len(signals))]
     return records, summary

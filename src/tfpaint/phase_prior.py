@@ -120,17 +120,8 @@ def phase_correct(X, omega, hop=512, channels=2048):
 
 
 def phase_correct_adjoint(X, omega, hop=512, channels=2048):
-    """Adjoint (= inverse) of phase_correct: conjugate rotation."""
-    data = _coeffs(X)
-    om = _coeffs(omega)
-    if data.shape != om.shape:
-        raise ValueError("spectrogram and omega shapes differ")
-    if isinstance(X, Spectrogram):
-        hop, channels = X.config.hop, X.config.channels
-    out = data * np.conj(correction_factors(om, hop, channels))
-    if isinstance(X, Spectrogram):
-        return Spectrogram(out, X.config)
-    return out
+    """Adjoint (= inverse) of phase_correct: the negated offsets' rotation."""
+    return phase_correct(X, -_coeffs(omega), hop, channels)
 
 
 def time_variation(X):

@@ -108,38 +108,26 @@ def project_feasible(X, mask, X_corrupted):
     return out
 
 
-_KINDS = ("soft", "p_shrinkage", "smooth_hard", "l2_block", "l2_squared")
-
-# reference tuning per kind: (lambda, p, alpha)
-_KIND_DEFAULTS = {
-    "soft": (0.01, 0.9, 1e-2),
-    "p_shrinkage": (0.01, 0.9, 1e-2),
-    "smooth_hard": (1e-3, 0.9, 1e-2),
-    "l2_block": (1.0, 0.9, 1e-2),
-    "l2_squared": (0.2, 0.9, 1e-2),
-}
+# reference lambda per kind; p and alpha are Thresholder's defaults for all
+_KIND_DEFAULTS = {"soft": 0.01, "p_shrinkage": 0.01, "smooth_hard": 1e-3,
+                  "l2_block": 1.0, "l2_squared": 0.2}
 
 
 def default_thresholder(kind, lam=None, p=None, alpha=None):
-    """Thresholder with the reference tuning for its kind, fields overridable."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown thresholder kind {kind!r}")
-    dl, dp, da = _KIND_DEFAULTS[kind]
-    return Thresholder(
-        kind=kind,
-        lam=dl if lam is None else lam,
-        p=dp if p is None else p,
-        alpha=da if alpha is None else alpha,
-    )
+    """Thresholder with the reference tuning for its kind, fields
+    overridable; Thresholder rejects an unknown kind."""
+    given = {"lam": lam, "p": p, "alpha": alpha}
+    fields = {name: value for name, value in given.items() if value is not None}
+    fields.setdefault("lam", _KIND_DEFAULTS.get(kind, 0.0))
+    return Thresholder(kind, **fields)
 
 
 @dataclass(frozen=True)
 class Thresholder:
     """Configured thresholding operator for the solver's dual update.
 
-    Defaults per kind follow the reference tuning: p_shrinkage uses
-    p = 0.9 with lambda = 0.01, smooth_hard alpha = 1e-2 with lambda = 1e-3,
-    l2_block lambda = 1, l2_squared lambda = 0.2.
+    ``default_thresholder`` gives a kind its reference lambda
+    (``_KIND_DEFAULTS``); p and alpha default alike for every kind.
     """
 
     kind: str = "soft"
@@ -148,14 +136,11 @@ class Thresholder:
     alpha: float = 1e-2
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_DEFAULTS:
             raise ValueError(f"unknown thresholder kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.kind == "p_shrinkage" and (self.p <= -1 or self.p > 1):
-            raise ValueError("p must lie in (-1, 1]")
-        if self.kind == "smooth_hard" and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # each operator checks the parameters it takes: a bad one fails
+        # here, at construction, not at the first dual update
+        self(np.zeros(0, dtype=complex))
 
     def __call__(self, X):
         if self.kind == "soft":

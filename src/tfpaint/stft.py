@@ -171,11 +171,14 @@ def _ramp_table(a, M):
     """Rows n = 0..P-1 of the phase ramp, P = M / gcd(a, M) (read-only).
 
     The exponent m*a*n is reduced modulo M in integers first, so every entry
-    is rounded once and the Nyquist row is exactly 1 when a*n is even.
+    is rounded once and the Nyquist row is exactly 1 when a*n is even; when
+    it is odd, exp(-i*pi) would round to -1 - 1.2e-16i, so -1 is set.
     """
     n = np.arange(M // math.gcd(a, M))
     k = (((a * n) % M)[:, None] * np.arange(M // 2 + 1)[None, :]) % M
     table = np.exp(-2j * np.pi * k / M)
+    if M % 2 == 0:
+        table[k[:, M // 2] != 0, M // 2] = -1.0
     table.flags.writeable = False
     return table
 

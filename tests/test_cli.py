@@ -197,6 +197,57 @@ def test_pshrink_defaults():
     assert th.p == 0.9 and th.lam == 0.01
 
 
+# Each subcommand's options and their defaults, beside its required ones.
+SOLVER_DEFAULTS = {"lam": 0.01, "inner": 500, "outer": 10, "eps": 0.001,
+                   "threshold": "soft", "p": 0.9, "alpha": 0.01, "jobs": None,
+                   "window": 2048, "channels": 2048, "force": False}
+GRID_DEFAULTS = {**SOLVER_DEFAULTS, "seconds": 5.0, "sr": 16000, "hop": 512, "seed": 0,
+                 "kinds": "multitone,chirp,tone", "placement": "per-second-center",
+                 "json": None}
+PARSER_INVENTORY = {
+    "make-mask": (["--seconds", "1", "--gap-cols", "2", "--out", "m"],
+                  {"seconds": 1.0, "gap_cols": 2, "out": "m", "sr": 16000, "hop": 512,
+                   "placement": "per-second-center", "seed": None, "force": False}),
+    "corrupt": (["--in", "a", "--mask", "m", "--out", "b"],
+                {"infile": "a", "mask": "m", "out": "b", "spec_out": None,
+                 "window": 2048, "channels": 2048, "force": False}),
+    "inpaint": (["--in", "a", "--mask", "m", "--out", "b"],
+                {**SOLVER_DEFAULTS, "infile": "a", "mask": "m", "out": "b", "spec_out": None,
+                 "method": "uphain", "truth": None, "trace": None, "sr": 16000}),
+    "snr": (["--ref", "a", "--test", "b"], {"ref": "a", "test": "b"}),
+    "sweep": (["--out", "s"], {**GRID_DEFAULTS, "out": "s", "gap_cols": 3,
+                               "lambdas": "default", "method": "uphain"}),
+    "compare": (["--out", "c"], {**GRID_DEFAULTS, "out": "c", "gap_cols": "1,3,6",
+                                 "methods": "uphain,bphain,bphain-oracle,tf-only"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_INVENTORY))
+def test_parser_inventory(command, capsys):
+    # every subcommand takes the same options, with the same defaults,
+    # however the parser shares them between subcommands
+    required, defaults = PARSER_INVENTORY[command]
+    args = vars(build_parser().parse_args([command, *required]))
+    assert args.pop("command") == command and callable(args.pop("func"))
+    assert args == defaults
+    for i in range(0, len(required), 2):  # each required option is required
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *required[:i], *required[i + 2:]])
+    capsys.readouterr()
+
+
+def test_method_choices():
+    parser = build_parser()
+    base = {"inpaint": ["--in", "a", "--mask", "m", "--out", "b"], "sweep": ["--out", "s"]}
+    for command, methods in (("inpaint", ["uphain", "bphain", "bphain-oracle", "tf-only"]),
+                             ("sweep", ["uphain", "bphain", "tf-only"])):
+        for method in methods:
+            assert parser.parse_args([command, *base[command], "--method", method]).method == method
+    for command, method in (("inpaint", "tf_only"), ("sweep", "bphain-oracle")):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *base[command], "--method", method])
+
+
 def test_jobs_env_default(tmp_path, monkeypatch, capsys):
     # --jobs, else TFPAINT_JOBS, else the library's default (None: the
     # available cores), resolved when the command runs

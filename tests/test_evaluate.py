@@ -227,6 +227,19 @@ def test_compare_methods_oracle_gets_truth():
     assert np.isfinite(recs[0].snr_db)
 
 
+def test_unknown_method_rejected_before_any_solve(monkeypatch):
+    def solve(*a, **kw):
+        raise AssertionError("solved before the method check")
+
+    monkeypatch.setattr(evaluate, "inpaint_spectrogram", solve)
+    mask = make_mask(1, SR, HOP, 1)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="bogus"):
+            compare_methods(signals_one(), [mask], ["uphain", "bogus"], scfg=FAST, jobs=jobs)
+        with pytest.raises(ValueError, match="bogus"):
+            sweep_lambda(signals_one(), mask, [1e-2], scfg=FAST, method="bogus", jobs=jobs)
+
+
 def test_harness_snr_deterministic():
     mask = make_mask(1, SR, HOP, 1)
     a = sweep_lambda(signals_one(), mask, [1e-2], scfg=FAST)[0].snr_db

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tfpaint.phase_prior import (
     IFMatrix,
     VariationMatrix,
+    correction_factors,
     estimate_if,
     ipctv_value,
     phase_correct,
@@ -13,7 +14,14 @@ from tfpaint.phase_prior import (
     time_variation,
     time_variation_adjoint,
 )
-from tfpaint.stft import StftConfig, analyze, make_hann, make_hann_derivative, tight_window
+from tfpaint.stft import (
+    Spectrogram,
+    StftConfig,
+    analyze,
+    make_hann,
+    make_hann_derivative,
+    tight_window,
+)
 
 CFG = StftConfig(signal_len=8192)  # 2048/512/2048 preset, N = 16
 HANN = make_hann(CFG.window_len)
@@ -128,6 +136,21 @@ def test_phase_correct_adjoint_identity(m, n, seed):
     lhs = np.vdot(Y, phase_correct(X, om, hop=3, channels=m))
     rhs = np.vdot(phase_correct_adjoint(Y, om, hop=3, channels=m), X)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("hop, channels", [(3, 16), (512, 2048)])
+def test_phase_correct_adjoint_is_the_conjugate_rotation(hop, channels):
+    # the rotation of the negated offsets gives the conjugate's bits
+    rng = np.random.default_rng(hop)
+    X = rng.standard_normal((channels, 48)) + 1j * rng.standard_normal((channels, 48))
+    om = rng.standard_normal((channels, 48))
+    want = X * np.conj(correction_factors(om, hop, channels))
+    got = phase_correct_adjoint(X, om, hop, channels)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    cfg = StftConfig(window_len=channels, hop=hop, channels=channels, signal_len=48 * hop)
+    spec = phase_correct_adjoint(Spectrogram(X, cfg), IFMatrix(om))
+    assert isinstance(spec, Spectrogram)
+    assert np.array_equal(spec.data.view(np.uint64), want.view(np.uint64))
 
 
 def test_time_variation_stencil():

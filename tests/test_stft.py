@@ -315,11 +315,15 @@ BLOCKED = {
 
 def direct_ramp(cfg, start, count):
     """exp(-2*pi*i*((a*n mod M)*m mod M)/M) for frames n = start.. and rows
-    m = 0..M//2, straight from the formula."""
+    m = 0..M//2, straight from the formula; at even M the Nyquist row
+    m = M/2 is (-1)^(a*n) exactly, where exp(-i*pi) would round."""
     a, M = cfg.hop, cfg.channels
     n = start + np.arange(count)
     k = (((a * n) % M)[:, None] * np.arange(M // 2 + 1)[None, :]) % M
-    return np.exp(-2j * np.pi * k / M)
+    ramp = np.exp(-2j * np.pi * k / M)
+    if M % 2 == 0:
+        ramp[:, M // 2] = np.where((a * n) % 2, -1.0, ramp[:, M // 2])
+    return ramp
 
 
 def one_pass_analyze(x, w, cfg):
@@ -334,6 +338,16 @@ def one_pass_synthesize(X, w, cfg):
     irFFT, window, one overlap-add with the overhang folded."""
     V = np.conj(direct_ramp(cfg, 0, cfg.n_frames)) * _hermitian_half(X)
     return _irfft_frames(V, w, cfg)
+
+
+def test_nyquist_row_of_a_real_signal_is_real_at_an_odd_hop():
+    # an odd a*n puts exp(-i*pi) on the Nyquist row; its rounding would
+    # leave an imaginary part that no real signal's coefficient has
+    cfg = StftConfig(window_len=12, hop=3, channels=16, signal_len=192)
+    x = np.random.default_rng(3).standard_normal(cfg.signal_len)
+    X = analyze(x, default_window(cfg), cfg).data
+    assert np.all(X[cfg.channels // 2].imag == 0.0)
+    assert np.any(X[cfg.channels // 2].real != 0.0)
 
 
 def test_block_geometries_fall_as_named():
