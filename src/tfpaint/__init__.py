@@ -15,8 +15,6 @@ from .evaluate import (
     synthetic_suite,
 )
 from .phase_prior import (
-    IFMatrix,
-    VariationMatrix,
     correction_factors,
     estimate_if,
     ipctv_value,
@@ -35,7 +33,6 @@ from .pipeline import (
 )
 from .prox import (
     Thresholder,
-    default_thresholder,
     p_shrinkage,
     project_feasible,
     prox_conjugate,
@@ -52,7 +49,6 @@ from .solver import (
 from .stft import (
     Spectrogram,
     StftConfig,
-    Window,
     analyze,
     default_window,
     make_hann,

@@ -173,8 +173,7 @@ def write_results(csv_path, json_path, records, summary=None, force=False):
 
 
 def solver_config(args):
-    th = Thresholder(THRESHOLDS[args.threshold], lam=args.lam, p=args.p,
-                     alpha=args.alpha)
+    th = Thresholder(THRESHOLDS[args.threshold], p=args.p, alpha=args.alpha)
     return SolverConfig(lam=args.lam, inner_iters=args.inner,
                         outer_iters=args.outer, epsilon=args.eps,
                         thresholder=th)
@@ -318,7 +317,7 @@ def _grid(args):
 def cmd_sweep(args):
     suite, harness = _grid(args)
     mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
-                     placement=args.placement, seed=args.seed)
+                     placement=args.placement, seed=args.seed, channels=args.channels)
     if args.lambdas == "default":
         grid = DEFAULT_LAMBDA_GRID
     else:
@@ -335,8 +334,8 @@ def cmd_compare(args):
     suite, harness = _grid(args)
     methods = [m.strip().replace("-", "_") for m in args.methods.split(",")]
     gap_lengths = [int(g) for g in args.gap_cols.split(",")]
-    masks = [make_mask(args.seconds, args.sr, args.hop, g,
-                       placement=args.placement, seed=args.seed)
+    masks = [make_mask(args.seconds, args.sr, args.hop, g, placement=args.placement,
+                       seed=args.seed, channels=args.channels)
              for g in gap_lengths]
     records, summary = compare_methods(suite, masks, methods, **harness)
     write_results(args.out, args.json, records, summary=summary,

@@ -140,11 +140,6 @@ def synthetic_suite(duration_s=5.0, sample_rate=16000, seed=0,
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-7, 2, 10))
 
 
-def _with_lambda(scfg, lam):
-    th = dataclasses.replace(scfg.thresholder, lam=lam)
-    return dataclasses.replace(scfg, lam=lam, thresholder=th)
-
-
 def _span(x, mask, hop):
     n = mask.n_cols * hop
     if len(x) < n:
@@ -250,7 +245,7 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
         raise ValueError("empty lambda grid")
     if scfg is None:
         scfg = SolverConfig()
-    configs = [_with_lambda(scfg, float(lam)) for lam in lambda_grid]
+    configs = [dataclasses.replace(scfg, lam=float(lam)) for lam in lambda_grid]
     return _per_config(signals, mask, configs, method, window_len, hop, channels, jobs)
 
 

@@ -17,38 +17,21 @@ estimates.  Rows 0..M//2 are estimated; the rest mirror them with the sign
 flipped, as for any real signal.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .stft import Spectrogram, _rfft_frames, _window, analyze
 
 
-@dataclass
-class IFMatrix:
-    """Per-coefficient instantaneous-frequency offset estimate, M x N, bins."""
-
-    omega: np.ndarray
-
-
-@dataclass
-class VariationMatrix:
-    """Time-directional differences of a spectrogram, M x (N-1)."""
-
-    data: np.ndarray
-
-
 def _coeffs(X):
-    """The matrix held by a Spectrogram, IFMatrix or VariationMatrix, or X."""
-    if isinstance(X, (Spectrogram, VariationMatrix)):
+    """The matrix held by a Spectrogram, or X as an array."""
+    if isinstance(X, Spectrogram):
         return X.data
-    if isinstance(X, IFMatrix):
-        return X.omega
     return np.asarray(X)
 
 
 def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
-    """Entrywise instantaneous-frequency offsets of a real signal, in bins.
+    """Entrywise instantaneous-frequency offsets of a real signal, in bins,
+    as an M x N array.
 
     Parameters
     ----------
@@ -85,7 +68,7 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
     if M % 2 == 0:
         omega[:, M // 2] = 0.0
     full = np.concatenate((omega, -omega[:, (M - 1) // 2 : 0 : -1]), axis=1)
-    return IFMatrix(full.T)  # frames-major underneath, M x N as an array
+    return full.T  # frames-major underneath, M x N as an array
 
 
 def correction_factors(omega, hop, channels):
@@ -94,7 +77,7 @@ def correction_factors(omega, hop, channels):
     Column 0 gets an empty sum (factor 1).  Precompute this when applying
     the same omega many times; phase_correct does it per call.
     """
-    om = _coeffs(omega)
+    om = np.asarray(omega)
     csum = np.empty_like(om)
     csum[:, 0] = 0.0
     np.cumsum(om[:, :-1], axis=1, out=csum[:, 1:])
@@ -107,21 +90,19 @@ def phase_correct(X, omega, hop=512, channels=2048):
     Unitary for any omega.  Accepts a Spectrogram (hop/channels taken from
     its config) or a bare matrix plus explicit hop/channels.
     """
-    data = _coeffs(X)
-    om = _coeffs(omega)
+    if isinstance(X, Spectrogram):
+        cfg = X.config
+        return Spectrogram(phase_correct(X.data, omega, cfg.hop, cfg.channels), cfg)
+    data = np.asarray(X)
+    om = np.asarray(omega)
     if data.shape != om.shape:
         raise ValueError("spectrogram and omega shapes differ")
-    if isinstance(X, Spectrogram):
-        hop, channels = X.config.hop, X.config.channels
-    out = data * correction_factors(om, hop, channels)
-    if isinstance(X, Spectrogram):
-        return Spectrogram(out, X.config)
-    return out
+    return data * correction_factors(om, hop, channels)
 
 
 def phase_correct_adjoint(X, omega, hop=512, channels=2048):
     """Adjoint (= inverse) of phase_correct: the negated offsets' rotation."""
-    return phase_correct(X, -_coeffs(omega), hop, channels)
+    return phase_correct(X, -np.asarray(omega), hop, channels)
 
 
 def time_variation(X):
@@ -129,10 +110,7 @@ def time_variation(X):
     data = _coeffs(X)
     if data.shape[1] < 2:
         raise ValueError("need at least two time columns")
-    out = data[:, :-1] - data[:, 1:]
-    if isinstance(X, Spectrogram):
-        return VariationMatrix(out)
-    return out
+    return data[:, :-1] - data[:, 1:]
 
 
 def time_variation_adjoint(Y):

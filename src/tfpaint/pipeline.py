@@ -8,6 +8,7 @@ through the solver, so they survive bit-exactly.  The runs that take
 inner steps are solved in a pool of forked processes.
 """
 
+import math
 import os
 import threading
 from collections import deque
@@ -54,16 +55,16 @@ class ColumnMask:
 
 
 def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-center",
-              seed=None, cols_multiple=4):
+              seed=None, channels=2048):
     """One contiguous run of gap_cols zero columns per whole second.
 
     n_cols = floor(duration_s*sample_rate/hop) truncated down to a multiple
-    of cols_multiple, so that channels = cols_multiple*hop (the default
-    2048 at hop 512) divide the signal length.  Placement is either the
-    central column of each second's span or a seeded uniform draw; either
-    keeps one column clear at each edge of the span, so every gap sits
-    inside its own second and no two gaps touch (``find_gaps`` would merge
-    them).
+    of channels/gcd(channels, hop) (4 at the defaults 2048 and 512), so
+    that the channels divide the signal length n_cols*hop.  Placement is
+    either the central column of each second's span or a seeded uniform
+    draw; either keeps one column clear at each edge of the span, so every
+    gap sits inside its own second and no two gaps touch (``find_gaps``
+    would merge them).
     """
     if duration_s < 1.0:
         raise ValueError("duration must be at least one second")
@@ -73,7 +74,7 @@ def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-cent
         raise ValueError(f"unknown placement {placement!r}")
 
     n_cols = int(duration_s * sample_rate) // hop
-    n_cols -= n_cols % cols_multiple
+    n_cols -= n_cols % (channels // math.gcd(channels, hop))
     if n_cols < 1:
         raise ValueError("signal too short for even one spectrogram column")
 

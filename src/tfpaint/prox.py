@@ -108,47 +108,32 @@ def project_feasible(X, mask, X_corrupted):
     return out
 
 
-# reference lambda per kind; p and alpha are Thresholder's defaults for all
-_KIND_DEFAULTS = {"soft": 0.01, "p_shrinkage": 0.01, "smooth_hard": 1e-3,
-                  "l2_block": 1.0, "l2_squared": 0.2}
-
-
-def default_thresholder(kind, lam=None, p=None, alpha=None):
-    """Thresholder with the reference tuning for its kind, fields
-    overridable; Thresholder rejects an unknown kind."""
-    given = {"lam": lam, "p": p, "alpha": alpha}
-    fields = {name: value for name, value in given.items() if value is not None}
-    fields.setdefault("lam", _KIND_DEFAULTS.get(kind, 0.0))
-    return Thresholder(kind, **fields)
+KINDS = ("soft", "p_shrinkage", "smooth_hard", "l2_block", "l2_squared")
 
 
 @dataclass(frozen=True)
 class Thresholder:
-    """Configured thresholding operator for the solver's dual update.
-
-    ``default_thresholder`` gives a kind its reference lambda
-    (``_KIND_DEFAULTS``); p and alpha default alike for every kind.
-    """
+    """Configured thresholding operator for the solver's dual update,
+    applied at a level lam that the caller passes (``SolverConfig.lam``)."""
 
     kind: str = "soft"
-    lam: float = 0.01
     p: float = 0.9
     alpha: float = 1e-2
 
     def __post_init__(self):
-        if self.kind not in _KIND_DEFAULTS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown thresholder kind {self.kind!r}")
         # each operator checks the parameters it takes: a bad one fails
         # here, at construction, not at the first dual update
-        self(np.zeros(0, dtype=complex))
+        self(np.zeros(0, dtype=complex), 0.0)
 
-    def __call__(self, X):
+    def __call__(self, X, lam):
         if self.kind == "soft":
-            return soft_threshold(X, self.lam)
+            return soft_threshold(X, lam)
         if self.kind == "p_shrinkage":
-            return p_shrinkage(X, self.lam, self.p)
+            return p_shrinkage(X, lam, self.p)
         if self.kind == "smooth_hard":
-            return smooth_hard(X, self.lam, self.alpha)
+            return smooth_hard(X, lam, self.alpha)
         if self.kind == "l2_block":
-            return prox_l2_block(X, self.lam)
-        return prox_l2_squared(X, self.lam)
+            return prox_l2_block(X, lam)
+        return prox_l2_squared(X, lam)

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phase_prior import _coeffs, correction_factors, estimate_if
+from .phase_prior import correction_factors, estimate_if
 from .prox import Thresholder
 from .stft import (
     _expand,
@@ -84,7 +84,7 @@ class SolverConfig:
     tau/sigma must satisfy tau*sigma*4 <= 1 (||D R_omega ana|| <= 2 for the
     tight default window, which the solvers always use); set
     ``allow_unsafe`` to bypass the check deliberately.  ``thresholder``
-    defaults to soft thresholding at level ``lam``.
+    (soft by default) is applied at level ``lam``.
     """
 
     tau: float = 0.25
@@ -94,7 +94,7 @@ class SolverConfig:
     outer_iters: int = 10
     epsilon: float = 0.001
     alpha_relax: float = 1.0
-    thresholder: Thresholder = None
+    thresholder: Thresholder = Thresholder()
     allow_unsafe: bool = False
 
     def __post_init__(self):
@@ -115,8 +115,6 @@ class SolverConfig:
                 "tau*sigma*4 > 1 violates the dual step condition "
                 "(pass allow_unsafe=True to override)"
             )
-        if self.thresholder is None:
-            object.__setattr__(self, "thresholder", Thresholder("soft", lam=self.lam))
 
 
 @dataclass
@@ -132,27 +130,30 @@ class SolverState:
 def _if_windows(window_len):
     # IF estimation uses the plain Hann pair; the estimate is a ratio, so a
     # common rescaling of both windows (e.g. the tight normalization at 75%
-    # overlap) leaves it unchanged.
-    return make_hann(window_len), make_hann_derivative(window_len)
+    # overlap) leaves it unchanged.  Read-only: every solve shares them.
+    pair = make_hann(window_len), make_hann_derivative(window_len)
+    for w in pair:
+        w.flags.writeable = False
+    return pair
 
 
 def _zero_cols(mask):
     return np.asarray(mask.zero_cols if hasattr(mask, "zero_cols") else mask, dtype=int)
 
 
-def _dual_step(Q, thresh, M, mag):
-    """Q - thresh(Q), in place, for the conjugate-symmetric dual with rows
+def _dual_step(Q, thresh, lam, M, mag):
+    """Q - thresh(Q, lam), in place, for the conjugate-symmetric dual with rows
     0..M//2 = Q (frames-major); mag is a real work array of Q's shape."""
     if thresh.kind == "soft":
         # Q - soft(Q) is the entrywise projection onto the lam-ball; the
         # floor makes a zero entry 0 at lam = 0
         np.abs(Q, out=mag)
-        np.maximum(mag, thresh.lam or 1e-300, out=mag)
-        np.divide(thresh.lam, mag, out=mag)
+        np.maximum(mag, lam or 1e-300, out=mag)
+        np.divide(lam, mag, out=mag)
         Q *= mag
         return Q
     # on all M rows, so a block norm counts the mirrored rows too
-    Q -= thresh(_expand(Q, M))[: Q.shape[1]].T
+    Q -= thresh(_expand(Q, M), lam)[: Q.shape[1]].T
     return Q
 
 
@@ -207,7 +208,7 @@ def _reach(start, count, cfg):
 def _d_rel(reliable, cfg, circular):
     """The overlap-add of M*w**2 over the frames flagged ``reliable``: the
     share of each sample's tight-frame energy that they carry."""
-    w = default_window(cfg).samples
+    w = default_window(cfg)
     return _overlap_add(reliable[:, None] * (w * (w * cfg.channels)), cfg, circular)
 
 
@@ -297,7 +298,7 @@ def _observe(X_corr, zero, run):
     """
     cfg = X_corr.config
     N = cfg.n_frames
-    w = default_window(cfg).samples
+    w = default_window(cfg)
     start, count = run.start, run.count
     circular = count == N
     reach, frames, span = _reach(start, count, cfg)
@@ -399,7 +400,7 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     matrices, and the loop's work arrays are allocated once.
     """
     scfg, circular, cut, fm = run.cfg, run.circular, run.cut, run.moving
-    w = default_window(scfg).samples
+    w = default_window(scfg)
     M, W, a = scfg.channels, scfg.window_len, scfg.hop
     alpha = cfg.alpha_relax
 
@@ -409,7 +410,7 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     # dual: skip its steps, and omega unless a trace needs it
     if not run.moves and trace is None:
         return SolverState(x, Z)
-    rot = correction_factors(_coeffs(omega)[: M // 2 + 1], a, M).T
+    rot = correction_factors(omega[: M // 2 + 1], a, M).T
     F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
     if not run.moves:  # zero steps: every row is the one at x_det
         row = _trace_terms(F * run.ramp, rot, run.Xc, run.reliable, M, cfg.lam, cut)
@@ -462,7 +463,7 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
                 C += half * (A2[rel] - C)
             Q += Z
             Q[cut] = 0.0
-            _dual_step(Q, cfg.thresholder, M, mag)  # Q holds the dual step now
+            _dual_step(Q, cfg.thresholder, cfg.lam, M, mag)  # Q holds the dual step now
 
             if alpha == 1.0:
                 Z, Q = Q, Z
@@ -521,7 +522,7 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
                 info["stopped_early"] = True
                 break
 
-    A = _rfft_frames(state.x, default_window(scfg).samples, scfg, obs.circular)
+    A = _rfft_frames(state.x, default_window(scfg), scfg, obs.circular)
     return obs.cols, _expand(A[obs.gaps] * obs.ramp[obs.gaps], scfg.channels) * obs.peak, info
 
 

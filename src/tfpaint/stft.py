@@ -84,17 +84,6 @@ class StftConfig:
         return self.signal_len // self.hop
 
 
-@dataclass(frozen=True)
-class Window:
-    """Real window samples plus a tag for how they were built."""
-
-    samples: np.ndarray
-    kind: str = "custom"  # {hann, hann_derivative, custom}
-
-    def __len__(self):
-        return len(self.samples)
-
-
 @dataclass
 class Spectrogram:
     """Complex coefficient matrix, M frequency rows by N time columns."""
@@ -112,8 +101,7 @@ def make_hann(window_len):
     if window_len < 2:
         raise ValueError("window_len must be >= 2")
     k = np.arange(window_len)
-    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / window_len))
-    return Window(w, kind="hann")
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / window_len))
 
 
 def make_hann_derivative(window_len):
@@ -125,8 +113,7 @@ def make_hann_derivative(window_len):
     if window_len < 2:
         raise ValueError("window_len must be >= 2")
     k = np.arange(window_len)
-    w = (np.pi / window_len) * np.sin(2.0 * np.pi * k / window_len)
-    return Window(w, kind="hann_derivative")
+    return (np.pi / window_len) * np.sin(2.0 * np.pi * k / window_len)
 
 
 def tight_window(g, cfg):
@@ -145,22 +132,24 @@ def tight_window(g, cfg):
         s[r] = np.sum(w[r::a] ** 2)
     if np.min(s) <= 0.0:
         raise ValueError("degenerate window: zero frame-operator diagonal")
-    gt = w / np.sqrt(cfg.channels * s[np.arange(len(w)) % a])
-    return Window(gt, kind="custom")
+    return w / np.sqrt(cfg.channels * s[np.arange(len(w)) % a])
 
 
 @lru_cache(maxsize=64)
 def default_window(cfg):
-    """Canonical tight Hann window for a frame geometry (cached)."""
-    return tight_window(make_hann(cfg.window_len), cfg)
+    """Canonical tight Hann window for a frame geometry (cached, so
+    read-only: every caller shares it)."""
+    w = tight_window(make_hann(cfg.window_len), cfg)
+    w.flags.writeable = False
+    return w
 
 
 def _window(g, cfg):
-    """Float samples of a Window or array (default_window(cfg) for None),
-    checked against cfg.window_len."""
+    """Float samples of window g (default_window(cfg) for None), checked
+    against cfg.window_len."""
     if g is None:
         g = default_window(cfg)
-    w = np.asarray(g.samples if isinstance(g, Window) else g, dtype=float)
+    w = np.asarray(g, dtype=float)
     if len(w) != cfg.window_len:
         raise ValueError("window length does not match config")
     return w

@@ -226,7 +226,7 @@ def test_criterion_05_tone_annihilation():
         x = np.cos(2 * np.pi * (417 + delta) * l / CFG.channels + 0.3)
         om = estimate_if(x, hann, hannd, CFG)
         X = analyze(x, hann, CFG).data
-        V = time_variation(phase_correct(X, om.omega, CFG.hop, CFG.channels))
+        V = time_variation(phase_correct(X, om, CFG.hop, CFG.channels))
         penalty = np.sum(np.abs(V[:, : ni - 1]))
         mass = np.sum(np.abs(X[:, :ni]))
         assert mass > 0

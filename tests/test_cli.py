@@ -184,7 +184,7 @@ def test_inpaint_defaults_are_reference_constants():
     assert args.eps == 0.001
     assert args.threshold == "soft"
     scfg = solver_config(args)
-    assert scfg.thresholder.kind == "soft" and scfg.thresholder.lam == 0.01
+    assert scfg.thresholder.kind == "soft" and scfg.lam == 0.01
 
 
 def test_pshrink_defaults():
@@ -192,9 +192,9 @@ def test_pshrink_defaults():
         ["inpaint", "--in", "a", "--mask", "m", "--out", "b",
          "--threshold", "pshrink"]
     )
-    th = solver_config(args).thresholder
-    assert th.kind == "p_shrinkage"
-    assert th.p == 0.9 and th.lam == 0.01
+    scfg = solver_config(args)
+    assert scfg.thresholder.kind == "p_shrinkage"
+    assert scfg.thresholder.p == 0.9 and scfg.lam == 0.01
 
 
 # Each subcommand's options and their defaults, beside its required ones.
@@ -294,6 +294,30 @@ def test_make_mask_counts(tmp_path):
     d = json.loads(open(out).read())
     assert len(d["zero_cols"]) == 30  # five seconds, six columns each
     assert d["n_cols"] == 156 and d["hop"] == 512
+
+
+def test_hop_that_does_not_divide_the_channels(tmp_path):
+    # at hop 384 the 2048 channels divide a span of n_cols*384 samples only
+    # when n_cols is a multiple of 16: 3 s gives 125 columns, cut to 112, and
+    # every command runs on the mask
+    mask = str(tmp_path / "mask.json")
+    clean = wav_path(tmp_path, "clean.wav", make_test_signal("multitone", 3.0, SR, seed=2))
+    assert main(["make-mask", "--seconds", "3", "--hop", "384", "--gap-cols", "3",
+                 "--out", mask]) == 0
+    assert json.loads(open(mask).read())["n_cols"] == 112
+    corrupted, restored = str(tmp_path / "corr.wav"), str(tmp_path / "rest.wav")
+    assert main(["corrupt", "--in", clean, "--mask", mask, "--out", corrupted]) == 0
+    assert main(["inpaint", "--in", corrupted, "--mask", mask, "--out", restored,
+                 "--inner", "5", "--outer", "1", "--jobs", "1"]) == 0
+    assert read_wav(restored)[1].size == 112 * 384
+    grid = ["--seconds", "3", "--hop", "384", "--kinds", "tone", "--inner", "5",
+            "--outer", "1", "--jobs", "1"]
+    assert main(["sweep", *grid, "--gap-cols", "3", "--lambdas", "1e-2",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    out = str(tmp_path / "cmp.csv")
+    assert main(["compare", *grid, "--gap-cols", "6", "--methods", "uphain",
+                 "--threshold", "l2", "--lambda", "1.0", "--out", out]) == 0
+    assert [row["lambda"] for row in csv.DictReader(open(out))] == ["1.0"] * 4
 
 
 def test_force_required_to_overwrite(tmp_path):

@@ -10,7 +10,6 @@ from tfpaint import evaluate, solver
 from tfpaint.evaluate import (
     DEFAULT_LAMBDA_GRID,
     EvalRecord,
-    _with_lambda,
     compare_methods,
     make_test_signal,
     snr,
@@ -18,7 +17,7 @@ from tfpaint.evaluate import (
     sweep_lambda,
     synthetic_suite,
 )
-from tfpaint.pipeline import apply_mask, make_mask
+from tfpaint.pipeline import apply_mask, inpaint_spectrogram, make_mask
 from tfpaint.prox import Thresholder
 from tfpaint.solver import DivergenceError, SolverConfig, default_window
 from tfpaint.stft import StftConfig, analyze, synthesize
@@ -153,30 +152,47 @@ def test_sweep_lambda_single_value():
         sweep_lambda(signals_one(), mask, [])
 
 
+def direct_snr(x, mask, scfg):
+    """SNR of one inpaint_spectrogram restoration of x's span at scfg."""
+    n = mask.n_cols * HOP
+    cfg = StftConfig(M, HOP, M, n)
+    X = analyze(x[:n], default_window(cfg), cfg)
+    out = inpaint_spectrogram(apply_mask(X, mask), mask, scfg=scfg)
+    return snr(x[:n], synthesize(out, default_window(cfg), cfg))
+
+
 def test_sweep_lambda_matches_direct_run():
     mask = make_mask(1, SR, HOP, 2)
     (sid, x), = signals_one()
     recs = sweep_lambda([(sid, x)], mask, [1e-2], scfg=FAST)
-
-    n = mask.n_cols * HOP
-    cfg = StftConfig(M, HOP, M, n)
-    X = analyze(x[:n], default_window(cfg), cfg)
-    from tfpaint.pipeline import inpaint_spectrogram
-
-    out = inpaint_spectrogram(apply_mask(X, mask), mask, scfg=_with_lambda(FAST, 1e-2))
-    want = snr(x[:n], synthesize(out, default_window(cfg), cfg))
-    assert recs[0].snr_db == want
+    assert recs[0].snr_db == direct_snr(x, mask, dataclasses.replace(FAST, lam=1e-2))
 
 
-def test_with_lambda_updates_thresholder():
-    base = SolverConfig(thresholder=Thresholder("p_shrinkage", lam=0.5, p=0.7))
-    out = _with_lambda(base, 1e-3)
-    assert out.lam == 1e-3
-    assert out.thresholder.kind == "p_shrinkage"
-    assert out.thresholder.lam == 1e-3
-    assert out.thresholder.p == 0.7
-    plain = _with_lambda(SolverConfig(), 2e-2)
-    assert plain.thresholder.lam == 2e-2
+def test_sweep_lambda_keeps_the_thresholder():
+    # each grid value replaces lam alone: the kind and p go with it, and
+    # every record is a direct solve at that level
+    mask = make_mask(1, SR, HOP, 4)  # four columns leave samples free
+    sigs = signals_one()
+    base = dataclasses.replace(FAST, thresholder=Thresholder("p_shrinkage", p=0.7))
+    grid = [1e-3, 1e-1]
+    recs = sweep_lambda(sigs, mask, grid, scfg=base, jobs=1)
+    for rec, lam in zip(recs, grid):
+        assert rec.lambda_ == lam
+        assert rec.snr_db == direct_snr(sigs[0][1], mask, dataclasses.replace(base, lam=lam))
+    soft = sweep_lambda(sigs, mask, grid, scfg=FAST, jobs=1)
+    assert [r.snr_db for r in soft] != [r.snr_db for r in recs]
+
+
+def test_compare_records_the_level_the_dual_step_used():
+    # lam is SolverConfig's alone, so the record's lambda is the one every
+    # thresholder kind is applied at
+    mask = make_mask(1, SR, HOP, 4)
+    sigs = signals_one()
+    scfg = dataclasses.replace(FAST, lam=0.2, thresholder=Thresholder("l2_squared"))
+    recs, _ = compare_methods(sigs, [mask], ["uphain"], scfg=scfg, jobs=1)
+    assert recs[0].lambda_ == 0.2
+    assert recs[0].snr_db == direct_snr(sigs[0][1], mask, scfg)
+    assert recs[0].snr_db != direct_snr(sigs[0][1], mask, dataclasses.replace(scfg, lam=0.01))
 
 
 def test_sweep_iterations_runs():
@@ -344,8 +360,6 @@ def test_harness_rejects_bad_job_counts(jobs):
 
 
 def restoration_error(gap_cols):
-    from tfpaint.pipeline import inpaint_spectrogram
-
     mask = make_mask(1, SR, HOP, gap_cols)
     x = make_test_signal("multitone", 1.0, SR, seed=4)[: mask.n_cols * HOP]
     cfg = StftConfig(M, HOP, M, len(x))

@@ -18,7 +18,7 @@ from tfpaint.pipeline import (
     inpaint_spectrogram,
     make_mask,
 )
-from tfpaint.prox import default_thresholder
+from tfpaint.prox import Thresholder
 from tfpaint.solver import (
     DivergenceError,
     FrameRun,
@@ -378,7 +378,7 @@ def test_inpaint_validation():
 # unsafe steps with an unbounded dual step (soft's clip keeps the dual in
 # the lam-ball, which bounds the iterates at any step size)
 WILD = SolverConfig(tau=5.0, sigma=5.0, inner_iters=400, outer_iters=1, allow_unsafe=True,
-                    thresholder=default_thresholder("l2_squared"))
+                    lam=0.2, thresholder=Thresholder("l2_squared"))
 
 
 def test_inpaint_divergence_propagates():

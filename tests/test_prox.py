@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from tfpaint.prox import (
+    KINDS,
     Thresholder,
-    default_thresholder,
     p_shrinkage,
     project_feasible,
     prox_conjugate,
@@ -224,30 +226,23 @@ def test_project_feasible_nonexpansive(seed):
 def test_thresholder_dispatch_and_validation():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    assert np.array_equal(Thresholder("soft", lam=0.2)(X), soft_threshold(X, 0.2))
+    assert np.array_equal(Thresholder("soft")(X, 0.2), soft_threshold(X, 0.2))
     assert np.array_equal(
-        Thresholder("p_shrinkage", lam=0.01, p=0.9)(X), p_shrinkage(X, 0.01, 0.9)
+        Thresholder("p_shrinkage", p=0.9)(X, 0.01), p_shrinkage(X, 0.01, 0.9)
     )
     assert np.array_equal(
-        Thresholder("smooth_hard", lam=1e-3, alpha=1e-2)(X), smooth_hard(X, 1e-3, 1e-2)
+        Thresholder("smooth_hard", alpha=1e-2)(X, 1e-3), smooth_hard(X, 1e-3, 1e-2)
     )
-    assert np.array_equal(Thresholder("l2_block", lam=1.0)(X), prox_l2_block(X, 1.0))
-    assert np.array_equal(Thresholder("l2_squared", lam=0.2)(X), prox_l2_squared(X, 0.2))
+    assert np.array_equal(Thresholder("l2_block")(X, 1.0), prox_l2_block(X, 1.0))
+    assert np.array_equal(Thresholder("l2_squared")(X, 0.2), prox_l2_squared(X, 0.2))
+    assert [f.name for f in dataclasses.fields(Thresholder)] == ["kind", "p", "alpha"]
+    assert Thresholder() == Thresholder("soft", p=0.9, alpha=1e-2)  # defaults for every kind
     with pytest.raises(ValueError):
         Thresholder("hard")
-    with pytest.raises(ValueError):
-        Thresholder("soft", lam=-1.0)
+    for kind in KINDS:  # lambda is the caller's, checked where it is applied
+        with pytest.raises(ValueError):
+            Thresholder(kind)(X, -1.0)
     with pytest.raises(ValueError):
         Thresholder("p_shrinkage", p=2.0)
     with pytest.raises(ValueError):
         Thresholder("smooth_hard", alpha=-1.0)
-
-
-def test_default_thresholder_reference_tuning():
-    assert default_thresholder("soft").lam == 0.01
-    assert default_thresholder("p_shrinkage").p == 0.9
-    assert default_thresholder("smooth_hard").lam == 1e-3
-    assert default_thresholder("smooth_hard").alpha == 1e-2
-    assert default_thresholder("l2_block").lam == 1.0
-    assert default_thresholder("l2_squared").lam == 0.2
-    assert default_thresholder("soft", lam=0.5).lam == 0.5

@@ -11,7 +11,7 @@ from tfpaint.phase_prior import (
     time_variation_adjoint,
 )
 from tfpaint.pipeline import ColumnMask, inpaint_spectrogram
-from tfpaint.prox import Thresholder, default_thresholder, project_feasible
+from tfpaint.prox import Thresholder, project_feasible
 from tfpaint.solver import (
     FREE_DREL,
     DivergenceError,
@@ -20,6 +20,7 @@ from tfpaint.solver import (
     SolverState,
     _d_rel,
     _dual_step,
+    _if_windows,
     _observe,
     _reach,
     _trace_terms,
@@ -95,6 +96,16 @@ def restore(Xc, zero, cfg, method="uphain", **kwargs):
     return inpaint_spectrogram(Xc, mask, method, cfg, **kwargs)
 
 
+# The level each thresholder kind is tested at (SolverConfig.lam, the only
+# copy of lambda; the thresholder itself holds none).
+KIND_LAM = {"soft": 0.01, "p_shrinkage": 0.01, "smooth_hard": 1e-3, "l2_block": 1.0,
+            "l2_squared": 0.2}
+
+
+def kind_fields(kind):
+    return {"lam": KIND_LAM[kind], "thresholder": Thresholder(kind)}
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -106,13 +117,6 @@ def test_config_defaults():
     assert cfg.epsilon == 0.001
     assert cfg.alpha_relax == 1.0
     assert cfg.thresholder.kind == "soft"
-
-
-def test_config_thresholder_tracks_lambda():
-    assert SolverConfig(lam=0.05).thresholder.lam == 0.05
-    # an explicit thresholder is taken as-is
-    th = Thresholder("p_shrinkage", lam=0.2, p=0.5)
-    assert SolverConfig(lam=0.01, thresholder=th).thresholder is th
 
 
 def test_config_step_conditions():
@@ -211,7 +215,7 @@ def unsafe_config():
     # l2_squared's dual step is unbounded; soft's clips every dual entry to
     # the lam-ball, which keeps the iterates bounded at any step size
     return SolverConfig(tau=5.0, sigma=5.0, inner_iters=400, allow_unsafe=True,
-                        thresholder=default_thresholder("l2_squared"))
+                        **kind_fields("l2_squared"))
 
 
 def test_divergence_detected():
@@ -247,6 +251,17 @@ def test_inner_does_not_mutate_input_state():
     gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=3))
     assert np.array_equal(state0.x, x0)
     assert not np.any(state0.Z)
+
+
+def test_cached_windows_are_read_only():
+    # every solve shares them: a write into one would change every later IF
+    # estimate and transform at that geometry
+    hann, hann_d = _if_windows(SEG.window_len)
+    for w in (hann, hann_d, default_window(SEG)):
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+    assert np.array_equal(hann, make_hann(SEG.window_len))
+    assert np.array_equal(hann_d, make_hann_derivative(SEG.window_len))
 
 
 # ---------------------------------------------------------------- drivers
@@ -373,7 +388,7 @@ def test_norm_identity():
 
 
 def test_norm_analysis_is_one():
-    w = default_window(SEG).samples
+    w = default_window(SEG)
     est = operator_norm_estimate(
         lambda v: analyze(v, w, SEG).data,
         lambda V: synthesize(V, w, SEG),
@@ -384,7 +399,7 @@ def test_norm_analysis_is_one():
 
 
 def test_norm_corrected_variation_bounded():
-    w = default_window(SEG).samples
+    w = default_window(SEG)
     rng = np.random.default_rng(7)
     om = rng.uniform(-8.0, 8.0, size=(SEG.channels, SEG.n_frames))
     rot = correction_factors(om, SEG.hop, SEG.channels)
@@ -424,7 +439,7 @@ def test_gcpa_odd_channels():
 
 def reliable_energy(scfg, reliable):
     """d_rel by its definition: M*w**2 summed over the reliable frames."""
-    w = default_window(scfg).samples
+    w = default_window(scfg)
     d = np.zeros(scfg.signal_len)
     for n in np.flatnonzero(reliable):
         d[(n * scfg.hop + np.arange(scfg.window_len)) % scfg.signal_len] += scfg.channels * w**2
@@ -465,7 +480,7 @@ def free_sample_reference(state0, zero, Xc, omega, cfg, trace):
         x_half[fixed] = x_det
         A2 = analyze(2.0 * x_half - x, w, scfg).data
         Q = Z + cfg.sigma * time_variation(A2 * rot)
-        Z_half = Q - cfg.thresholder(Q)
+        Z_half = Q - cfg.thresholder(Q, cfg.lam)
         x = x + alpha * (x_half - x)
         Z = Z + alpha * (Z_half - Z)
         trace(i + 1, *objective_and_feasibility(x, Xc, rot, reliable, cfg.lam))
@@ -488,7 +503,7 @@ def two_dual_reference(x0, zero, Xc, omega, cfg, eta, iters):
         Y = R - eta * project_feasible(R / eta, zero, Xc.data)
         x_new = x - tau * (back + synthesize(Y, w, scfg))
         Q = Z + sigma * time_variation(analyze(2.0 * x_new - x, w, scfg).data * rot)
-        Z = Q - cfg.thresholder(Q)
+        Z = Q - cfg.thresholder(Q, cfg.lam)
         x = x_new
     return x
 
@@ -537,7 +552,7 @@ def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind, s
     zero = np.arange(6, 10) if scfg is SEG else np.arange(14, 18)
     st0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
     cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=30, alpha_relax=alpha,
-                       thresholder=default_thresholder(kind))
+                       **kind_fields(kind))
     got_log, ref_log = [], []
     got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: got_log.append(r))
     ref = free_sample_reference(st0, zero, Xc, omega, cfg, trace=lambda *r: ref_log.append(r))
@@ -651,7 +666,7 @@ def fresh_trace_terms(x, run, omega, lam):
     """_trace_terms of x on a frame run, from a new analysis of x."""
     M = run.cfg.channels
     rot = correction_factors(_coeffs(omega)[: M // 2 + 1], run.cfg.hop, M).T
-    A = _rfft_frames(x, default_window(run.cfg).samples, run.cfg, run.circular) * run.ramp
+    A = _rfft_frames(x, default_window(run.cfg), run.cfg, run.circular) * run.ramp
     return _trace_terms(A, rot, run.Xc, run.reliable, M, lam, run.cut)
 
 
@@ -689,7 +704,7 @@ def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind, si
     # 500 iterations its terms still match a new analysis of the output
     # (with noise, the frames that do not move leave a residual of their own)
     cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=500, alpha_relax=alpha,
-                       thresholder=default_thresholder(kind))
+                       **kind_fields(kind))
     st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
     assert moving > 0
     log = []
@@ -717,7 +732,7 @@ def test_dual_step_clip_matches_min_max_formula(lam):
     Q = Q.reshape(8, 8)
     mag = np.abs(Q)
     old = Q * (np.minimum(mag, lam) / np.maximum(mag, 1e-300))
-    got = _dual_step(Q.copy(), Thresholder("soft", lam=lam), 14, np.empty(Q.shape))
+    got = _dual_step(Q.copy(), Thresholder("soft"), lam, 14, np.empty(Q.shape))
     assert got.tobytes() == old.tobytes()
 
 
@@ -760,7 +775,7 @@ def test_fixed_samples_stable_under_observation_noise():
     zero = np.arange(6, 10)
     reliable = np.ones(SEG.n_frames, dtype=bool)
     reliable[zero] = False
-    w = default_window(SEG).samples
+    w = default_window(SEG)
     H = _hermitian_half(corrupted(three_tone(), zero).data)
     rng = np.random.default_rng(11)
     E = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
@@ -847,7 +862,7 @@ def test_run_start_takes_one_product_order_at_any_size(width):
     Xh = _hermitian_half(X[:, frames])
     assert (Xh.nbytes < 2**18) == (width == 1)
     ramp = _frame_plan(WIDE, run.start - reach, len(frames))
-    x0 = _irfft_frames(np.conj(ramp) * Xh, default_window(WIDE).samples, WIDE, False)[span]
+    x0 = _irfft_frames(np.conj(ramp) * Xh, default_window(WIDE), WIDE, False)[span]
     assert obs.peak == np.max(np.abs(x0))
     assert np.array_equal(obs.x0, x0 / obs.peak)
 
@@ -868,7 +883,7 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
     X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
     X[:, zero] = 0.0
     x0 = synthesize(X, default_window(RUNS), RUNS)
-    omega = estimate_if(x0, make_hann(2048), make_hann_derivative(2048), RUNS).omega
+    omega = estimate_if(x0, make_hann(2048), make_hann_derivative(2048), RUNS)
     cfg = SolverConfig(inner_iters=30)
     runs = frame_runs(zero, RUNS)
     if len(zero) == 5:
@@ -905,16 +920,16 @@ def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
     # them, or a fixed-frame analysis kept from an earlier call, would leak
     # into the next round
     cfg = SolverConfig(inner_iters=10, outer_iters=2, alpha_relax=alpha,
-                       thresholder=default_thresholder(kind))
+                       **kind_fields(kind))
     st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
     assert 0 < moving < k
     # the file-end run crosses the pair N-1 -> 0
     assert isinstance(obs.cut, slice) == (zero[0] != 30)
     kept = {name: getattr(obs, name).copy() for name in RUN_ARRAYS}
-    inputs = (st0.x.copy(), st0.Z.copy(), omega.omega.copy())
+    inputs = (st0.x.copy(), st0.Z.copy(), omega.copy())
     # a round at another omega between two equal ones, as the outer loop
     # runs them, and that round again on a freshly set-up run
-    other = 0.5 * omega.omega
+    other = 0.5 * omega
     first = gcpa_inner(st0, obs, omega, cfg)
     between = gcpa_inner(st0, obs, other, cfg)
     second = gcpa_inner(st0, obs, omega, cfg)
@@ -925,7 +940,7 @@ def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
     assert np.array_equal(between.x, fresh.x) and np.array_equal(between.Z, fresh.Z)
     for name in RUN_ARRAYS:
         assert np.array_equal(getattr(obs, name), kept[name]), name
-    for now, before in zip((st0.x, st0.Z, omega.omega), inputs):
+    for now, before in zip((st0.x, st0.Z, omega), inputs):
         assert np.array_equal(now, before)
 
     X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
@@ -972,7 +987,7 @@ def test_tf_only_matches_free_sample_reference_at_zero_omega(kind):
     Xc = corrupted(three_tone(), zero)
     run = circle(SEG, zero)
     obs = _observe(Xc, zero, run)
-    cfg = SolverConfig(inner_iters=30, thresholder=default_thresholder(kind))
+    cfg = SolverConfig(inner_iters=30, **kind_fields(kind))
     got_log, ref_log = [], []
     cols, values, info = solve_observed(obs, cfg, "tf_only",
                                         trace=lambda *r: got_log.append(r))

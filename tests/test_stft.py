@@ -6,7 +6,6 @@ import pytest
 from tfpaint.stft import (
     Spectrogram,
     StftConfig,
-    Window,
     _blocks,
     _expand,
     _frame_plan,
@@ -35,7 +34,7 @@ NO_OVERLAP = StftConfig(window_len=8, hop=8, channels=8, signal_len=32)
 def geometries():
     """(cfg, window) pairs: Hann where it covers every sample, else a
     window without zeros (Hann leaves gaps when hop == window_len)."""
-    rect = Window(1.0 + make_hann(NO_OVERLAP.window_len).samples)
+    rect = 1.0 + make_hann(NO_OVERLAP.window_len)
     return [(SMALL, make_hann(SMALL.window_len)),
             (UNEVEN, make_hann(UNEVEN.window_len)), (NO_OVERLAP, rect)]
 
@@ -77,7 +76,7 @@ def test_analyze_matches_direct_summation():
     for cfg, g in geometries():
         x = rng.standard_normal(cfg.signal_len)
         got = analyze(x, g, cfg).data
-        want = oracle_analyze(x, g.samples, cfg)
+        want = oracle_analyze(x, g, cfg)
         assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
@@ -86,23 +85,23 @@ def test_synthesize_matches_direct_summation():
     for cfg, g in geometries():
         Y = random_coeffs(rng, cfg)
         got = synthesize(Y, g, cfg)
-        want = oracle_synthesize(Y, g.samples, cfg)
+        want = oracle_synthesize(Y, g, cfg)
         assert np.max(np.abs(got - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_hann_values():
-    w = make_hann(4).samples
+    w = make_hann(4)
     assert w[0] == 0.0
     assert w[2] == 1.0
-    assert abs(np.sum(make_hann(2048).samples) - 1024.0) < 1e-9
+    assert abs(np.sum(make_hann(2048)) - 1024.0) < 1e-9
     assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
 
 def test_hann_derivative_values():
-    w = make_hann_derivative(4).samples
+    w = make_hann_derivative(4)
     assert w[0] == 0.0
     assert abs(w[1] - np.pi / 4) < 1e-15
-    assert abs(np.sum(make_hann_derivative(2048).samples)) < 1e-12
+    assert abs(np.sum(make_hann_derivative(2048))) < 1e-12
 
 
 def test_window_length_validation():
@@ -116,7 +115,7 @@ def test_tight_window_idempotent():
     g = make_hann(DEFAULT.window_len)
     gt = tight_window(g, DEFAULT)
     gtt = tight_window(gt, DEFAULT)
-    assert np.max(np.abs(gtt.samples - gt.samples)) < 1e-12 * np.max(gt.samples)
+    assert np.max(np.abs(gtt - gt)) < 1e-12 * np.max(gt)
 
 
 def test_tight_window_constant_overlap_case():
@@ -124,8 +123,18 @@ def test_tight_window_constant_overlap_case():
     # tight window is just a rescaled Hann.
     g = make_hann(DEFAULT.window_len)
     gt = tight_window(g, DEFAULT)
-    expect = g.samples / np.sqrt(1.5 * DEFAULT.channels)
-    assert np.max(np.abs(gt.samples - expect)) < 1e-15
+    expect = g / np.sqrt(1.5 * DEFAULT.channels)
+    assert np.max(np.abs(gt - expect)) < 1e-15
+
+
+def test_default_window_is_read_only():
+    # the cached window is shared by every caller: a write into it would
+    # change every later transform at that geometry
+    w = default_window(DEFAULT)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert default_window(DEFAULT) is w
+    assert np.array_equal(w, tight_window(make_hann(DEFAULT.window_len), DEFAULT))
 
 
 def test_tight_window_degenerate():
@@ -180,7 +189,7 @@ def test_analyze_constant_signal_dc_structure():
     cfg = StftConfig(window_len=16, hop=4, channels=16, signal_len=64)
     gt = tight_window(make_hann(cfg.window_len), cfg)
     X = analyze(np.ones(cfg.signal_len), gt, cfg).data
-    assert np.max(np.abs(X[0] - np.sum(gt.samples))) < 1e-12
+    assert np.max(np.abs(X[0] - np.sum(gt))) < 1e-12
     assert np.max(np.abs(X[2:-1])) < 1e-10 * abs(X[0, 0])
     # the Hann spectral side rows carry exactly a quarter of the DC weight
     assert np.allclose(np.abs(X[1]), 0.5 * abs(X[0, 0]), rtol=1e-12)
@@ -277,7 +286,7 @@ def test_frame_run_matches_full_signal_analysis(start, count):
     rng = np.random.default_rng(start)
     for cfg, g in geometries():
         a, W, M, N = cfg.hop, cfg.window_len, cfg.channels, cfg.n_frames
-        w = tight_window(g, cfg).samples
+        w = tight_window(g, cfg)
         x = rng.standard_normal(cfg.signal_len)
         span = (a * start + np.arange(a * (count - 1) + W)) % cfg.signal_len
         got = _rfft_frames(x[span], w, cfg, circular=False) * _frame_plan(cfg, start, count)
@@ -367,7 +376,7 @@ def test_blocked_transforms_equal_one_pass(name):
     # give the bits of the one-pass transforms
     cfg = BLOCKED[name]
     rng = np.random.default_rng(len(name))
-    w = default_window(cfg).samples
+    w = default_window(cfg)
     x = rng.standard_normal(cfg.signal_len)
     X = analyze(x, w, cfg)
     assert np.array_equal(X.data, one_pass_analyze(x, w, cfg))
