@@ -39,9 +39,12 @@ METHOD_NAMES = [m.replace("_", "-") for m in METHODS]  # as the options spell th
 
 
 def _ensure_writable(force, *paths):
-    """Refuse existing or unplaceable outputs (empty paths are skipped); the
-    commands check all of theirs before any work, not after it."""
-    for path in filter(None, paths):
+    """Refuse existing, unplaceable or repeated outputs (empty paths are
+    skipped); the commands check all of theirs before any work, not after it."""
+    paths = [p for p in paths if p]
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"two outputs share one path: {', '.join(paths)}")
+    for path in paths:
         if os.path.exists(path) and not force:
             raise ValueError(f"{path} exists; pass --force to overwrite")
         folder = os.path.dirname(path) or "."
@@ -261,14 +264,9 @@ def cmd_inpaint(args):
             raise ValueError("--truth audio shorter than the working span")
         x_true = xt[:n]
 
-    rows = []
-    trace = None
-    if args.trace:
-        def trace(gap, i, obj, feas):
-            rows.append((gap.start, i, obj, feas))
-
-    out = inpaint_spectrogram(Xc, mask, method=method, scfg=solver_config(args),
-                              x_true=x_true, jobs=jobs, trace=trace)
+    out, info = inpaint_spectrogram(Xc, mask, method=method, scfg=solver_config(args),
+                                    x_true=x_true, jobs=jobs, return_info=True,
+                                    trace=bool(args.trace))
     del Xc  # the restoration holds every column: keep one coefficient array
     write_wav(args.out, rate,
               synthesize(out, default_window(out.config), out.config), args.force)
@@ -278,7 +276,9 @@ def cmd_inpaint(args):
         with open(args.trace, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["gap_start", "iteration", "objective", "feasibility"])
-            w.writerows(sorted(rows))
+            w.writerows(sorted((run.gaps[0].start, i, obj, feas)
+                               for run, rows in zip(info["gaps"], info["trace"])
+                               for i, (obj, feas) in enumerate(rows.tolist(), 1)))
     print(f"restored {len(find_gaps(mask))} gap(s) -> {args.out}")
     return 0
 

@@ -166,17 +166,14 @@ def _fan_out(fn, shared, items, jobs):
 
 
 def _solve(task, i):
-    """Solve set-up run i of task = (runs, scfg, method, x_true, traced).
-    Returns (its gap columns, their coefficients, info, its trace rows
-    (iteration, objective, feasibility), or None untraced)."""
+    """``solve_observed`` of set-up run i of task = (runs, scfg, method,
+    x_true, traced)."""
     runs, scfg, method, x_true, traced = task
-    rows = [] if traced else None
-    cb = (lambda *row: rows.append(row)) if traced else None
-    return (*solve_observed(runs[i], scfg, method, x_true, cb), rows)
+    return solve_observed(runs[i], scfg, method, x_true, traced)
 
 
 def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
-                        jobs=None, return_info=False, trace=None):
+                        jobs=None, return_info=False, trace=False):
     """Reconstruct every gap of a corrupted spectrogram, run by run.
 
     x_true (time-domain ground truth) is required by method
@@ -188,13 +185,11 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
     in this process.  No pool is started with jobs=1, with fewer than two
     runs to step, or in a process that runs other threads (where fork is
     unsafe).  Results are written back in run order, so the output is
-    identical for any job count.  trace, if given, is called in this
-    process with (gap, iteration, objective, feasibility) for every inner
-    iteration of every run, gap being the run's first gap: each run's rows
-    are delivered together, in run order, once it and every run before it
-    have finished, so the trace too is the same for any job count.
-    info["gaps"] lists the runs (``solver.FrameRun``) and
-    info["outer_iters_used"] the outer rounds of each.
+    identical for any job count.  info["gaps"] lists the runs
+    (``solver.FrameRun``) and info["outer_iters_used"] the outer rounds of
+    each.  With trace=True (which needs return_info=True), info["trace"]
+    lists each run's (objective, feasibility) rows, one per inner iteration
+    (``solver.solve_observed``).
     """
     jobs = _job_count(jobs)
     if method not in METHODS:
@@ -209,23 +204,24 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
             raise ValueError("x_true length does not match the spectrogram config")
     if X_corr.data.shape[1] != mask.n_cols:
         raise ValueError("mask length does not match spectrogram columns")
+    if trace and not return_info:
+        raise ValueError("trace=True needs return_info=True: the rows come back in info")
 
     runs = frame_runs(mask.zero_cols, X_corr.config)
     observed = [_observe(X_corr, mask.zero_cols, run) for run in runs]
-    task = (observed, scfg, method, x_true, trace is not None)
+    task = (observed, scfg, method, x_true, trace)
     stepping = [i for i, obs in enumerate(observed) if obs.moves]
 
     # the stepping runs go to the pool; the rest are solved here meanwhile
     with closing(_fan_out(_solve, task, stepping, jobs)) as stepped:
-        results = []
-        for i, run in enumerate(runs):
-            results.append(next(stepped) if observed[i].moves else _solve(task, i))
-            for row in results[-1][3] or ():
-                trace(run.gaps[0], *row)
+        results = [next(stepped) if obs.moves else _solve(task, i)
+                   for i, obs in enumerate(observed)]
 
     out = X_corr.data.copy()
-    for cols, values, *_ in results:
+    for cols, values, _ in results:
         out[:, cols] = values
     result = Spectrogram(out, X_corr.config)
-    info = {"gaps": runs, "outer_iters_used": [sub["outer_iters_used"] for _, _, sub, _ in results]}
+    info = {"gaps": runs, "outer_iters_used": [sub["outer_iters_used"] for *_, sub in results]}
+    if trace:
+        info["trace"] = [sub["trace"] for *_, sub in results]
     return (result, info) if return_info else result

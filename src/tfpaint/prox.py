@@ -32,7 +32,7 @@ def p_shrinkage(X, lam, p):
     """sgn(X) * max(|X| - lam^(2-p) * |X|^(p-1), 0); p = 1 is soft."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if p <= -1 or p > 1:
+    if not -1 < p <= 1:  # NaN fails too
         raise ValueError("p must lie in (-1, 1]")
     X = np.asarray(X)
     mag = np.abs(X)
@@ -50,7 +50,7 @@ def smooth_hard(X, lam, alpha):
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise ValueError("alpha must be positive")
     X = np.asarray(X)
     mag = np.abs(X)
@@ -65,7 +65,8 @@ def prox_l2_block(X, lam):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     X = np.asarray(X)
-    nrm = np.linalg.norm(X)
+    # not np.linalg.norm: its BLAS threads oversubscribe the cores in forked workers
+    nrm = float(np.sqrt(np.sum(X.real**2 + X.imag**2)))
     if nrm <= lam:
         return np.zeros_like(X)
     return (1.0 - lam / nrm) * X

@@ -31,6 +31,7 @@ Every method runs ``solve_observed``'s outer loop over ``gcpa_inner``; they
 differ only in where omega comes from and in the number of rounds.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,6 +99,8 @@ class SolverConfig:
     allow_unsafe: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.tau, self.sigma, self.lam, self.epsilon))):
+            raise ValueError("tau, sigma, lambda and epsilon must be finite")
         if min(self.tau, self.sigma) <= 0:
             raise ValueError("step sizes must be positive")
         if self.lam < 0:
@@ -115,15 +118,6 @@ class SolverConfig:
                 "tau*sigma*4 > 1 violates the dual step condition "
                 "(pass allow_unsafe=True to override)"
             )
-
-
-@dataclass
-class SolverState:
-    """Primal signal x over a run's span plus the dual Z on rows 0..M//2 of
-    the run's k - 1 frame pairs, frames-major: (k - 1, M//2 + 1)."""
-
-    x: np.ndarray
-    Z: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -355,21 +349,22 @@ def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
     return obj, float(np.sqrt(np.sum(diff2[reliable])))
 
 
-def gcpa_inner(state0, run, omega, cfg, trace=None):
-    """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega.
+def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
+    """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega -> (x, Z).
 
-    run is one frame run as ``_observe`` sets it up; state0 lives on its
-    span and k - 1 pairs, its dual Z on rows 0..M//2, frames-major
-    (k - 1, M//2 + 1), as the returned one is; omega lives on its k frames.
-    state0 is not mutated.
-    ``trace``, if given, is called after each iteration with (iteration,
-    objective, feasibility_residual), as ``_trace_terms`` gives them at x.
+    run is one frame run as ``_observe`` sets it up; the primal x0 lives on
+    its span, the dual Z0 on rows 0..M//2 of its k - 1 frame pairs,
+    frames-major (k - 1, M//2 + 1), as the returned ones do; omega lives on
+    its k frames.  x0 and Z0 are not mutated.
+    ``rows``, if given, is a (cfg.inner_iters, 2) float array; row i - 1
+    receives (objective, feasibility_residual) after iteration i, as
+    ``_trace_terms`` gives them at x.
     Tracing costs no transform: T = sigma*D(R_omega ana(x)) (the cut pair
     zero) and the reliable moving frames' sigma*R_omega ana(x) are carried
     along from the loop's own differences Q and its A2 of the extrapolated
     point, relaxed by alpha/2 as x is (the analysis is linear), so a row is
     (lam/sigma)*sum|T| and a fixed-frame feasibility constant plus the
-    carried frames, to round-off.
+    carried frames, to round-off, both scaled once after the loop.
     Divergence (a non-finite moving sample) raises DivergenceError with the
     iteration index.
 
@@ -404,22 +399,20 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
     M, W, a = scfg.channels, scfg.window_len, scfg.hop
     alpha = cfg.alpha_relax
 
-    x = np.where(run.free, state0.x, run.x_det)
-    Z = state0.Z.copy()
+    x = np.where(run.free, x0, run.x_det)
+    Z = Z0.copy()
     # with no moving frame, x stays x_det and no output depends on the
     # dual: skip its steps, and omega unless a trace needs it
-    if not run.moves and trace is None:
-        return SolverState(x, Z)
+    if not run.moves and rows is None:
+        return x, Z
     rot = correction_factors(omega[: M // 2 + 1], a, M).T
     F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
     if not run.moves:  # zero steps: every row is the one at x_det
-        row = _trace_terms(F * run.ramp, rot, run.Xc, run.reliable, M, cfg.lam, cut)
-        for i in range(cfg.inner_iters):
-            trace(i + 1, *row)
-        return SolverState(x, Z)
+        rows[:] = _trace_terms(F * run.ramp, rot, run.Xc, run.reliable, M, cfg.lam, cut)
+        return x, Z
     ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
     A2 = F * ramp_rot_sigma
-    if trace is not None:
+    if rows is not None:
         # T = sigma*D(R_omega A x) over the pairs, C = A2 over the reliable
         # moving frames; rot has unit modulus, so |A - Xc| = |C - Xs| / sigma
         wt, half, pm = _row_weights(M), alpha / 2.0, slice(max(fm.start - 1, 0), fm.stop)
@@ -457,7 +450,7 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
             xbar -= xm
             np.multiply(_rfft_frames(xbar, w, scfg, circular), ramp_rot_sigma[fm], out=A2[fm])
             np.subtract(A2[:-1], A2[1:], out=Q)
-            if trace is not None:  # relaxed as x is below
+            if rows is not None:  # relaxed as x is below
                 T[pm] += half * (Q[pm] - T[pm])
                 T[cut] = 0.0
                 C += half * (A2[rel] - C)
@@ -475,22 +468,25 @@ def gcpa_inner(state0, run, omega, cfg, trace=None):
                 xm += alpha * (x_half - xm)
             if not _finite(xm):
                 raise DivergenceError(i + 1)
-            if trace is not None:
-                trace(i + 1, cfg.lam / cfg.sigma * float(np.sum(wt * np.abs(T))),
-                      float(np.sqrt(fixed2 + np.sum(wt * np.abs(C - Xs) ** 2)) / cfg.sigma))
+            if rows is not None:
+                rows[i] = np.sum(wt * np.abs(T)), np.sum(wt * np.abs(C - Xs) ** 2)
 
-    return SolverState(x, Z)
+    if rows is not None:
+        rows[:, 0] *= cfg.lam / cfg.sigma
+        rows[:, 1] = np.sqrt(fixed2 + rows[:, 1]) / cfg.sigma
+    return x, Z
 
 
-def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
+def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
     """Restore the gaps of a FrameRun ``_observe`` has set up with one of
     ``METHODS`` (x_true, a whole signal, is read over the run's span): up to
     cfg.outer_iters + 1 inner runs (uphain; 1 otherwise) from obs.x0, each
     at the omega of the current reconstruction, until consecutive outputs
     move less than cfg.epsilon in l2.  Returns (the grid columns of the
-    run's gaps, their coefficients (M rows), info).  A run with no moving
-    frame and no trace takes no IF estimate, which ``gcpa_inner`` would not
-    read."""
+    run's gaps, their coefficients (M rows), info); traced, info["trace"]
+    holds the (objective, feasibility) row of every inner iteration run, an
+    (outer_iters_used * inner_iters, 2) array.  A run with no moving frame,
+    untraced, takes no IF estimate, which ``gcpa_inner`` would not read."""
     scfg = obs.cfg
     estimate = lambda x: estimate_if(x, *_if_windows(scfg.window_len), scfg,
                                      circular=obs.circular)
@@ -502,27 +498,28 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, trace=None):
     elif method == "tf_only":
         omega_of = lambda xhat: np.zeros((scfg.channels, len(obs.reliable)))
     rounds = cfg.outer_iters + 1 if method == "uphain" else 1
-    state = SolverState(obs.x0, np.zeros_like(obs.Xc[1:]))  # a zero dual on the k - 1 pairs
+    x, Z = obs.x0, np.zeros_like(obs.Xc[1:])  # a zero dual on the k - 1 pairs
+    rows = np.empty((rounds, cfg.inner_iters, 2)) if traced else None  # round j's in rows[j]
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
 
     for j in range(rounds):
-        prev = state.x
-        omega = omega_of(prev) if obs.moves or trace is not None else None
-        sub = None
-        if trace is not None:
-            sub = lambda i, o, f, _j=j: trace(_j * cfg.inner_iters + i, o, f)
-        state = gcpa_inner(state, obs, omega, cfg, trace=sub)
+        prev = x
+        omega = omega_of(prev) if obs.moves or traced else None
+        sub = rows[j] if traced else None
+        x, Z = gcpa_inner(x, Z, obs, omega, cfg, sub)
         info["outer_iters_used"] = j + 1
         # the starting synthesis is not an output: the first change compared
         # is the one between the first two inner runs
         if j >= 1:
-            change = float(np.linalg.norm(state.x - prev))
+            change = float(np.linalg.norm(x - prev))
             info["final_change"] = change
             if change < cfg.epsilon:
                 info["stopped_early"] = True
                 break
 
-    A = _rfft_frames(state.x, default_window(scfg), scfg, obs.circular)
+    if traced:
+        info["trace"] = rows[: info["outer_iters_used"]].reshape(-1, 2)
+    A = _rfft_frames(x, default_window(scfg), scfg, obs.circular)
     return obs.cols, _expand(A[obs.gaps] * obs.ramp[obs.gaps], scfg.channels) * obs.peak, info
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import tracemalloc
 import wave
 
@@ -259,7 +260,7 @@ def test_jobs_env_default(tmp_path, monkeypatch, capsys):
 
     def spy(Xc, mask, **kw):
         seen.append(kw["jobs"])
-        return Xc
+        return Xc, {}
 
     monkeypatch.setattr(cli, "inpaint_spectrogram", spy)
     base = ["inpaint", "--in", clean, "--mask", mask, "--out", str(tmp_path / "r.wav"),
@@ -538,6 +539,43 @@ def test_corrupt_checks_outputs_before_writing(tmp_path):
                  "--spec-out", str(spec)]) == 2
     assert not out.exists()
     assert spec.read_bytes() == b"keep"
+
+
+def test_outputs_may_not_share_a_path(tmp_path, monkeypatch):
+    # one file cannot hold two outputs: the second would overwrite the first
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=14))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+
+    def must_not_run(*a, **k):
+        raise AssertionError("ran although two outputs share a path")
+
+    for target in ("inpaint_spectrogram", "compare_methods"):
+        monkeypatch.setattr(cli, target, must_not_run)
+    out = str(tmp_path / "r.wav")
+    base = ["--in", clean, "--mask", mask, "--out", out]
+    for args in (["inpaint", *base, "--trace", out],
+                 ["inpaint", *base, "--spec-out", str(tmp_path / "." / "r.wav"), "--force"],
+                 ["corrupt", *base, "--spec-out", out],
+                 ["compare", "--out", out, "--json", out]):
+        assert main(args) == 2, args
+        assert not os.path.exists(out), args
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"], ["--eps", "nan"],
+                                   ["--threshold", "pshrink", "--p", "nan"],
+                                   ["--threshold", "smoothhard", "--alpha", "nan"]],
+                         ids=["lambda-nan", "lambda-inf", "eps-nan", "p-nan", "alpha-nan"])
+def test_inpaint_rejects_nonfinite_solver_options(tmp_path, capsys, flags):
+    # a 4-column gap leaves samples free, so a NaN level would reach the iterate
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=15))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "4", "--out", mask]) == 0
+    out = tmp_path / "r.wav"
+    assert main(["inpaint", "--in", clean, "--mask", mask, "--out", str(out),
+                 "--inner", "5", "--outer", "1", *flags]) == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, target", [("sweep", "sweep_lambda"),

@@ -242,19 +242,18 @@ def test_pool_gives_serial_output_and_trace(method, pools):
     x_true = tones(cfg_for(60).signal_len) if method == "bphain_oracle" else None
     solved = {}
     for jobs in (1, 2, 8):
-        rows = []
-        out, info = inpaint_spectrogram(
-            Xc, mask, method, scfg=FAST, x_true=x_true, jobs=jobs, return_info=True,
-            trace=lambda gap, *row: rows.append((gap.start, *row)))
-        solved[jobs] = out.data, info["outer_iters_used"], rows
+        out, info = inpaint_spectrogram(Xc, mask, method, scfg=FAST, x_true=x_true, jobs=jobs,
+                                        return_info=True, trace=True)
+        solved[jobs] = out.data, info["outer_iters_used"], info["trace"]
     assert pools == [2, 2]  # jobs=1 starts none; a worker per run at most
     rounds = 2 if method == "uphain" else 1
     seq = solved[1]
-    assert len(seq[2]) == 2 * rounds * FAST.inner_iters
-    assert [r[0] for r in seq[2]] == sorted(r[0] for r in seq[2])  # in run order
+    # one array of rows per run, in run order, the same bits for any jobs
+    assert [len(t) for t in seq[2]] == [rounds * FAST.inner_iters] * 2
     for par in (solved[2], solved[8]):
         assert np.array_equal(par[0], seq[0])
-        assert par[1] == seq[1] and par[2] == seq[2]
+        assert par[1] == seq[1]
+        assert [t.tobytes() for t in par[2]] == [t.tobytes() for t in seq[2]]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -267,19 +266,32 @@ def test_trace_leaves_output_and_info_unchanged(method, pools):
     solved = []
     for jobs in (1, 2):
         for traced in (False, True):
-            rows = []
-            out, info = inpaint_spectrogram(
-                Xc, mask, method, scfg=FAST, x_true=x_true, jobs=jobs, return_info=True,
-                trace=(lambda gap, *row: rows.append((gap.start, *row))) if traced else None)
-            solved.append((out.data.tobytes(), info))
+            out, info = inpaint_spectrogram(Xc, mask, method, scfg=FAST, x_true=x_true,
+                                            jobs=jobs, return_info=True, trace=traced)
             if traced:
-                still = [r[2:] for r in rows if r[0] == 30]
+                rows = info.pop("trace")
+                # a row per inner iteration of every round, for each run
+                assert [len(r) for r in rows] == [FAST.inner_iters * used
+                                                  for used in info["outer_iters_used"]]
+                assert info["gaps"][1].gaps == (range(30, 31),)
                 # one block of rows per round, each repeating the terms at x_det
-                assert len(still) == FAST.inner_iters * info["outer_iters_used"][1]
+                still = rows[1].tolist()
                 for j in range(0, len(still), FAST.inner_iters):
-                    assert set(still[j : j + FAST.inner_iters]) == {still[j]}
+                    assert all(r == still[j] for r in still[j : j + FAST.inner_iters])
+            solved.append((out.data.tobytes(), info))
     assert pools == [2, 2]
     assert all(s == solved[0] for s in solved)
+
+
+def test_trace_comes_back_in_info_alone():
+    # the rows are returned in info: a traced call must ask for it, and an
+    # untraced one carries no trace
+    mask = make_mask(1, SR, HOP, 4)
+    Xc, _ = corrupted(28, mask)
+    with pytest.raises(ValueError, match="return_info"):
+        inpaint_spectrogram(Xc, mask, scfg=FAST, trace=True)
+    _, info = inpaint_spectrogram(Xc, mask, scfg=FAST, return_info=True)
+    assert set(info) == {"gaps", "outer_iters_used"}
 
 
 def test_runs_that_cannot_move_start_no_pool(pools):

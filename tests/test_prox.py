@@ -246,3 +246,10 @@ def test_thresholder_dispatch_and_validation():
         Thresholder("p_shrinkage", p=2.0)
     with pytest.raises(ValueError):
         Thresholder("smooth_hard", alpha=-1.0)
+
+
+@pytest.mark.parametrize("kind, field", [("p_shrinkage", "p"), ("smooth_hard", "alpha")])
+def test_thresholder_rejects_nan_parameters(kind, field):
+    # NaN fails every comparison: each range check is written so that it fails
+    with pytest.raises(ValueError):
+        Thresholder(kind, **{field: np.nan})

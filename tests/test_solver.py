@@ -17,7 +17,6 @@ from tfpaint.solver import (
     DivergenceError,
     FrameRun,
     SolverConfig,
-    SolverState,
     _d_rel,
     _dual_step,
     _if_windows,
@@ -76,18 +75,28 @@ def half_zeros(scfg, pairs):
 
 
 def observed(Xc, zero, run=None):
-    """(state0, run, omega): ``run`` of Xc (by default the first that
+    """(x0, Z0, run, omega): ``run`` of Xc (by default the first that
     ``frame_runs`` makes of zero, or the whole circle when there is no gap)
-    as ``solve_observed`` starts it: from x0 with a zero dual, and the IF
+    as ``solve_observed`` starts it: from x0 with a zero dual Z0, and the IF
     of that start."""
     scfg = Xc.config
     if run is None:
         run = (frame_runs(zero, scfg) or [circle(scfg, zero)])[0]
     obs = _observe(Xc, zero, run)
-    st0 = SolverState(obs.x0, half_zeros(scfg, run.count - 1))
     omega = estimate_if(obs.x0, make_hann(scfg.window_len),
                         make_hann_derivative(scfg.window_len), scfg, circular=obs.circular)
-    return st0, obs, omega
+    return obs.x0, half_zeros(scfg, run.count - 1), obs, omega
+
+
+def blank_rows(cfg):
+    """Trace rows for ``gcpa_inner``, NaN until it writes them."""
+    return np.full((cfg.inner_iters, 2), np.nan)
+
+
+def assert_rows_match(got, ref):
+    # every row written, each within round-off of the reference's
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, ref))
 
 
 def restore(Xc, zero, cfg, method="uphain", **kwargs):
@@ -147,6 +156,14 @@ def test_config_rejects_bad_fields():
             SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["tau", "sigma", "lam", "epsilon"])
+def test_config_rejects_nonfinite_fields(field, value):
+    # NaN fails every comparison, so the range checks alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**{field: value}, allow_unsafe=True)
+
+
 # ---------------------------------------------------------------- inner loop
 
 
@@ -154,18 +171,18 @@ def test_zero_input_is_fixed_point():
     X0 = Spectrogram(np.zeros((SEG.channels, SEG.n_frames), complex), SEG)
     zero = np.arange(3, 7)
     obs = _observe(X0, zero, circle(SEG, zero))
-    state0 = SolverState(np.zeros(SEG.signal_len), half_zeros(SEG, SEG.n_frames - 1))
+    x0, Z0 = np.zeros(SEG.signal_len), half_zeros(SEG, SEG.n_frames - 1)
     omega = np.zeros((SEG.channels, SEG.n_frames))
-    out = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=25))
-    assert not np.any(out.x)
-    assert not np.any(out.Z)
+    x, Z = gcpa_inner(x0, Z0, obs, omega, SolverConfig(inner_iters=25))
+    assert not np.any(x)
+    assert not np.any(Z)
 
 
 def test_fully_observed_reaches_feasibility():
     Xc = corrupted(three_tone(), EMPTY)
-    state0, obs, omega = observed(Xc, EMPTY)
-    st = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=100))
-    res = np.linalg.norm(analyze(st.x * obs.peak, default_window(SEG), SEG).data - Xc.data)
+    x0, Z0, obs, omega = observed(Xc, EMPTY)
+    x, _ = gcpa_inner(x0, Z0, obs, omega, SolverConfig(inner_iters=100))
+    res = np.linalg.norm(analyze(x * obs.peak, default_window(SEG), SEG).data - Xc.data)
     assert res <= 1e-6
 
 
@@ -175,18 +192,17 @@ def test_consistent_input_barely_moves():
     t = np.arange(SEG.signal_len)
     x = 0.9 * np.cos(2 * np.pi * 56 * t / 2048)
     Xc = Spectrogram(analyze(x, default_window(SEG), SEG).data, SEG)
-    state0, obs, omega = observed(Xc, EMPTY)
-    st = gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=200))
-    assert np.max(np.abs(st.x - state0.x)) < 1e-8
+    x0, Z0, obs, omega = observed(Xc, EMPTY)
+    x, _ = gcpa_inner(x0, Z0, obs, omega, SolverConfig(inner_iters=200))
+    assert np.max(np.abs(x - x0)) < 1e-8
 
 
 def tone_gap_trace(zero, cfg):
     t = np.arange(SEG.signal_len)
     x = 0.9 * np.cos(2 * np.pi * (440.3 / 16000.0) * t)
-    rows = []
-    gcpa_inner(*observed(corrupted(x, zero), zero), cfg,
-               trace=lambda i, o, f: rows.append((o, f)))
-    return np.array(rows).T
+    rows = blank_rows(cfg)
+    gcpa_inner(*observed(corrupted(x, zero), zero), cfg, rows)
+    return rows.T
 
 
 def test_single_gap_objective_trend():
@@ -238,19 +254,19 @@ def test_unsafe_steps_cannot_diverge_without_free_samples():
     zero = np.array([8])
     x = three_tone()
     (run,) = frame_runs(zero, SEG)
-    state0, obs, omega = observed(corrupted(x, zero), zero, run)
-    st = gcpa_inner(state0, obs, omega, unsafe_config())
-    span = (SEG.hop * run.start + np.arange(len(st.x))) % SEG.signal_len
-    assert np.max(np.abs(st.x * obs.peak - x[span])) <= 1e-12
+    x0, Z0, obs, omega = observed(corrupted(x, zero), zero, run)
+    got, _ = gcpa_inner(x0, Z0, obs, omega, unsafe_config())
+    span = (SEG.hop * run.start + np.arange(len(got))) % SEG.signal_len
+    assert np.max(np.abs(got * obs.peak - x[span])) <= 1e-12
 
 
 def test_inner_does_not_mutate_input_state():
     zero = np.array([8])
-    state0, obs, omega = observed(corrupted(three_tone(), zero), zero)
-    x0 = state0.x.copy()
-    gcpa_inner(state0, obs, omega, SolverConfig(inner_iters=3))
-    assert np.array_equal(state0.x, x0)
-    assert not np.any(state0.Z)
+    x0, Z0, obs, omega = observed(corrupted(three_tone(), zero), zero)
+    kept = x0.copy()
+    gcpa_inner(x0, Z0, obs, omega, SolverConfig(inner_iters=3))
+    assert np.array_equal(x0, kept)
+    assert not np.any(Z0)
 
 
 def test_cached_windows_are_read_only():
@@ -337,7 +353,7 @@ def test_tf_only_feasibility():
     # a 4-column gap leaves samples free, so the run takes inner steps
     zero = np.arange(6, 10)
     Xc = corrupted(three_tone(), zero)
-    assert observed(Xc, zero)[1].moves
+    assert observed(Xc, zero)[2].moves
     out = restore(Xc, zero, SolverConfig(inner_iters=10, outer_iters=1), "tf_only")
     keep = np.ones(SEG.n_frames, dtype=bool)
     keep[zero] = False
@@ -355,12 +371,11 @@ def test_tf_only_is_one_run_without_phase_correction(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "estimate_if", no_estimate)
     zero = np.arange(6, 10)
-    rows = []
     out, info = restore(corrupted(three_tone(), zero), zero,
                         SolverConfig(inner_iters=10, outer_iters=3), "tf_only",
-                        return_info=True, trace=lambda *r: rows.append(r))
+                        return_info=True, trace=True)
     assert info["outer_iters_used"] == [1]
-    assert [r[1] for r in rows] == list(range(1, 11))
+    assert info["trace"][0].shape == (10, 2)
     assert np.all(np.isfinite(out.data))
 
 
@@ -461,10 +476,11 @@ def fixed_values(Xc, reliable):
     return fixed, syn[fixed] / d_rel[fixed]
 
 
-def free_sample_reference(state0, zero, Xc, omega, cfg, trace):
-    """Textbook Chambolle-Pock on all M rows (state0's dual, on rows
-    0..M//2, is expanded to them): the primal step moves every sample, then
-    the fixed ones are reset to x_det."""
+def free_sample_reference(x0, Z0, zero, Xc, omega, cfg, rows=None):
+    """Textbook Chambolle-Pock on all M rows (the dual Z0, on rows 0..M//2,
+    is expanded to them): the primal step moves every sample, then the
+    fixed ones are reset to x_det.  Returns (x, Z); rows, if given, receives
+    each iteration's objective and feasibility from a new analysis."""
     scfg = Xc.config
     w = default_window(scfg)
     rot = correction_factors(omega, scfg.hop, scfg.channels)
@@ -472,7 +488,7 @@ def free_sample_reference(state0, zero, Xc, omega, cfg, trace):
     reliable[zero] = False
     fixed, x_det = fixed_values(Xc, reliable)
     alpha = cfg.alpha_relax
-    x, Z = state0.x.copy(), _expand(state0.Z, scfg.channels)
+    x, Z = x0.copy(), _expand(Z0, scfg.channels)
     x[fixed] = x_det
     for i in range(cfg.inner_iters):
         back = synthesize(time_variation_adjoint(Z) * np.conj(rot), w, scfg)
@@ -483,8 +499,9 @@ def free_sample_reference(state0, zero, Xc, omega, cfg, trace):
         Z_half = Q - cfg.thresholder(Q, cfg.lam)
         x = x + alpha * (x_half - x)
         Z = Z + alpha * (Z_half - Z)
-        trace(i + 1, *objective_and_feasibility(x, Xc, rot, reliable, cfg.lam))
-    return SolverState(x, Z)
+        if rows is not None:
+            rows[i] = objective_and_feasibility(x, Xc, rot, reliable, cfg.lam)
+    return x, Z
 
 
 def two_dual_reference(x0, zero, Xc, omega, cfg, eta, iters):
@@ -509,7 +526,7 @@ def two_dual_reference(x0, zero, Xc, omega, cfg, eta, iters):
 
 
 def oracle_case(scfg, zero, warm=False, gap_left=0.0):
-    """(state0, run, Xc, omega) for a gap in the three-tone signal on scfg,
+    """(x0, Z0, run, Xc, omega) for a gap in the three-tone signal on scfg,
     solved on the whole circle; Xc is the observation at the run's scale.
 
     ``warm`` starts from a non-zero, conjugate-symmetric dual.  gap_left
@@ -519,12 +536,12 @@ def oracle_case(scfg, zero, warm=False, gap_left=0.0):
     w = default_window(scfg)
     X = analyze(three_tone(scfg.signal_len), w, scfg).data.copy()
     X[:, zero] *= gap_left
-    st, obs, omega = observed(Spectrogram(X, scfg), zero, circle(scfg, zero))
+    x0, Z0, obs, omega = observed(Spectrogram(X, scfg), zero, circle(scfg, zero))
     if warm:
         rng = np.random.default_rng(5)
         V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data)
-        st.Z = _hermitian_half(0.01 * V / np.max(np.abs(V)))
-    return st, obs, Spectrogram(X / obs.peak, scfg), omega
+        Z0 = _hermitian_half(0.01 * V / np.max(np.abs(V)))
+    return x0, Z0, obs, Spectrogram(X / obs.peak, scfg), omega
 
 
 SHORT = StftConfig(window_len=1024, hop=256, channels=2048, signal_len=8192)
@@ -550,21 +567,17 @@ ODD = StftConfig(window_len=992, hop=248, channels=1023, signal_len=8184)
 )
 def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind, sigma):
     zero = np.arange(6, 10) if scfg is SEG else np.arange(14, 18)
-    st0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
+    x0, Z0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
     cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=30, alpha_relax=alpha,
                        **kind_fields(kind))
-    got_log, ref_log = [], []
-    got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: got_log.append(r))
-    ref = free_sample_reference(st0, zero, Xc, omega, cfg, trace=lambda *r: ref_log.append(r))
-    assert not np.array_equal(got.x, st0.x)  # the free samples moved
-    for a, b in ((got.x, ref.x), (_expand(got.Z, scfg.channels), ref.Z)):
+    got_rows, ref_rows = blank_rows(cfg), blank_rows(cfg)
+    x, Z = gcpa_inner(x0, Z0, obs, omega, cfg, got_rows)
+    ref_x, ref_Z = free_sample_reference(x0, Z0, zero, Xc, omega, cfg, ref_rows)
+    assert not np.array_equal(x, x0)  # the free samples moved
+    for a, b in ((x, ref_x), (_expand(Z, scfg.channels), ref_Z)):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
-    assert len(got_log) == len(ref_log) == cfg.inner_iters
-    for (i1, o1, f1), (i2, o2, f2) in zip(got_log, ref_log):
-        assert i1 == i2
-        assert abs(o1 - o2) <= 1e-10 * max(1.0, o2)
-        assert abs(f1 - f2) <= 1e-10 * max(1.0, f2)
+    assert_rows_match(got_rows, ref_rows)
 
 
 def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
@@ -576,14 +589,14 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
     # below the constrained minimum.)
     scfg = StftConfig(window_len=64, hop=16, channels=64, signal_len=512)
     zero = np.arange(10, 16)
-    st0, obs, Xc, omega = oracle_case(scfg, zero)
+    x0, Z0, obs, Xc, omega = oracle_case(scfg, zero)
     cfg = SolverConfig(inner_iters=3000)
     rot = correction_factors(omega, scfg.hop, scfg.channels)
     reliable = np.ones(scfg.n_frames, dtype=bool)
     reliable[zero] = False
 
-    free = gcpa_inner(st0, obs, omega, cfg).x
-    two = two_dual_reference(st0.x, zero, Xc, omega, cfg, eta=4.0, iters=3000)
+    free, _ = gcpa_inner(x0, Z0, obs, omega, cfg)
+    two = two_dual_reference(x0, zero, Xc, omega, cfg, eta=4.0, iters=3000)
     fixed, x_det = fixed_values(Xc, reliable)
     two[fixed] = x_det
     obj_free, feas_free = objective_and_feasibility(free, Xc, rot, reliable, cfg.lam)
@@ -594,7 +607,7 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
 
 
 def run_case(scfg, zero, warm=False, noise=0.0):
-    """(state0, run, omega, k, moving frames) for the one frame run
+    """(x0, Z0, run, omega, k, moving frames) for the one frame run
     ``frame_runs`` makes of the gap columns ``zero`` of the three-tone
     signal, as ``solve_observed`` starts it; noise > 0 adds that much (relative)
     complex noise, which no real signal has, to the observation."""
@@ -606,14 +619,14 @@ def run_case(scfg, zero, warm=False, noise=0.0):
                                           + 1j * rng.standard_normal(X.shape))
     X[:, zero] = 0.0
     (run,) = frame_runs(zero, scfg)
-    st0, obs, omega = observed(Spectrogram(X, scfg), zero, run)
+    x0, Z0, obs, omega = observed(Spectrogram(X, scfg), zero, run)
     k = run.count
     if warm:
         rng = np.random.default_rng(5)
         frames = (run.start + np.arange(k)) % scfg.n_frames
         V = time_variation(analyze(rng.standard_normal(scfg.signal_len), w, scfg).data[:, frames])
-        st0.Z = _hermitian_half(0.01 * V / np.max(np.abs(V)))
-    return st0, obs, omega, k, obs.moving.stop - obs.moving.start
+        Z0 = _hermitian_half(0.01 * V / np.max(np.abs(V)))
+    return x0, Z0, obs, omega, k, obs.moving.stop - obs.moving.start
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["zero", "warm"])
@@ -635,7 +648,7 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
         for log in rows.values():
             log.clear()
         cfg = SolverConfig(inner_iters=iters, alpha_relax=alpha)
-        gcpa_inner(*case, cfg, trace=trace)
+        gcpa_inner(*case, cfg, trace)
         return {name: (len(log), sum(log)) for name, log in rows.items()}
 
     # the whole circle (a 4-column gap on 16 frames reaches round it: every
@@ -653,13 +666,12 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
                 assert few[name][0] - (5 if moving else 0) <= 1
                 assert few[name][1] - 5 * moving <= k
         # tracing adds no transform
-        log = []
-        few = count(case, 5, 1.0, trace=lambda *r: log.append(r))
-        many = count(case, 15, 1.0, trace=lambda *r: log.append(r))
+        traces = [np.full((n, 2), np.nan) for n in (5, 15)]
+        few = count(case, 5, 1.0, trace=traces[0])
+        many = count(case, 15, 1.0, trace=traces[1])
         for name in rows:
             assert many[name][1] - few[name][1] == 10 * moving
-        assert [r[0] for r in log] == [*range(1, 6), *range(1, 16)]
-        assert np.all(np.isfinite(np.array(log)))
+        assert all(np.all(np.isfinite(t)) for t in traces)
 
 
 def fresh_trace_terms(x, run, omega, lam):
@@ -677,19 +689,19 @@ def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
 
     calls = []
     monkeypatch.setattr(solver_mod, "_dual_step", lambda *args: calls.append(args))
-    st0, obs, omega, k, moving = run_case(RUNS, np.array([14]), warm=True)
-    assert moving == 0 and np.any(st0.Z)
+    x0, Z0, obs, omega, k, moving = run_case(RUNS, np.array([14]), warm=True)
+    assert moving == 0 and np.any(Z0)
     cfg = SolverConfig(inner_iters=25)
-    log = []
-    got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: log.append(r))
+    rows = blank_rows(cfg)
+    x, Z = gcpa_inner(x0, Z0, obs, omega, cfg, rows)
     assert not calls
-    assert np.array_equal(got.x, obs.x_det)
-    assert np.array_equal(got.Z, st0.Z)
+    assert np.array_equal(x, obs.x_det)
+    assert np.array_equal(Z, Z0)
     terms = fresh_trace_terms(obs.x_det, obs, omega, cfg.lam)
-    assert log == [(i, *terms) for i in range(1, cfg.inner_iters + 1)]
+    assert rows.tolist() == [list(terms)] * cfg.inner_iters
     # untraced, omega is not even turned into phase factors
     monkeypatch.setattr(solver_mod, "correction_factors", None)
-    assert np.array_equal(gcpa_inner(st0, obs, omega, cfg).x, obs.x_det)
+    assert np.array_equal(gcpa_inner(x0, Z0, obs, omega, cfg)[0], obs.x_det)
 
 
 @pytest.mark.parametrize("alpha, kind, sigma", [(1.0, "soft", 1.0), (1.5, "soft", 1.0),
@@ -705,17 +717,17 @@ def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind, si
     # (with noise, the frames that do not move leave a residual of their own)
     cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=500, alpha_relax=alpha,
                        **kind_fields(kind))
-    st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
+    x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
     assert moving > 0
-    log = []
-    got = gcpa_inner(st0, obs, omega, cfg, trace=lambda *r: log.append(r))
-    assert len(log) == cfg.inner_iters
-    obj, feas = fresh_trace_terms(got.x, obs, omega, cfg.lam)
-    assert log[-1][1] == pytest.approx(obj, rel=1e-12, abs=0.0)
+    rows = blank_rows(cfg)
+    x, _ = gcpa_inner(x0, Z0, obs, omega, cfg, rows)
+    assert np.all(np.isfinite(rows))  # every row written
+    obj, feas = fresh_trace_terms(x, obs, omega, cfg.lam)
+    assert rows[-1, 0] == pytest.approx(obj, rel=1e-12, abs=0.0)
     # the feasibility residual is round-off of the data here (the reliable
     # frames barely see a free sample): relative to ||P_rel Xc||
     data = _trace_terms(0.0 * obs.Xc, 1.0, obs.Xc, obs.reliable, RUNS.channels, cfg.lam)[1]
-    assert abs(log[-1][2] - feas) <= 1e-12 * data
+    assert abs(rows[-1, 1] - feas) <= 1e-12 * data
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01])
@@ -892,19 +904,19 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
         obs = _observe(Spectrogram(X, RUNS), zero, run)
         # the reference solves the whole spectrogram at the run's scale
         whole = Spectrogram(X / obs.peak, RUNS)
-        st0 = SolverState(x0 / obs.peak, half_zeros(RUNS, N - 1))
-        ref = free_sample_reference(st0, zero, whole, omega, cfg, trace=lambda *r: None)
+        ref, _ = free_sample_reference(x0 / obs.peak, half_zeros(RUNS, N - 1), zero, whole,
+                                       omega, cfg)
         frames = (run.start + np.arange(run.count)) % N
         span = (RUNS.hop * run.start + np.arange(len(obs.x0))) % RUNS.signal_len
         Z0 = half_zeros(RUNS, run.count - 1)
-        got = gcpa_inner(SolverState(obs.x0, Z0), obs, omega[:, frames], cfg)
+        got, _ = gcpa_inner(obs.x0, Z0, obs, omega[:, frames], cfg)
         # a run's span, or the whole signal for the circle (frame_runs folds
         # the 25-column gap into FrameRun(0, N, ...))
         length = RUNS.hop * (run.count - 1) + RUNS.window_len
-        assert got.x.shape == (RUNS.signal_len if run.count == N else length,)
-        assert np.max(np.abs(got.x - ref.x[span])) <= 1e-12 * np.max(np.abs(ref.x))
+        assert got.shape == (RUNS.signal_len if run.count == N else length,)
+        assert np.max(np.abs(got - ref[span])) <= 1e-12 * np.max(np.abs(ref))
         if len(run.gaps[0]) >= 3:  # the free samples moved
-            assert not np.array_equal(got.x[obs.free], obs.x0[obs.free])
+            assert not np.array_equal(got[obs.free], obs.x0[obs.free])
 
 
 RUN_ARRAYS = ("x0", "x_det", "free", "Xc", "ramp")
@@ -921,26 +933,26 @@ def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
     # into the next round
     cfg = SolverConfig(inner_iters=10, outer_iters=2, alpha_relax=alpha,
                        **kind_fields(kind))
-    st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
+    x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
     assert 0 < moving < k
     # the file-end run crosses the pair N-1 -> 0
     assert isinstance(obs.cut, slice) == (zero[0] != 30)
     kept = {name: getattr(obs, name).copy() for name in RUN_ARRAYS}
-    inputs = (st0.x.copy(), st0.Z.copy(), omega.copy())
+    inputs = (x0.copy(), Z0.copy(), omega.copy())
     # a round at another omega between two equal ones, as the outer loop
-    # runs them, and that round again on a freshly set-up run
+    # runs them, and that round again on a freshly set-up run; each gives (x, Z)
     other = 0.5 * omega
-    first = gcpa_inner(st0, obs, omega, cfg)
-    between = gcpa_inner(st0, obs, other, cfg)
-    second = gcpa_inner(st0, obs, omega, cfg)
-    fresh = gcpa_inner(st0, run_case(RUNS, zero)[1], other, cfg)
-    assert not np.array_equal(first.x, st0.x)
-    assert not np.array_equal(first.x, between.x)
-    assert np.array_equal(first.x, second.x) and np.array_equal(first.Z, second.Z)
-    assert np.array_equal(between.x, fresh.x) and np.array_equal(between.Z, fresh.Z)
+    first = gcpa_inner(x0, Z0, obs, omega, cfg)
+    between = gcpa_inner(x0, Z0, obs, other, cfg)
+    second = gcpa_inner(x0, Z0, obs, omega, cfg)
+    fresh = gcpa_inner(x0, Z0, run_case(RUNS, zero)[2], other, cfg)
+    assert not np.array_equal(first[0], x0)
+    assert not np.array_equal(first[0], between[0])
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    assert np.array_equal(between[0], fresh[0]) and np.array_equal(between[1], fresh[1])
     for name in RUN_ARRAYS:
         assert np.array_equal(getattr(obs, name), kept[name]), name
-    for now, before in zip((st0.x, st0.Z, omega), inputs):
+    for now, before in zip((x0, Z0, omega), inputs):
         assert np.array_equal(now, before)
 
     X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
@@ -962,17 +974,17 @@ def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
 @pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([14])], ids=["moving", "fixed"])
 def test_inner_leaves_a_warm_state_unchanged(zero, alpha):
     # the dual stays on rows 0..M//2 from round to round, so gcpa_inner
-    # must step a copy of state0.Z: at alpha 1 the loop swaps its two dual
+    # must step a copy of Z0: at alpha 1 the loop swaps its two dual
     # buffers, otherwise it updates Z in place
-    st0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
-    assert (moving > 0) == (len(zero) > 1) and np.any(st0.Z)
-    x0, Z0 = st0.x.copy(), st0.Z.copy()
+    x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
+    assert (moving > 0) == (len(zero) > 1) and np.any(Z0)
+    x_kept, Z_kept = x0.copy(), Z0.copy()
     cfg = SolverConfig(inner_iters=5, alpha_relax=alpha)
-    for trace in (None, lambda *r: None):
-        got = gcpa_inner(st0, obs, omega, cfg, trace=trace)
-        assert np.array_equal(st0.x, x0) and np.array_equal(st0.Z, Z0)
-        assert not np.shares_memory(got.Z, st0.Z)
-        assert np.array_equal(got.Z, Z0) == (moving == 0)
+    for rows in (None, blank_rows(cfg)):
+        x, Z = gcpa_inner(x0, Z0, obs, omega, cfg, rows)
+        assert np.array_equal(x0, x_kept) and np.array_equal(Z0, Z_kept)
+        assert not np.shares_memory(Z, Z0)
+        assert np.array_equal(Z, Z_kept) == (moving == 0)
 
 
 # ------------------------------------------------ tf_only at omega = 0
@@ -988,21 +1000,15 @@ def test_tf_only_matches_free_sample_reference_at_zero_omega(kind):
     run = circle(SEG, zero)
     obs = _observe(Xc, zero, run)
     cfg = SolverConfig(inner_iters=30, **kind_fields(kind))
-    got_log, ref_log = [], []
-    cols, values, info = solve_observed(obs, cfg, "tf_only",
-                                        trace=lambda *r: got_log.append(r))
-    st0 = SolverState(obs.x0, half_zeros(SEG, SEG.n_frames - 1))
-    ref = free_sample_reference(st0, zero, Spectrogram(Xc.data / obs.peak, SEG),
-                                np.zeros((SEG.channels, SEG.n_frames)), cfg,
-                                trace=lambda *r: ref_log.append(r))
-    want = obs.peak * analyze(ref.x, default_window(SEG), SEG).data[:, zero]
+    cols, values, info = solve_observed(obs, cfg, "tf_only", traced=True)
+    ref_rows = blank_rows(cfg)
+    ref, _ = free_sample_reference(obs.x0, half_zeros(SEG, SEG.n_frames - 1), zero,
+                                   Spectrogram(Xc.data / obs.peak, SEG),
+                                   np.zeros((SEG.channels, SEG.n_frames)), cfg, ref_rows)
+    want = obs.peak * analyze(ref, default_window(SEG), SEG).data[:, zero]
     assert info["outer_iters_used"] == 1
     assert np.array_equal(cols, zero)
-    assert not np.array_equal(ref.x[obs.free], obs.x0[obs.free])  # the free samples moved
+    assert not np.array_equal(ref[obs.free], obs.x0[obs.free])  # the free samples moved
     assert values.shape == want.shape
     assert np.max(np.abs(values - want)) <= 1e-10 * np.max(np.abs(want))
-    assert len(got_log) == len(ref_log) == cfg.inner_iters
-    for (i1, o1, f1), (i2, o2, f2) in zip(got_log, ref_log):
-        assert i1 == i2
-        assert abs(o1 - o2) <= 1e-10 * max(1.0, o2)
-        assert abs(f1 - f2) <= 1e-10 * max(1.0, f2)
+    assert_rows_match(info["trace"], ref_rows)
