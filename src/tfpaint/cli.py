@@ -196,9 +196,8 @@ def _jobs(flag):
         raise ValueError(f"{source} must be an integer >= 1, not {value!r}") from None
 
 
-def _masked_wav(path, mask, hop, args):
-    """(rate, the analysis of the WAV at path over the mask's span), its gap
-    columns re-zeroed: analysis of corrupted audio leaks into them."""
+def _wav_analysis(path, mask, hop, args):
+    """(rate, the analysis of the WAV at path over the mask's span)."""
     rate, x = read_wav(path)
     n = mask.n_cols * hop
     if len(x) < n:
@@ -208,7 +207,7 @@ def _masked_wav(path, mask, hop, args):
         print(f"warning: {path}: truncating to {n} samples to match the mask",
               file=sys.stderr)
     cfg = StftConfig(args.window, hop, args.channels, n)
-    return rate, apply_mask(analyze(x[:n], default_window(cfg), cfg), mask)
+    return rate, analyze(x[:n], default_window(cfg), cfg)
 
 
 # ---------------------------------------------------------------- commands
@@ -225,7 +224,8 @@ def cmd_make_mask(args):
 def cmd_corrupt(args):
     _ensure_writable(args.force, args.out, args.spec_out)
     mask, hop = read_mask(args.mask)
-    rate, Xc = _masked_wav(args.infile, mask, hop, args)
+    rate, Xc = _wav_analysis(args.infile, mask, hop, args)
+    Xc = apply_mask(Xc, mask)
     write_wav(args.out, rate, synthesize(Xc, default_window(Xc.config), Xc.config),
               args.force)
     if args.spec_out:
@@ -239,7 +239,7 @@ def cmd_inpaint(args):
     _ensure_writable(args.force, args.out, args.spec_out, args.trace)
     mask, hop = read_mask(args.mask)
     if args.infile.endswith(".wav"):
-        rate, Xc = _masked_wav(args.infile, mask, hop, args)
+        rate, Xc = _wav_analysis(args.infile, mask, hop, args)
     else:
         rate = args.sr
         Xc = read_spectrogram(args.infile)
@@ -251,7 +251,6 @@ def cmd_inpaint(args):
                              f"(residual {residual:.1e} > 1e-6); not from real audio")
         if Xc.config.hop != hop:
             raise ValueError("mask hop does not match the spectrogram hop")
-        Xc = apply_mask(Xc, mask)
 
     method = args.method.replace("-", "_")
     x_true = None
@@ -469,7 +468,7 @@ def main(argv=None):
         return args.func(args)
     except DivergenceError as e:
         print(f"error: solver diverged at iteration {e.iteration}; "
-              "loosen the step sizes", file=sys.stderr)
+              "try another --threshold, --lambda, --p or --alpha", file=sys.stderr)
         return 3
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import METHODS, _fan_out, _job_count, apply_mask, find_gaps, inpaint_spectrogram
+from .pipeline import METHODS, _fan_out, _job_count, find_gaps, inpaint_spectrogram
 from .solver import SolverConfig
 from .stft import StftConfig, analyze, default_window, synthesize
 
@@ -148,7 +148,7 @@ def _span(x, mask, hop):
 
 
 def _run_one(setup, record):
-    """Restore record (method, scfg, mask, signal index): analysis, mask,
+    """Restore record (method, scfg, mask, signal index): analysis,
     inpainting, synthesis.  Returns (the restored signal, the solve's wall
     time, the rounded mean of its per-run outer rounds)."""
     signals, window_len, hop, channels, jobs = setup
@@ -157,10 +157,9 @@ def _run_one(setup, record):
     cfg = StftConfig(window_len=window_len, hop=hop, channels=channels,
                      signal_len=len(x))
     X = analyze(x, default_window(cfg), cfg)
-    Xc = apply_mask(X, mask)
     t0 = time.perf_counter()
     rec, info = inpaint_spectrogram(
-        Xc, mask, method=method, scfg=scfg,
+        X, mask, method=method, scfg=scfg,
         x_true=x if method == "bphain_oracle" else None, jobs=jobs,
         return_info=True,
     )

@@ -174,7 +174,7 @@ def _solve(task, i):
 
 def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
                         jobs=None, return_info=False, trace=False):
-    """Reconstruct every gap of a corrupted spectrogram, run by run.
+    """Reconstruct every gap of a spectrogram, run by run, whatever its gap columns hold.
 
     x_true (time-domain ground truth) is required by method
     "bphain_oracle" only.  jobs (None or an integer >= 1) caps the worker

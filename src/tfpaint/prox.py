@@ -34,10 +34,14 @@ def p_shrinkage(X, lam, p):
         raise ValueError("lambda must be nonnegative")
     if not -1 < p <= 1:  # NaN fails too
         raise ValueError("p must lie in (-1, 1]")
+    try:
+        level = float(lam) ** (2.0 - p)
+    except OverflowError:
+        raise ValueError(f"lambda**(2 - p) overflows at lambda {lam!r}, p {p!r}") from None
     X = np.asarray(X)
     mag = np.abs(X)
     with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = lam ** (2.0 - p) * mag ** (p - 1.0)
+        shrink = level * mag ** (p - 1.0)
     out = _sgn(X, mag) * np.maximum(mag - shrink, 0.0)
     return np.where(mag > 0, out, 0.0)
 

@@ -103,12 +103,10 @@ class SolverConfig:
             raise ValueError("tau, sigma, lambda and epsilon must be finite")
         if min(self.tau, self.sigma) <= 0:
             raise ValueError("step sizes must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.inner_iters < 1:
-            raise ValueError("inner_iters must be >= 1")
-        if self.outer_iters < 0:
-            raise ValueError("outer_iters must be >= 0")
+        for name, least in (("inner_iters", 1), ("outer_iters", 0)):  # as _job_count checks jobs
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+                raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.alpha_relax < 2.0:
@@ -118,6 +116,7 @@ class SolverConfig:
                 "tau*sigma*4 > 1 violates the dual step condition "
                 "(pass allow_unsafe=True to override)"
             )
+        self.thresholder(np.zeros(0, dtype=complex), self.lam)  # its checks of lam (sign, overflow)
 
 
 @lru_cache(maxsize=64)
@@ -281,7 +280,7 @@ class _Run:
 def _observe(X_corr, zero, run):
     """Set up a FrameRun of X_corr from the columns that reach it, scaled so
     the synthesized observation, its start, peaks at 1 on its span (lam
-    keeps its scale).
+    keeps its scale).  Its gap columns are set to 0, whatever X_corr holds.
 
     syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
     the reliable frames (``_d_rel``; the mask removes whole frames, M >= W).
@@ -298,6 +297,7 @@ def _observe(X_corr, zero, run):
     reach, frames, span = _reach(start, count, cfg)
     Xh = _hermitian_half(X_corr.data if circular else X_corr.data[:, frames])
     reliable = ~np.isin(frames, zero)
+    Xh[~reliable] = 0.0  # assigned, so +0 as apply_mask writes it
 
     ramp = _frame_plan(cfg, start - reach, len(frames))
     cr = np.conj(ramp)
@@ -307,7 +307,7 @@ def _observe(X_corr, zero, run):
     Xh, x0 = Xh / peak, x0 / peak
     d_rel = _d_rel(reliable, cfg, circular)[span]
     free = d_rel <= FREE_DREL
-    x_det = _irfft_frames(Xh * reliable[:, None] * cr, w, cfg, circular)[span]
+    x_det = _irfft_frames(Xh * cr, w, cfg, circular)[span]
     x_det /= np.maximum(d_rel, FREE_DREL)
 
     f = np.flatnonzero(free)

@@ -27,9 +27,10 @@ Conventions (these matter; everything downstream relies on them):
   overlap-add runs along the contiguous last axis.  The public API
   (``Spectrogram``, ``analyze``, ``synthesize``) stays M rows by N columns;
   ``_expand`` and ``_hermitian_half`` convert between the two.
-* Frames are read through a strided view and overlap-added hop by hop, for
-  any hop; no index grid is kept.  The private helpers also take k frames of
-  a span buffer of a*(k-1) + W samples; only the whole circle folds.
+* Frames are read through a strided view and overlap-added hop by hop
+  (``_add_frames``), for any hop; no index grid is kept.  The private
+  helpers also take k frames of a span buffer of a*(k-1) + W samples; only
+  the whole circle folds.
 * ``analyze`` and ``synthesize`` run the full-length frame operator one
   block of frames at a time (``_blocks``, about 2 MB of coefficients each),
   so neither makes a whole-file temporary: a 60 s analysis holds its result
@@ -199,22 +200,26 @@ def _rfft_frames(x, w, cfg, circular=True):
     return np.fft.rfft(np.multiply(frames, w, out=np.empty((k, W))), n=cfg.channels)
 
 
+def _add_frames(ext, contrib, a):
+    """Add per-frame contributions (k x W) into ext, rows of a samples: chunk
+    j of frame n (of ceil(W/a) chunks, the last partial when a does not divide
+    W) onto row n + j, so a row sums its frames newest first.  Contiguous adds
+    beat modular fancy indexing."""
+    k = len(contrib)
+    for j in range(-(-contrib.shape[1] // a)):
+        chunk = contrib[:, j * a : (j + 1) * a]
+        ext[j : j + k, : chunk.shape[1]] += chunk
+
+
 def _overlap_add(contrib, cfg, circular=True):
     """Overlap-add of per-frame contributions (k x W) into the span buffer
-    of the k frames; circular folds the overhang back onto the front.
-
-    Frames are split into q = ceil(W/a) hop-sized chunks, the last one
-    partial when a does not divide W; chunk j of frame n lands on block
-    n + j.  Contiguous adds beat modular fancy indexing.  One fold
-    suffices: L >= W gives N >= q.
-    """
+    of the k frames; circular folds the overhang back onto the front (once:
+    L >= W gives N >= q = ceil(W/a))."""
     W, a = cfg.window_len, cfg.hop
     k = len(contrib)
     q = -(-W // a)
     ext = np.zeros((k + q - 1, a))
-    for j in range(q):
-        chunk = contrib[:, j * a : (j + 1) * a]
-        ext[j : j + k, : chunk.shape[1]] += chunk
+    _add_frames(ext, contrib, a)
     if circular:
         ext[: q - 1] += ext[k:]
         return ext[:k].ravel()
@@ -311,34 +316,27 @@ def synthesize(X, g, cfg):
     synthesis sum, which makes this the exact adjoint with respect to the
     real inner product for any complex input.
 
-    The frames go through one block at a time.  A hop block of samples sums
-    the contributions of its q = ceil(W/a) frames in a fixed order, so the
-    last q - 1 frames' contributions are carried into the next block's
-    overlap-add and every sample gets the bits of the one-pass sum; the
-    overhang past the end folds onto the front last.
+    The frames go through one block at a time, last block first, into one
+    buffer of hop blocks (``_add_frames``), so every hop block sums its
+    frames newest first, as the one-pass overlap-add does, and gets its
+    bits; the overhang past the end folds onto the front once, at the end.
     """
     data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
     if data.shape != (cfg.channels, cfg.n_frames):
         raise ValueError("spectrogram shape does not match config")
     w = _window(g, cfg)
-    W, a = cfg.window_len, cfg.hop
-    keep = -(-W // a) - 1  # frames carried from block to block
-    x = np.empty(cfg.signal_len)
-    carry = np.empty((0, W))
-    for s, e in _blocks(cfg):
+    N, q = cfg.n_frames, -(-cfg.window_len // cfg.hop)
+    ext = np.zeros((N + q - 1, cfg.hop))
+    for s, e in reversed(_blocks(cfg)):
         # conj(ramp) * half, in this order: numpy can round a complex
         # product differently with its operands swapped, and this is the
         # order the one-pass product took (numpy elides the temporary and
         # reuses it) on any file of 2**14 or more half-spectrum coefficients
         V = np.conj(_frame_plan(cfg, s, e - s))
         V *= _hermitian_half(data[:, s:e])
-        frames = np.concatenate((carry, _windowed_irfft(V, w, cfg)))
-        summed = _overlap_add(frames, cfg, circular=False)
-        x[a * s : a * e] = summed[a * len(carry) : a * (len(carry) + e - s)]
-        carry = frames[max(0, len(frames) - keep) :]
-    # the last frames' W - a samples past the end fold onto the front
-    x[: W - a] += summed[a * len(frames) :]
-    return x
+        _add_frames(ext[s:], _windowed_irfft(V, w, cfg), cfg.hop)
+    ext[: q - 1] += ext[N:]
+    return ext[:N].ravel()
 
 
 def symmetry_residual(X):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import tracemalloc
 import wave
 
@@ -451,7 +452,7 @@ def test_inpaint_trace_file(tmp_path):
     assert float(rows[1][2]) >= 0.0
 
 
-def test_divergence_exit_code(tmp_path, monkeypatch):
+def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
     x = make_test_signal("multitone", 1.0, SR, seed=12)
     clean = wav_path(tmp_path, "c.wav", x)
     mask = str(tmp_path / "m.json")
@@ -463,8 +464,14 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
         raise DivergenceError(5)
 
     monkeypatch.setattr(cli, "inpaint_spectrogram", explode)
+    capsys.readouterr()
     assert main(["inpaint", "--in", clean, "--mask", mask,
                  "--out", str(tmp_path / "r.wav")]) == 3
+    # the advice names options the command takes, and at least one
+    named = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().err))
+    with pytest.raises(SystemExit):
+        main(["inpaint", "--help"])
+    assert named and named <= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
 
 
 def test_sweep_command_csv_and_json(tmp_path):
@@ -576,6 +583,46 @@ def test_inpaint_rejects_nonfinite_solver_options(tmp_path, capsys, flags):
                  "--inner", "5", "--outer", "1", *flags]) == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_inpaint_rejects_an_overflowing_pshrink_level(tmp_path, monkeypatch, capsys):
+    # lambda**(2 - p) overflows a float: exit 2 before any solve, not a traceback
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=15))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "4", "--out", mask]) == 0
+
+    def must_not_solve(*a, **k):
+        raise AssertionError("solved with a level that overflows")
+
+    monkeypatch.setattr(cli, "inpaint_spectrogram", must_not_solve)
+    out = tmp_path / "r.wav"
+    assert main(["inpaint", "--in", clean, "--mask", mask, "--out", str(out),
+                 "--threshold", "pshrink", "--lambda", "1e300"]) == 2
+    assert not out.exists()
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_inpaint_of_an_unmasked_spectrogram_writes_the_masked_bytes(tmp_path):
+    # what a .spgm holds in the masked columns is ignored: the clean
+    # analysis restores to the bytes of corrupt's masked one
+    x = make_test_signal("multitone", 1.0, SR, seed=16)
+    clean = wav_path(tmp_path, "c.wav", x)
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "4", "--out", mask]) == 0
+    masked = str(tmp_path / "masked.spgm")
+    assert main(["corrupt", "--in", clean, "--mask", mask, "--out", str(tmp_path / "c2.wav"),
+                 "--spec-out", masked]) == 0
+    cfg = StftConfig(signal_len=28 * 512)
+    _, q = read_wav(clean)
+    unmasked = str(tmp_path / "unmasked.spgm")
+    write_spectrogram(unmasked, analyze(q[: cfg.signal_len], default_window(cfg), cfg))
+    outputs = []
+    for name, spgm in (("m", masked), ("u", unmasked)):
+        out, spec = tmp_path / f"{name}.wav", tmp_path / f"{name}_out.spgm"
+        assert main(["inpaint", "--in", spgm, "--mask", mask, "--out", str(out),
+                     "--spec-out", str(spec), "--method", "bphain", "--inner", "20"]) == 0
+        outputs.append((out.read_bytes(), spec.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command, target", [("sweep", "sweep_lambda"),

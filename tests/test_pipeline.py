@@ -294,6 +294,22 @@ def test_trace_comes_back_in_info_alone():
     assert set(info) == {"gaps", "outer_iters_used"}
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("zero", [range(20, 24), [58, 59, 0]], ids=["interior", "file-end"])
+def test_gap_columns_are_not_read(method, zero):
+    # what the masked columns hold changes no bit of the output or the
+    # trace: the clean analysis restores as its masked copy does
+    mask = ColumnMask(60, zero)
+    Xc, X = corrupted(60, mask)
+    x_true = tones(cfg_for(60).signal_len) if method == "bphain_oracle" else None
+    solved = [inpaint_spectrogram(Y, mask, method, scfg=FAST, x_true=x_true, jobs=1,
+                                  return_info=True, trace=True) for Y in (Xc, X)]
+    (masked, info_m), (clean, info_c) = solved
+    assert masked.data.tobytes() == clean.data.tobytes()
+    assert [t.tobytes() for t in info_m.pop("trace")] == [t.tobytes() for t in info_c.pop("trace")]
+    assert info_m == info_c
+
+
 def test_runs_that_cannot_move_start_no_pool(pools):
     # width-1 gaps leave no free sample: nothing to step, so nothing to fork
     mask = make_mask(3, SR, HOP, 1)

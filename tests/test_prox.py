@@ -253,3 +253,14 @@ def test_thresholder_rejects_nan_parameters(kind, field):
     # NaN fails every comparison: each range check is written so that it fails
     with pytest.raises(ValueError):
         Thresholder(kind, **{field: np.nan})
+
+
+def test_p_shrinkage_level_overflow_is_a_value_error():
+    # lam**(2 - p) overflows a float at a huge lambda; the check says so
+    # instead of letting Python's OverflowError through
+    X = np.array([1.0 + 1.0j])
+    with pytest.raises(ValueError, match="overflows"):
+        p_shrinkage(X, 1e300, 0.9)
+    with pytest.raises(ValueError, match="overflows"):
+        Thresholder("p_shrinkage")(X, 1e300)
+    assert np.array_equal(p_shrinkage(X, 1e100, 0.9), np.zeros(1))  # no overflow: all shrunk

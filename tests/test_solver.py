@@ -164,6 +164,23 @@ def test_config_rejects_nonfinite_fields(field, value):
         SolverConfig(**{field: value}, allow_unsafe=True)
 
 
+@pytest.mark.parametrize("value", [np.nan, 2.5, np.inf, True], ids=["nan", "2.5", "inf", "bool"])
+@pytest.mark.parametrize("field", ["inner_iters", "outer_iters"])
+def test_config_rejects_non_integer_iteration_counts(field, value):
+    # a count fails at construction, not deep in the loop; NaN passes < 1
+    with pytest.raises(ValueError, match="integer"):
+        SolverConfig(**{field: value})
+    assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+
+
+def test_config_checks_the_thresholder_at_its_level():
+    # p-shrinkage's lam**(2 - p) overflows at lam = 1e300: the config fails,
+    # not the first dual update
+    with pytest.raises(ValueError, match="overflows"):
+        SolverConfig(lam=1e300, thresholder=Thresholder("p_shrinkage"))
+    SolverConfig(lam=1e300)  # soft thresholding takes any finite level
+
+
 # ---------------------------------------------------------------- inner loop
 
 
