@@ -40,8 +40,9 @@ def p_shrinkage(X, lam, p):
         raise ValueError(f"lambda**(2 - p) overflows at lambda {lam!r}, p {p!r}") from None
     X = np.asarray(X)
     mag = np.abs(X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = level * mag ** (p - 1.0)
+    # an overflow (|X| < 1e-154) maps to 0, as the true shrink exceeds |X|; 0*inf is NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shrink = level * mag ** (p - 1.0) if level else 0.0
     out = _sgn(X, mag) * np.maximum(mag - shrink, 0.0)
     return np.where(mag > 0, out, 0.0)
 

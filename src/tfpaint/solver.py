@@ -200,9 +200,19 @@ def _reach(start, count, cfg):
 
 def _d_rel(reliable, cfg, circular):
     """The overlap-add of M*w**2 over the frames flagged ``reliable``: the
-    share of each sample's tight-frame energy that they carry."""
+    share of each sample's tight-frame energy that they carry, read-only: a
+    span's is kept in a bounded cache per pattern, the circle's is not."""
+    of = _d_rel_of.__wrapped__ if circular else _d_rel_of
+    return of(np.asarray(reliable, dtype=bool).tobytes(), cfg, circular)
+
+
+@lru_cache(maxsize=64)
+def _d_rel_of(pattern, cfg, circular):
     w = default_window(cfg)
-    return _overlap_add(reliable[:, None] * (w * (w * cfg.channels)), cfg, circular)
+    d_rel = _overlap_add(np.frombuffer(pattern, dtype=bool)[:, None] * (w * (w * cfg.channels)),
+                         cfg, circular)
+    d_rel.flags.writeable = False
+    return d_rel
 
 
 def frame_runs(zero_cols, cfg):
@@ -212,11 +222,12 @@ def frame_runs(zero_cols, cfg):
     free samples, widened by one frame each side for the time difference;
     runs that share a frame merge, modulo N at the file ends.  The terms
     other frames form are constant.  A run that would reach round the
-    circle onto itself (see ``_reach``) becomes the whole circle.
+    circle onto itself (see ``_reach``) becomes the whole circle.  The free
+    samples come from the cached d_rel of the frames that reach the gap.
     """
     gaps = find_gaps(zero_cols)
     W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
-    reliable = ~np.isin(np.arange(N), _zero_cols(zero_cols))
+    reliable = np.bincount(_zero_cols(zero_cols), minlength=N) == 0
     spans = []
     for gap in gaps:
         _, frames, span = _reach(gap.start, len(gap), cfg)
@@ -288,6 +299,7 @@ def _observe(X_corr, zero, run):
     d_rel*x = b with b = syn(P_rel Xc), and the run's x_det = b / d_rel
     wherever d_rel > 0.  Samples with d_rel <= FREE_DREL are left free
     instead, where the division would amplify errors in Xc too much.
+    d_rel comes from ``_d_rel``'s cache, once per reliable-frame pattern.
     """
     cfg = X_corr.config
     N = cfg.n_frames
@@ -295,8 +307,9 @@ def _observe(X_corr, zero, run):
     start, count = run.start, run.count
     circular = count == N
     reach, frames, span = _reach(start, count, cfg)
-    Xh = _hermitian_half(X_corr.data if circular else X_corr.data[:, frames])
-    reliable = ~np.isin(frames, zero)
+    unwrapped = frames[-1] - frames[0] == len(frames) - 1  # then a column slice, not a copy
+    Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped else frames])
+    reliable = np.bincount(_zero_cols(zero), minlength=N)[frames] == 0
     Xh[~reliable] = 0.0  # assigned, so +0 as apply_mask writes it
 
     ramp = _frame_plan(cfg, start - reach, len(frames))
@@ -486,7 +499,8 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
     run's gaps, their coefficients (M rows), info); traced, info["trace"]
     holds the (objective, feasibility) row of every inner iteration run, an
     (outer_iters_used * inner_iters, 2) array.  A run with no moving frame,
-    untraced, takes no IF estimate, which ``gcpa_inner`` would not read."""
+    untraced, takes no IF estimate, which ``gcpa_inner`` would not read.
+    Only the gap frames' hull is analysed: a frame's rFFT is its own row."""
     scfg = obs.cfg
     estimate = lambda x: estimate_if(x, *_if_windows(scfg.window_len), scfg,
                                      circular=obs.circular)
@@ -519,8 +533,10 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
 
     if traced:
         info["trace"] = rows[: info["outer_iters_used"]].reshape(-1, 2)
-    A = _rfft_frames(x, default_window(scfg), scfg, obs.circular)
-    return obs.cols, _expand(A[obs.gaps] * obs.ramp[obs.gaps], scfg.channels) * obs.peak, info
+    g0, a = obs.gaps[0], scfg.hop  # wrap: the circle's last frames reach round to its start
+    hull = np.take(x, a * g0 + np.arange(a * (obs.gaps[-1] - g0) + scfg.window_len), mode="wrap")
+    A = _rfft_frames(hull, default_window(scfg), scfg, False)[obs.gaps - g0]
+    return obs.cols, _expand(A * obs.ramp[obs.gaps], scfg.channels) * obs.peak, info
 
 
 def operator_norm_estimate(apply, apply_adjoint, probe_shape, iters=50, seed=0):

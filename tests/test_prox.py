@@ -123,6 +123,16 @@ def test_p_shrinkage_values():
         p_shrinkage(np.ones(2), 0.1, -1.0)
 
 
+def test_p_shrinkage_at_tiny_magnitudes():
+    # |X|**(p - 1) overflows below about 1e-154 at p = -0.9: the entry
+    # shrinks to 0 with no warning (an error under this suite), and at
+    # lambda = 0 nothing shrinks, where 0*inf made a NaN
+    got = p_shrinkage([1e-300, 1.0], 0.01, -0.9)
+    assert got[0] == 0.0 and 0.0 < got[1] < 1.0
+    X = np.array([1e-200, 1.0])
+    assert np.array_equal(p_shrinkage(X, 0.0, -0.9), X)
+
+
 def test_smooth_hard_values():
     lam, alpha = 1e-3, 1e-2
     assert float(smooth_hard(0.5 * lam, lam, alpha)) == 0.0

@@ -14,6 +14,7 @@ from tfpaint.pipeline import ColumnMask, inpaint_spectrogram
 from tfpaint.prox import Thresholder, project_feasible
 from tfpaint.solver import (
     FREE_DREL,
+    METHODS,
     DivergenceError,
     FrameRun,
     SolverConfig,
@@ -290,7 +291,8 @@ def test_cached_windows_are_read_only():
     # every solve shares them: a write into one would change every later IF
     # estimate and transform at that geometry
     hann, hann_d = _if_windows(SEG.window_len)
-    for w in (hann, hann_d, default_window(SEG)):
+    # so is a span's d_rel, kept once per reliable-frame pattern
+    for w in (hann, hann_d, default_window(SEG), _d_rel(np.ones(7, dtype=bool), SEG, False)):
         with pytest.raises(ValueError):
             w[0] = 1.0
     assert np.array_equal(hann, make_hann(SEG.window_len))
@@ -857,6 +859,82 @@ def test_frame_runs_known_cases():
     # a run that would reach round the circle onto itself is the whole circle
     long_gap = np.arange(3, 28)
     assert frame_runs(long_gap, RUNS) == [FrameRun(0, N, (range(3, 28),))]
+
+
+def runs_corrupted(zero):
+    X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
+    X[:, zero] = 0.0
+    return Spectrogram(X, RUNS)
+
+
+def test_d_rel_is_summed_once_per_reliable_pattern(monkeypatch):
+    # d_rel depends on the reliable-frame pattern alone: five 1-column gaps
+    # far apart make two, the 7 frames reaching a gap (frame_runs) and the
+    # 9 reaching its run (_observe), so the set-up sums M*w**2 twice, not ten
+    # times, and a second restoration not at all; the circle's is not kept
+    import tfpaint.solver as solver_mod
+
+    summed = []
+    overlap_add = solver_mod._overlap_add
+    monkeypatch.setattr(solver_mod, "_overlap_add",
+                        lambda c, *args: summed.append(len(c)) or overlap_add(c, *args))
+    solver_mod._d_rel_of.cache_clear()
+    zero = np.array([4, 10, 16, 22, 29])
+    X = runs_corrupted(zero)
+    runs = frame_runs(zero, RUNS)
+    assert len(runs) == 5
+    for run in runs:
+        _observe(X, zero, run)
+    assert summed == [7, 9]
+    inpaint_spectrogram(X, ColumnMask(RUNS.n_frames, zero), jobs=1)
+    assert summed == [7, 9]
+    for _ in range(2):
+        _d_rel(np.ones(RUNS.n_frames, dtype=bool), RUNS, True)
+    assert summed == [7, 9, 32, 32]
+    assert solver_mod._d_rel_of.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("zero, analysed", [([10, 12], 3), (np.arange(14, 18), 4)],
+                         ids=["merged", "moving"])
+def test_output_analysis_transforms_the_gap_frames_alone(monkeypatch, zero, analysed):
+    # runs of 5 and 8 frames: the output analysis, the last one a solve
+    # takes, transforms frames g0..g1 of the gaps alone
+    import tfpaint.solver as solver_mod
+
+    done = []
+    rfft_frames = solver_mod._rfft_frames
+    monkeypatch.setattr(solver_mod, "_rfft_frames",
+                        lambda *args: done.append(rfft_frames(*args)) or done[-1])
+    zero = np.asarray(zero)
+    (run,) = frame_runs(zero, RUNS)
+    solve_observed(_observe(runs_corrupted(zero), zero, run), SolverConfig(inner_iters=5))
+    assert run.count > analysed and done[-1].shape == (analysed, RUNS.channels // 2 + 1)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("zero", [np.arange(14, 18), np.arange(0, 3), np.array([30, 31, 0]),
+                                  np.array([10, 12]), np.arange(5, 32)],
+                         ids=["interior", "file-start", "file-end-wrap", "merged", "whole-circle"])
+def test_gap_frame_analysis_matches_the_whole_run(monkeypatch, zero, method, traced):
+    # each frame's rFFT is its own row, so analysing the gap frames alone
+    # gives the bits of an analysis of every frame of the run (of the whole
+    # circle, whose last gap frames wrap round onto its start)
+    import tfpaint.solver as solver_mod
+
+    solved = []
+    inner = solver_mod.gcpa_inner
+    monkeypatch.setattr(solver_mod, "gcpa_inner",
+                        lambda *args: solved.append(inner(*args)) or solved[-1])
+    (run,) = frame_runs(zero, RUNS)
+    obs = _observe(runs_corrupted(zero), zero, run)
+    assert obs.circular == (len(zero) > 4)
+    cfg = SolverConfig(inner_iters=5, outer_iters=1)
+    cols, values, _ = solve_observed(obs, cfg, method, three_tone(RUNS.signal_len), traced)
+    A = _rfft_frames(solved[-1][0], default_window(RUNS), RUNS, obs.circular)
+    want = _expand(A[obs.gaps] * obs.ramp[obs.gaps], RUNS.channels) * obs.peak
+    assert np.array_equal(cols, zero)  # in frame order
+    assert values.shape == want.shape and values.tobytes() == want.tobytes()
 
 
 def test_run_peak_matches_synthesis():
