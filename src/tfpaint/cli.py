@@ -350,31 +350,31 @@ def cmd_compare(args):
 
 def build_parser():
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--lambda", dest="lam", type=float, default=0.01,
-                        help="regularization weight (default 0.01)")
-    solver.add_argument("--inner", type=int, default=500,
-                        help="inner iterations per frequency estimate (default 500)")
-    solver.add_argument("--outer", type=int, default=10,
+    solver.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
+                        help="regularization weight (default %(default)s)")
+    solver.add_argument("--inner", type=int, default=SolverConfig.inner_iters,
+                        help="inner iterations per frequency estimate (default %(default)s)")
+    solver.add_argument("--outer", type=int, default=SolverConfig.outer_iters,
                         help="uphain's IF re-estimations: up to OUTER+1 inner runs "
-                             "(default 10); bphain and tf-only run once")
-    solver.add_argument("--eps", type=float, default=0.001,
-                        help="outer-loop stopping threshold (default 0.001)")
+                             "(default %(default)s); bphain and tf-only run once")
+    solver.add_argument("--eps", type=float, default=SolverConfig.epsilon,
+                        help="outer-loop stopping threshold (default %(default)s)")
     solver.add_argument("--threshold", choices=sorted(THRESHOLDS),
                         default="soft", help="thresholding rule (default soft)")
-    solver.add_argument("--p", type=float, default=0.9,
-                        help="p-shrinkage exponent (default 0.9)")
-    solver.add_argument("--alpha", type=float, default=1e-2,
-                        help="smooth-hard sharpness (default 0.01)")
+    solver.add_argument("--p", type=float, default=Thresholder.p,
+                        help="p-shrinkage exponent (default %(default)s)")
+    solver.add_argument("--alpha", type=float, default=Thresholder.alpha,
+                        help="smooth-hard sharpness (default %(default)s)")
     solver.add_argument("--jobs", type=int, default=None,
                         help="worker processes: for the frame runs in inpaint, for "
                              "the records in sweep and compare (default: env "
                              "TFPAINT_JOBS, else the available cores)")
 
     frame = argparse.ArgumentParser(add_help=False)
-    frame.add_argument("--window", type=int, default=2048,
-                       help="analysis window length (default 2048)")
-    frame.add_argument("--channels", type=int, default=2048,
-                       help="frequency channels (default 2048)")
+    frame.add_argument("--window", type=int, default=StftConfig.window_len,
+                       help="analysis window length (default %(default)s)")
+    frame.add_argument("--channels", type=int, default=StftConfig.channels,
+                       help="frequency channels (default %(default)s)")
 
     force = argparse.ArgumentParser(add_help=False)
     force.add_argument("--force", action="store_true",
@@ -383,7 +383,8 @@ def build_parser():
     # the mask's grid, shared by make-mask and the sweep/compare suite
     span = argparse.ArgumentParser(add_help=False)
     span.add_argument("--sr", type=int, default=16000)
-    span.add_argument("--hop", type=int, default=512)
+    span.add_argument("--hop", type=int, default=StftConfig.hop,
+                      help="hop size in samples (default %(default)s)")
     span.add_argument("--placement", choices=["per-second-center", "seeded-random"],
                       default="per-second-center")
 

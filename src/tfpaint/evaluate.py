@@ -60,7 +60,7 @@ def _sweep(phase):
 
 def make_test_signal(kind, duration_s=5.0, sample_rate=16000, *, f=440.0,
                      delta_bins=0.0, k=3, f0=440.0, f1=880.0, seed=0,
-                     channels=2048):
+                     channels=StftConfig.channels):
     """Deterministic synthetic signal of one of four kinds.
 
     tone       sinusoid placed delta_bins away from the nearest analysis bin
@@ -147,35 +147,14 @@ def _span(x, mask, hop):
     return np.asarray(x, dtype=float)[:n]
 
 
-def _run_one(setup, record):
-    """Restore record (method, scfg, mask, signal index): analysis,
-    inpainting, synthesis.  Returns (the restored signal, the solve's wall
-    time, the rounded mean of its per-run outer rounds)."""
-    signals, window_len, hop, channels, jobs = setup
-    method, scfg, mask, s = record
-    x = _span(signals[s][1], mask, hop)
-    cfg = StftConfig(window_len=window_len, hop=hop, channels=channels,
-                     signal_len=len(x))
-    X = analyze(x, default_window(cfg), cfg)
-    t0 = time.perf_counter()
-    rec, info = inpaint_spectrogram(
-        X, mask, method=method, scfg=scfg,
-        x_true=x if method == "bphain_oracle" else None, jobs=jobs,
-        return_info=True,
-    )
-    dt = time.perf_counter() - t0
-    x_hat = synthesize(rec, default_window(cfg), cfg)
-    outers = info["outer_iters_used"]
-    return x_hat, dt, int(round(np.mean(outers))) if outers else 0
-
-
 def _records(signals, cells, window_len, hop, channels, jobs):
     """One EvalRecord per (method, scfg, mask) cell and signal, cell-major.
 
     Several restorations run in a pool of jobs forked processes
     (``pipeline._fan_out``), each solving its frame runs in-process; a
-    single one gets the jobs for its runs instead.  The SNR is taken here,
-    as each restoration arrives, so only one is held at a time.
+    single one gets the jobs for its runs instead.  The workers inherit the
+    signals with the ``restore`` closure.  The SNR is taken here, as each
+    restoration arrives, so only one is held at a time.
     """
     jobs = _job_count(jobs)
     if not signals:
@@ -187,8 +166,25 @@ def _records(signals, cells, window_len, hop, channels, jobs):
         for _, x in signals:
             _span(x, mask, hop)
     items = [(method, scfg, mask, s) for method, scfg, mask in cells for s in range(len(signals))]
-    setup = (signals, window_len, hop, channels, jobs if len(items) == 1 else 1)
-    with closing(_fan_out(_run_one, setup, items, jobs)) as restored:
+
+    def restore(record):
+        """Restore record (method, scfg, mask, signal index): analysis,
+        inpainting, synthesis.  Returns (the restored signal, the solve's
+        wall time, the rounded mean of its per-run outer rounds)."""
+        method, scfg, mask, s = record
+        x = _span(signals[s][1], mask, hop)
+        cfg = StftConfig(window_len=window_len, hop=hop, channels=channels, signal_len=len(x))
+        X = analyze(x, default_window(cfg), cfg)
+        t0 = time.perf_counter()
+        rec, info = inpaint_spectrogram(
+            X, mask, method=method, scfg=scfg, x_true=x if method == "bphain_oracle" else None,
+            jobs=jobs if len(items) == 1 else 1, return_info=True)
+        dt = time.perf_counter() - t0
+        x_hat = synthesize(rec, default_window(cfg), cfg)
+        outers = info["outer_iters_used"]
+        return x_hat, dt, int(round(np.mean(outers))) if outers else 0
+
+    with closing(_fan_out(restore, items, jobs)) as restored:
         return [EvalRecord(
             method=method,
             mask_gap_cols=_gap_len(mask),
@@ -220,17 +216,21 @@ def _mean_records(records, n):
     ) for group in (records[k:k + n] for k in range(0, len(records), n))]
 
 
-def _per_config(signals, mask, configs, method, window_len, hop, channels, jobs):
-    """One mean record per solver config."""
+def _per_value(signals, mask, field, grid, scfg, method, window_len, hop, channels, jobs):
+    """One mean record (``_mean_records``) per value in grid of the
+    SolverConfig field, set in scfg (default ``SolverConfig()``)."""
+    if not grid:
+        raise ValueError(f"empty {field} grid")
+    if scfg is None:
+        scfg = SolverConfig()
     signals = list(signals)
-    records = _records(signals, [(method, scfg, mask) for scfg in configs],
-                       window_len, hop, channels, jobs)
-    return _mean_records(records, len(signals))
+    cells = [(method, dataclasses.replace(scfg, **{field: value}), mask) for value in grid]
+    return _mean_records(_records(signals, cells, window_len, hop, channels, jobs), len(signals))
 
 
 def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
-                 method="uphain", window_len=2048, hop=512, channels=2048,
-                 jobs=None):
+                 method="uphain", window_len=StftConfig.window_len, hop=StftConfig.hop,
+                 channels=StftConfig.channels, jobs=None):
     """Mean reconstruction SNR per regularization weight.
 
     signals is [(signal_id, samples)].  One record per grid value: snr_db
@@ -239,29 +239,20 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
     per-run outer rounds.  jobs is ``inpaint_spectrogram``'s: the
     (value, signal) restorations run in a pool of that many processes.
     """
-    lambda_grid = list(lambda_grid)
-    if not lambda_grid:
-        raise ValueError("empty lambda grid")
-    if scfg is None:
-        scfg = SolverConfig()
-    configs = [dataclasses.replace(scfg, lam=float(lam)) for lam in lambda_grid]
-    return _per_config(signals, mask, configs, method, window_len, hop, channels, jobs)
+    return _per_value(signals, mask, "lam", [float(lam) for lam in lambda_grid], scfg,
+                      method, window_len, hop, channels, jobs)
 
 
 def sweep_iterations(signals, mask, inner_grid, scfg=None, method="uphain",
-                     window_len=2048, hop=512, channels=2048, jobs=None):
-    """Mean reconstruction SNR per inner-iteration budget."""
-    inner_grid = [int(i) for i in inner_grid]
-    if not inner_grid:
-        raise ValueError("empty iteration grid")
-    if scfg is None:
-        scfg = SolverConfig()
-    configs = [dataclasses.replace(scfg, inner_iters=inner) for inner in inner_grid]
-    return _per_config(signals, mask, configs, method, window_len, hop, channels, jobs)
+                     window_len=StftConfig.window_len, hop=StftConfig.hop,
+                     channels=StftConfig.channels, jobs=None):
+    """Mean reconstruction SNR per inner-iteration budget, as ``sweep_lambda``."""
+    return _per_value(signals, mask, "inner_iters", [int(i) for i in inner_grid], scfg,
+                      method, window_len, hop, channels, jobs)
 
 
-def compare_methods(signals, masks, methods, scfg=None, window_len=2048,
-                    hop=512, channels=2048, jobs=None):
+def compare_methods(signals, masks, methods, scfg=None, window_len=StftConfig.window_len,
+                    hop=StftConfig.hop, channels=StftConfig.channels, jobs=None):
     """Every method on every (signal, mask); returns (records, summary).
 
     records has one EvalRecord per run.  summary has one dict per

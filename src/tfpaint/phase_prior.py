@@ -19,14 +19,7 @@ flipped, as for any real signal.
 
 import numpy as np
 
-from .stft import Spectrogram, _rfft_frames, _window, analyze
-
-
-def _coeffs(X):
-    """The matrix held by a Spectrogram, or X as an array."""
-    if isinstance(X, Spectrogram):
-        return X.data
-    return np.asarray(X)
+from .stft import Spectrogram, StftConfig, _coeffs, _rfft_frames, _window, analyze
 
 
 def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
@@ -84,7 +77,7 @@ def correction_factors(omega, hop, channels):
     return np.exp((-2j * np.pi * hop / channels) * csum)
 
 
-def phase_correct(X, omega, hop=512, channels=2048):
+def phase_correct(X, omega, hop=StftConfig.hop, channels=StftConfig.channels):
     """Rotate each coefficient to cancel the predicted phase advance.
 
     Unitary for any omega.  Accepts a Spectrogram (hop/channels taken from
@@ -100,7 +93,7 @@ def phase_correct(X, omega, hop=512, channels=2048):
     return data * correction_factors(om, hop, channels)
 
 
-def phase_correct_adjoint(X, omega, hop=512, channels=2048):
+def phase_correct_adjoint(X, omega, hop=StftConfig.hop, channels=StftConfig.channels):
     """Adjoint (= inverse) of phase_correct: the negated offsets' rotation."""
     return phase_correct(X, -np.asarray(omega), hop, channels)
 

@@ -11,7 +11,6 @@ inner steps are solved in a pool of forked processes.
 import math
 import os
 import threading
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .solver import (  # noqa: F401
     frame_runs,
     solve_observed,
 )
-from .stft import Spectrogram
+from .stft import Spectrogram, StftConfig, _coeffs
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class ColumnMask:
 
 
 def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-center",
-              seed=None, channels=2048):
+              seed=None, channels=StftConfig.channels):
     """One contiguous run of gap_cols zero columns per whole second.
 
     n_cols = floor(duration_s*sample_rate/hop) truncated down to a multiple
@@ -100,14 +99,12 @@ def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-cent
 
 def apply_mask(X, mask):
     """Zero the masked columns; reliable columns are copied bit-exactly."""
-    data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
+    data = _coeffs(X)
     if data.shape[1] != mask.n_cols:
         raise ValueError("mask length does not match spectrogram columns")
     out = data.copy()
     out[:, mask.zero_cols] = 0.0
-    if isinstance(X, Spectrogram):
-        return Spectrogram(out, X.config)
-    return out
+    return Spectrogram(out, X.config) if isinstance(X, Spectrogram) else out
 
 
 def _job_count(jobs):
@@ -123,53 +120,43 @@ def _job_count(jobs):
     return int(jobs)
 
 
-_WORK = None  # a pool worker's (fn, shared), inherited through fork
+_WORK = None  # a pool worker's fn, inherited through fork
 
 
-def _adopt(fn, shared):
+def _adopt(fn):
     global _WORK
-    _WORK = fn, shared
+    _WORK = fn
 
 
 def _call(item):
-    fn, shared = _WORK
-    return fn(shared, item)
+    return _WORK(item)
 
 
-def _fan_out(fn, shared, items, jobs):
-    """Yield fn(shared, item) for every item, in item order.
+def _fan_out(fn, items, jobs):
+    """Yield fn(item) for every item, in item order.
 
     The calls run in a pool of min(jobs, len(items)) processes started with
-    ``fork``, which inherit fn and shared: only items and results are
-    pickled, and a result is not held here once yielded.  They run in this
-    process instead with jobs=1, fewer than two items, no ``os.fork``, or
-    other threads running (fork copies only the calling thread, so a worker
-    could inherit a lock held).  A worker's exception is raised here.
-    Closing the generator stops the pool.
+    ``fork``, which inherit fn, so fn may be a closure: only items and
+    results are pickled, and a result is not held here once yielded.  They
+    run in this process instead with jobs=1, fewer than two items, no
+    ``os.fork``, or other threads running (fork copies only the calling
+    thread, so a worker could inherit a lock held).  A worker's exception is
+    raised here.  Closing the generator stops the pool.
     """
     if jobs < 2 or len(items) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         for item in items:
-            yield fn(shared, item)
+            yield fn(item)
         return
     # imported here: they would add about 18 ms to a 28 ms package import
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     pool = ProcessPoolExecutor(min(jobs, len(items)), get_context("fork"),
-                               initializer=_adopt, initargs=(fn, shared))
+                               initializer=_adopt, initargs=(fn,))
     try:
-        pending = deque(pool.submit(_call, item) for item in items)
-        while pending:
-            yield pending.popleft().result()
+        yield from pool.map(_call, items)
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _solve(task, i):
-    """``solve_observed`` of set-up run i of task = (runs, scfg, method,
-    x_true, traced)."""
-    runs, scfg, method, x_true, traced = task
-    return solve_observed(runs[i], scfg, method, x_true, traced)
 
 
 def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
@@ -209,12 +196,12 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
 
     runs = frame_runs(mask.zero_cols, X_corr.config)
     observed = [_observe(X_corr, mask.zero_cols, run) for run in runs]
-    task = (observed, scfg, method, x_true, trace)
+    solve = lambda i: solve_observed(observed[i], scfg, method, x_true, trace)
     stepping = [i for i, obs in enumerate(observed) if obs.moves]
 
     # the stepping runs go to the pool; the rest are solved here meanwhile
-    with closing(_fan_out(_solve, task, stepping, jobs)) as stepped:
-        results = [next(stepped) if obs.moves else _solve(task, i)
+    with closing(_fan_out(solve, stepping, jobs)) as stepped:
+        results = [next(stepped) if obs.moves else solve(i)
                    for i, obs in enumerate(observed)]
 
     out = X_corr.data.copy()

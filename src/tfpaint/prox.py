@@ -44,7 +44,8 @@ def p_shrinkage(X, lam, p):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shrink = level * mag ** (p - 1.0) if level else 0.0
     out = _sgn(X, mag) * np.maximum(mag - shrink, 0.0)
-    return np.where(mag > 0, out, 0.0)
+    # |X| <= lam shrinks to 0 exactly, also where the level underflows to 0
+    return np.where(mag > lam, out, 0.0)
 
 
 def smooth_hard(X, lam, alpha):

@@ -46,7 +46,7 @@ from .stft import (
     _irfft_frames,
     _overlap_add,
     _rfft_frames,
-    default_window,  # public here too, as before the window moved to stft
+    default_window,
     make_hann,
     make_hann_derivative,
 )
@@ -215,15 +215,31 @@ def _d_rel_of(pattern, cfg, circular):
     return d_rel
 
 
+def _free(reliable, span, cfg, circular):
+    """(d_rel, free, moving) on the span (``_reach``) of frames flagged
+    ``reliable``: their ``_d_rel``, the samples with d_rel <= FREE_DREL, and
+    the hull of the frames that touch one, counted from the span's first
+    frame: every frame on the circle, none when no sample is free."""
+    d_rel = _d_rel(reliable, cfg, circular)[span]
+    free = d_rel <= FREE_DREL
+    f = np.flatnonzero(free)
+    if not f.size:
+        return d_rel, free, slice(0, 0)
+    if circular:
+        return d_rel, free, slice(0, len(reliable))
+    first, last = _touching(int(f[0]), int(f[-1]), cfg)
+    return d_rel, free, slice(first, last + 1)
+
+
 def frame_runs(zero_cols, cfg):
     """Group the gaps of a mask into independent frame runs.
 
     A gap's run is its own columns plus every frame that touches one of its
-    free samples, widened by one frame each side for the time difference;
-    runs that share a frame merge, modulo N at the file ends.  The terms
-    other frames form are constant.  A run that would reach round the
-    circle onto itself (see ``_reach``) becomes the whole circle.  The free
-    samples come from the cached d_rel of the frames that reach the gap.
+    free samples (``_free`` of the frames that reach the gap), widened by
+    one frame each side for the time difference; runs that share a frame
+    merge, modulo N at the file ends.  The terms other frames form are
+    constant.  A run that would reach round the circle onto itself (see
+    ``_reach``) becomes the whole circle.
     """
     gaps = find_gaps(zero_cols)
     W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
@@ -231,12 +247,9 @@ def frame_runs(zero_cols, cfg):
     spans = []
     for gap in gaps:
         _, frames, span = _reach(gap.start, len(gap), cfg)
-        d_rel = _d_rel(reliable[frames], cfg, False)
-        free = a * gap.start + np.flatnonzero(d_rel[span] <= FREE_DREL)
-        lo, hi = gap.start, gap.stop - 1
-        if free.size:
-            first, last = _touching(int(free[0]), int(free[-1]), cfg)
-            lo, hi = min(lo, first), max(hi, last)
+        moving = _free(reliable[frames], span, cfg, False)[2]
+        lo = gap.start + min(0, moving.start)
+        hi = gap.start + max(len(gap), moving.stop) - 1
         spans.append([lo - 1, hi + 1])
 
     merged = []
@@ -297,9 +310,9 @@ def _observe(X_corr, zero, run):
     the reliable frames (``_d_rel``; the mask removes whole frames, M >= W).
     So a signal agreeing with the observation Xc on the reliable columns has
     d_rel*x = b with b = syn(P_rel Xc), and the run's x_det = b / d_rel
-    wherever d_rel > 0.  Samples with d_rel <= FREE_DREL are left free
-    instead, where the division would amplify errors in Xc too much.
-    d_rel comes from ``_d_rel``'s cache, once per reliable-frame pattern.
+    wherever d_rel > 0.  The samples ``_free`` leaves free, where the
+    division would amplify errors in Xc too much, are not fixed; the frames
+    that touch them are the run's ``moving``.
     """
     cfg = X_corr.config
     N = cfg.n_frames
@@ -318,19 +331,9 @@ def _observe(X_corr, zero, run):
     x0 = _irfft_frames(cr * Xh, w, cfg, circular)[span]
     peak = float(np.max(np.abs(x0))) or 1.0
     Xh, x0 = Xh / peak, x0 / peak
-    d_rel = _d_rel(reliable, cfg, circular)[span]
-    free = d_rel <= FREE_DREL
+    d_rel, free, moving = _free(reliable, span, cfg, circular)
     x_det = _irfft_frames(Xh * cr, w, cfg, circular)[span]
     x_det /= np.maximum(d_rel, FREE_DREL)
-
-    f = np.flatnonzero(free)
-    if not f.size:
-        moving = slice(0, 0)
-    elif circular:
-        moving = slice(0, count)
-    else:
-        first, last = _touching(int(f[0]), int(f[-1]), cfg)
-        moving = slice(first, last + 1)
 
     inner = slice(reach, reach + count)
     gaps = np.flatnonzero(~reliable[inner])

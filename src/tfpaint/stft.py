@@ -97,6 +97,11 @@ class Spectrogram:
         return self.data.shape
 
 
+def _coeffs(X):
+    """The matrix held by a Spectrogram, or X as an array."""
+    return X.data if isinstance(X, Spectrogram) else np.asarray(X)
+
+
 def make_hann(window_len):
     """Periodic (DFT-even) Hann window, w[k] = 0.5*(1 - cos(2 pi k / W))."""
     if window_len < 2:
@@ -321,7 +326,7 @@ def synthesize(X, g, cfg):
     frames newest first, as the one-pass overlap-add does, and gets its
     bits; the overhang past the end folds onto the front once, at the end.
     """
-    data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
+    data = _coeffs(X)
     if data.shape != (cfg.channels, cfg.n_frames):
         raise ValueError("spectrogram shape does not match config")
     w = _window(g, cfg)
@@ -347,7 +352,7 @@ def symmetry_residual(X):
     0..M//2 are compared with their mirrors (the other rows give the same
     magnitudes) a block of columns at a time, so no full-size copy is made.
     """
-    data = X.data if isinstance(X, Spectrogram) else np.asarray(X)
+    data = _coeffs(X)
     M, N = data.shape
     mirror = (-np.arange(M // 2 + 1)) % M
     step = max(1, 2**16 // M)  # about 1 MB of coefficients per block

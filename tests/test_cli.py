@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from tfpaint.cli import (
 )
 from tfpaint.evaluate import make_test_signal
 from tfpaint.pipeline import ColumnMask, apply_mask
+from tfpaint.solver import SolverConfig
 from tfpaint.stft import Spectrogram, StftConfig, analyze, default_window
 
 SR = 16000
@@ -197,6 +199,18 @@ def test_pshrink_defaults():
     scfg = solver_config(args)
     assert scfg.thresholder.kind == "p_shrinkage"
     assert scfg.thresholder.p == 0.9 and scfg.lam == 0.01
+
+
+def test_option_defaults_are_the_library_defaults():
+    # read from SolverConfig, Thresholder and StftConfig, not repeated
+    parser = build_parser()
+    args = parser.parse_args(["inpaint", "--in", "a", "--mask", "m", "--out", "b"])
+    assert solver_config(args) == SolverConfig()
+    frame = {f.name: f.default for f in dataclasses.fields(StftConfig)}
+    assert (args.window, args.channels) == (frame["window_len"], frame["channels"])
+    for command in (["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", "m"],
+                    ["compare", "--out", "c"]):
+        assert parser.parse_args(command).hop == frame["hop"]
 
 
 # Each subcommand's options and their defaults, beside its required ones.

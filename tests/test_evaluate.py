@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tfpaint.evaluate import (
     sweep_lambda,
     synthetic_suite,
 )
-from tfpaint.pipeline import apply_mask, inpaint_spectrogram, make_mask
+from tfpaint.pipeline import _fan_out, apply_mask, inpaint_spectrogram, make_mask
 from tfpaint.prox import Thresholder
 from tfpaint.solver import DivergenceError, SolverConfig, default_window
 from tfpaint.stft import StftConfig, analyze, synthesize
@@ -300,6 +301,32 @@ def test_harness_gives_the_same_records_for_any_jobs(pools):
         assert compared[jobs][1] == compared[1][1]
         assert fixed(swept[jobs]) == fixed(swept[1])
     assert all(r.runtime_s > 0.0 for r in compared[2][0] + swept[8])
+
+
+def test_fan_out_runs_a_closure_in_item_order(pools):
+    # fork pickles nothing: the workers inherit fn, a closure over a local
+    # lambda that pickle refuses; only the items and results cross
+    triple = lambda v: 3 * v
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(triple)
+    items = list(range(7))
+    pooled = list(_fan_out(lambda i: (triple(i), os.getpid()), items, 2))
+    assert pools == [2]
+    assert [v for v, _ in pooled] == [3 * i for i in items]
+    assert os.getpid() not in {pid for _, pid in pooled}
+    assert list(_fan_out(triple, items, 1)) == [v for v, _ in pooled]
+
+
+def test_harness_oracle_gives_the_same_records_for_any_jobs(pools):
+    # the records carry signal indices: x_true reaches a worker only
+    # through the closure it inherits
+    sigs = multitones(2)
+    masks = [make_mask(1, SR, HOP, 4)]
+    got = {jobs: compare_methods(sigs, masks, ["bphain_oracle", "uphain"], scfg=FAST, jobs=jobs)
+           for jobs in (1, 2)}
+    assert pools == [2]
+    assert fixed(got[2][0]) == fixed(got[1][0])
+    assert got[2][1] == got[1][1]
 
 
 def test_harness_pools_one_level_deep(pools):

@@ -133,6 +133,13 @@ def test_p_shrinkage_at_tiny_magnitudes():
     assert np.array_equal(p_shrinkage(X, 0.0, -0.9), X)
 
 
+def test_p_shrinkage_cuts_at_lambda_when_the_level_underflows():
+    # 1e-200**2.9 underflows to 0: the cut |X| > lambda still zeroes the
+    # entry below lambda, and the others keep their true value
+    got = p_shrinkage([1e-250, 1e-150, 1.0], 1e-200, -0.9)
+    assert np.array_equal(got, [0.0, 1e-150, 1.0])
+
+
 def test_smooth_hard_values():
     lam, alpha = 1e-3, 1e-2
     assert float(smooth_hard(0.5 * lam, lam, alpha)) == 0.0
