@@ -21,7 +21,8 @@ from .pipeline import (METHODS, ColumnMask, _job_count, apply_mask, find_gaps,
                        inpaint_spectrogram, make_mask)
 from .prox import Thresholder
 from .solver import DivergenceError, SolverConfig
-from .stft import Spectrogram, StftConfig, analyze, default_window, symmetry_residual, synthesize
+from .stft import (Spectrogram, StftConfig, _is_int, analyze, default_window, symmetry_residual,
+                   synthesize)
 
 SPGM_MAGIC = b"SPGM1"
 CSV_HEADER = ["method", "gap_cols", "signal", "snr_db", "runtime_s", "lambda"]
@@ -89,11 +90,12 @@ def read_mask(path):
     with open(path) as fh:
         d = json.load(fh)
     try:
-        n_cols = int(d["n_cols"])
-        hop = int(d["hop"])
-        zeros = [int(c) for c in d["zero_cols"]]
+        n_cols, hop, zeros = d["n_cols"], d["hop"], list(d["zero_cols"])
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed mask file ({e})")
+    for name, v in (("n_cols", n_cols), ("hop", hop), *(("zero_cols", c) for c in zeros)):
+        if not _is_int(v):  # not truncated: 13.7 is no column, "512" no hop, true no 1
+            raise ValueError(f"{path}: {name}: {v!r} is not a JSON integer")
     if hop < 1:
         raise ValueError(f"{path}: hop must be positive")
     return ColumnMask(n_cols, np.array(zeros, dtype=int)), hop

@@ -24,24 +24,28 @@ from .solver import (  # noqa: F401
     frame_runs,
     solve_observed,
 )
-from .stft import Spectrogram, StftConfig, _coeffs
+from .stft import Spectrogram, StftConfig, _coeffs, _is_int
 
 
 @dataclass(frozen=True)
 class ColumnMask:
     """Which spectrogram columns were zeroed out.
 
-    zero_cols is stored sorted and unique; everything else counts as
-    reliable.
+    n_cols and zero_cols must be integers (a float is rejected, not
+    truncated); zero_cols is stored sorted and unique; everything else
+    counts as reliable.
     """
 
     n_cols: int
     zero_cols: np.ndarray
 
     def __post_init__(self):
-        if self.n_cols < 1:
-            raise ValueError("n_cols must be positive")
-        cols = np.unique(np.asarray(self.zero_cols, dtype=int))
+        if not _is_int(self.n_cols) or self.n_cols < 1:
+            raise ValueError(f"n_cols must be an integer >= 1, not {self.n_cols!r}")
+        cols = np.asarray(self.zero_cols)
+        if cols.size and not np.issubdtype(cols.dtype, np.integer):
+            raise ValueError(f"zero_cols must be integers, not {cols.dtype}")
+        cols = np.unique(cols.astype(int))
         if cols.size and (cols[0] < 0 or cols[-1] >= self.n_cols):
             raise ValueError("zero_cols out of range")
         object.__setattr__(self, "zero_cols", cols)
@@ -115,7 +119,7 @@ def _job_count(jobs):
             return len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity on this platform
             return os.cpu_count() or 1
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+    if not _is_int(jobs) or jobs < 1:
         raise ValueError(f"jobs must be None or an integer >= 1, not {jobs!r}")
     return int(jobs)
 

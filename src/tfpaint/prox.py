@@ -98,6 +98,11 @@ def prox_conjugate(base, eta, X):
     return X - eta * base(X / eta, 1.0 / eta)
 
 
+def _zero_cols(mask):
+    """The gap columns of a mask or a column array, as an int array."""
+    return np.asarray(mask.zero_cols if hasattr(mask, "zero_cols") else mask, dtype=int)
+
+
 def project_feasible(X, mask, X_corrupted):
     """Overwrite reliable columns with the observation, keep the rest.
 
@@ -108,7 +113,7 @@ def project_feasible(X, mask, X_corrupted):
     Xc = np.asarray(X_corrupted)
     if X.shape != Xc.shape:
         raise ValueError("spectrogram shapes differ")
-    zero_cols = np.asarray(mask.zero_cols if hasattr(mask, "zero_cols") else mask, dtype=int)
+    zero_cols = _zero_cols(mask)
     out = Xc.astype(X.dtype, copy=True)
     if zero_cols.size:
         out[:, zero_cols] = X[:, zero_cols]

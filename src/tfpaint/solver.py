@@ -38,12 +38,13 @@ from functools import lru_cache
 import numpy as np
 
 from .phase_prior import correction_factors, estimate_if
-from .prox import Thresholder
+from .prox import Thresholder, _zero_cols
 from .stft import (
     _expand,
     _frame_plan,
     _hermitian_half,
     _irfft_frames,
+    _is_int,
     _overlap_add,
     _rfft_frames,
     default_window,
@@ -80,15 +81,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step sizes, regularization and iteration budget.
+    """The dual step sigma, regularization and iteration budget.
 
-    tau/sigma must satisfy tau*sigma*4 <= 1 (||D R_omega ana|| <= 2 for the
-    tight default window, which the solvers always use); set
-    ``allow_unsafe`` to bypass the check deliberately.  ``thresholder``
-    (soft by default) is applied at level ``lam``.
+    sigma is the one step knob: the primal step ``tau`` = 1/(4*sigma) puts
+    tau*sigma*||D R_omega ana||**2 on the Chambolle-Pock bound 1 (the norm
+    is at most 2 for the tight default window, which the solvers always
+    use).  ``thresholder`` (soft by default) is applied at level ``lam``.
     """
 
-    tau: float = 0.25
     sigma: float = 1.0
     lam: float = 0.01
     inner_iters: int = 500
@@ -96,26 +96,26 @@ class SolverConfig:
     epsilon: float = 0.001
     alpha_relax: float = 1.0
     thresholder: Thresholder = Thresholder()
-    allow_unsafe: bool = False
+
+    @property
+    def tau(self):
+        return 0.25 / float(self.sigma)  # a Python float: no overflow warning
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.tau, self.sigma, self.lam, self.epsilon))):
-            raise ValueError("tau, sigma, lambda and epsilon must be finite")
-        if min(self.tau, self.sigma) <= 0:
-            raise ValueError("step sizes must be positive")
+        if not all(map(math.isfinite, (self.sigma, self.lam, self.epsilon))):
+            raise ValueError("sigma, lambda and epsilon must be finite")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"sigma {self.sigma!r} is too small: tau = 1/(4*sigma) overflows")
         for name, least in (("inner_iters", 1), ("outer_iters", 0)):  # as _job_count checks jobs
             n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+            if not _is_int(n) or n < least:
                 raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.alpha_relax < 2.0:
             raise ValueError("alpha_relax must lie in (0, 2)")
-        if not self.allow_unsafe and self.tau * self.sigma * 4.0 > 1.0 + 1e-12:
-            raise ValueError(
-                "tau*sigma*4 > 1 violates the dual step condition "
-                "(pass allow_unsafe=True to override)"
-            )
         self.thresholder(np.zeros(0, dtype=complex), self.lam)  # its checks of lam (sign, overflow)
 
 
@@ -128,10 +128,6 @@ def _if_windows(window_len):
     for w in pair:
         w.flags.writeable = False
     return pair
-
-
-def _zero_cols(mask):
-    return np.asarray(mask.zero_cols if hasattr(mask, "zero_cols") else mask, dtype=int)
 
 
 def _dual_step(Q, thresh, lam, M, mag):
@@ -304,7 +300,8 @@ class _Run:
 def _observe(X_corr, zero, run):
     """Set up a FrameRun of X_corr from the columns that reach it, scaled so
     the synthesized observation, its start, peaks at 1 on its span (lam
-    keeps its scale).  Its gap columns are set to 0, whatever X_corr holds.
+    keeps its scale).  Its gap columns are set to 0, whatever X_corr holds;
+    a non-finite coefficient in a reliable column it reads raises ValueError.
 
     syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
     the reliable frames (``_d_rel``; the mask removes whole frames, M >= W).
@@ -321,9 +318,15 @@ def _observe(X_corr, zero, run):
     circular = count == N
     reach, frames, span = _reach(start, count, cfg)
     unwrapped = frames[-1] - frames[0] == len(frames) - 1  # then a column slice, not a copy
-    Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped else frames])
     reliable = np.bincount(_zero_cols(zero), minlength=N)[frames] == 0
-    Xh[~reliable] = 0.0  # assigned, so +0 as apply_mask writes it
+    with np.errstate(over="ignore", invalid="ignore"):  # whatever the gap columns hold
+        Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped
+                                         else frames])
+        Xh[~reliable] = 0.0  # assigned, so +0 as apply_mask writes it
+        if not _finite(Xh):
+            bad = frames[~np.all(np.isfinite(Xh), axis=1)].tolist()
+            raise ValueError(f"reliable column(s) {bad} of the run on columns {frames[0]}.."
+                             f"{frames[-1]} hold a non-finite coefficient")
 
     ramp = _frame_plan(cfg, start - reach, len(frames))
     cr = np.conj(ramp)

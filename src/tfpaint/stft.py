@@ -54,9 +54,15 @@ import numpy as np
 _BLOCK_COEFFS = 2**17
 
 
+def _is_int(n):
+    """Whether n is an integer (Python or numpy), not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class StftConfig:
-    """Frame geometry: window length, hop a, FFT channels M, signal length L."""
+    """Frame geometry: window length, hop a, FFT channels M, signal length L
+    (integers)."""
 
     window_len: int = 2048
     hop: int = 512
@@ -64,6 +70,9 @@ class StftConfig:
     signal_len: int = 0
 
     def __post_init__(self):
+        for name in ("window_len", "hop", "channels", "signal_len"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.window_len < 2:
             raise ValueError("window_len must be >= 2")
         if self.hop < 1 or self.hop > self.window_len:

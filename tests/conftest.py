@@ -41,6 +41,21 @@ def pools(monkeypatch):
     return started
 
 
+@pytest.fixture
+def diverging(monkeypatch):
+    """Every dual step overflows to inf, so the next primal step is not
+    finite and the solver's own divergence guard fires: with tau derived
+    from sigma the steps sit on their bound, and no configuration diverges
+    by itself.  Forked pool workers inherit the patch."""
+    from tfpaint import solver
+
+    def overflow(Q, *args):
+        Q.fill(float("inf"))
+        return Q
+
+    monkeypatch.setattr(solver, "_dual_step", overflow)
+
+
 def _criterion_of(nodeid):
     name = nodeid.rsplit("::", 1)[-1]
     if not name.startswith("test_criterion_"):

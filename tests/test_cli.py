@@ -101,11 +101,25 @@ def test_mask_file_round_trip(tmp_path):
     assert set(d) == {"n_cols", "hop", "zero_cols"}
 
 
-def test_mask_file_validation(tmp_path):
+def test_mask_file_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n_cols": 28}')
     with pytest.raises(ValueError):
         read_mask(str(bad))
+    # JSON integers only, not truncated: 13.7 is no column 13, true no column 1
+    out = tmp_path / "r.wav"
+    for field, value in (("zero_cols", [13.7, 14]), ("zero_cols", [True, 13]),
+                         ("zero_cols", [13.0]), ("hop", "512"), ("n_cols", 28.9)):
+        bad.write_text(json.dumps({"n_cols": 28, "hop": 512, "zero_cols": [13], field: value}))
+        with pytest.raises(ValueError, match=field):
+            read_mask(str(bad))
+        capsys.readouterr()
+        # the mask is read before the input, which need not exist
+        assert main(["inpaint", "--in", str(tmp_path / "in.spgm"), "--mask", str(bad),
+                     "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err and not out.exists()
+    bad.write_text('{"n_cols": 28, "hop": 512, "zero_cols": []}')
+    assert read_mask(str(bad))[0].zero_cols.size == 0
 
 
 def test_spectrogram_file_round_trip_bit_exact(tmp_path):
@@ -466,21 +480,17 @@ def test_inpaint_trace_file(tmp_path):
     assert float(rows[1][2]) >= 0.0
 
 
-def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
+def test_divergence_exit_code(tmp_path, diverging, capsys):
     x = make_test_signal("multitone", 1.0, SR, seed=12)
     clean = wav_path(tmp_path, "c.wav", x)
     mask = str(tmp_path / "m.json")
-    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
-
-    from tfpaint.solver import DivergenceError
-
-    def explode(*a, **k):
-        raise DivergenceError(5)
-
-    monkeypatch.setattr(cli, "inpaint_spectrogram", explode)
+    # four columns leave samples free, so the solver steps and its guard fires
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "4", "--out", mask]) == 0
     capsys.readouterr()
-    assert main(["inpaint", "--in", clean, "--mask", mask,
-                 "--out", str(tmp_path / "r.wav")]) == 3
+    out = tmp_path / "r.wav"
+    assert main(["inpaint", "--in", clean, "--mask", mask, "--out", str(out),
+                 "--inner", "20", "--outer", "1"]) == 3
+    assert not out.exists()
     # the advice names options the command takes, and at least one
     named = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().err))
     with pytest.raises(SystemExit):

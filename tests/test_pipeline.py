@@ -18,7 +18,6 @@ from tfpaint.pipeline import (
     inpaint_spectrogram,
     make_mask,
 )
-from tfpaint.prox import Thresholder
 from tfpaint.solver import (
     DivergenceError,
     FrameRun,
@@ -120,6 +119,11 @@ def test_column_mask_contract():
         ColumnMask(5, [5])
     with pytest.raises(ValueError):
         ColumnMask(5, [-1])
+    # integers only, not truncated: 1.7 is no column 1
+    for n_cols, zero in ((60, [1.7, 2.2]), (60, [1.0]), (60.9, [1]), (True, [])):
+        with pytest.raises(ValueError, match="integer"):
+            ColumnMask(n_cols, zero)
+    assert ColumnMask(np.int64(5), np.array([], dtype=float)).zero_cols.size == 0
 
 
 def test_apply_mask_zeroes_and_preserves():
@@ -298,16 +302,22 @@ def test_trace_comes_back_in_info_alone():
 @pytest.mark.parametrize("zero", [range(20, 24), [58, 59, 0]], ids=["interior", "file-end"])
 def test_gap_columns_are_not_read(method, zero):
     # what the masked columns hold changes no bit of the output or the
-    # trace: the clean analysis restores as its masked copy does
+    # trace, and raises no warning: the clean analysis and a copy with
+    # non-finite gap columns restore as the masked copy does
     mask = ColumnMask(60, zero)
     Xc, X = corrupted(60, mask)
+    junk = Spectrogram(Xc.data.copy(), Xc.config)
+    junk.data[:, mask.zero_cols] = np.inf
+    junk.data[:2, mask.zero_cols[0]] = complex(np.inf, np.inf), np.nan
     x_true = tones(cfg_for(60).signal_len) if method == "bphain_oracle" else None
-    solved = [inpaint_spectrogram(Y, mask, method, scfg=FAST, x_true=x_true, jobs=1,
-                                  return_info=True, trace=True) for Y in (Xc, X)]
-    (masked, info_m), (clean, info_c) = solved
-    assert masked.data.tobytes() == clean.data.tobytes()
-    assert [t.tobytes() for t in info_m.pop("trace")] == [t.tobytes() for t in info_c.pop("trace")]
-    assert info_m == info_c
+    (masked, info_m), *others = [
+        inpaint_spectrogram(Y, mask, method, scfg=FAST, x_true=x_true, jobs=1,
+                            return_info=True, trace=True) for Y in (Xc, X, junk)]
+    trace_m = [t.tobytes() for t in info_m.pop("trace")]
+    for out, info in others:
+        assert out.data.tobytes() == masked.data.tobytes()
+        assert [t.tobytes() for t in info.pop("trace")] == trace_m
+        assert info == info_m
 
 
 def test_runs_that_cannot_move_start_no_pool(pools):
@@ -388,7 +398,7 @@ def test_inpaint_nearby_gaps_restore_as_one_run():
     assert np.max(np.abs(out.data - X.data)) <= 1e-12 * np.max(np.abs(X.data))
 
 
-def test_inpaint_validation():
+def test_inpaint_validation(monkeypatch):
     mask = make_mask(1, SR, HOP, 1)
     Xc, _ = corrupted(28, mask)
     with pytest.raises(ValueError):
@@ -401,22 +411,28 @@ def test_inpaint_validation():
         )
     with pytest.raises(ValueError):
         inpaint_spectrogram(Xc, ColumnMask(30, [13]), scfg=FAST)
+    # a non-finite coefficient in a reliable column a run reads fails before any solve
+    def must_not_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(tfpaint.pipeline, "solve_observed", must_not_solve)
+    Xc.data[7, mask.zero_cols[0] - 1] = np.nan
+    with pytest.raises(ValueError, match=r"column\(s\) \[12\] .* non-finite"):
+        inpaint_spectrogram(Xc, mask, scfg=FAST)
 
 
-# unsafe steps with an unbounded dual step (soft's clip keeps the dual in
-# the lam-ball, which bounds the iterates at any step size)
-WILD = SolverConfig(tau=5.0, sigma=5.0, inner_iters=400, outer_iters=1, allow_unsafe=True,
-                    lam=0.2, thresholder=Thresholder("l2_squared"))
+# run with the ``diverging`` fixture: every dual step overflows
+WILD = SolverConfig(inner_iters=400, outer_iters=1)
 
 
-def test_inpaint_divergence_propagates():
+def test_inpaint_divergence_propagates(diverging):
     mask = make_mask(1, SR, HOP, 4)  # four columns leave samples free
     Xc, _ = corrupted(28, mask)
     with pytest.raises(DivergenceError):
         inpaint_spectrogram(Xc, mask, scfg=WILD)
 
 
-def test_divergence_is_the_same_in_the_pool(pools):
+def test_divergence_is_the_same_in_the_pool(pools, diverging):
     # two 4-column gaps diverge in their runs; a pool worker's error reaches
     # the caller as the serial one does, from the first run in run order
     mask = make_mask(2, SR, HOP, 4)
@@ -431,8 +447,8 @@ def test_divergence_is_the_same_in_the_pool(pools):
     assert errors[0][1] == f"solver diverged at iteration {errors[0][0]}"
 
 
-def test_inpaint_one_column_gap_has_nothing_to_diverge():
-    # the reliable columns fix every sample, so the unsafe steps never act
+def test_inpaint_one_column_gap_has_nothing_to_diverge(diverging):
+    # the reliable columns fix every sample, so the overflowing steps never act
     mask = make_mask(1, SR, HOP, 1)
     Xc, X = corrupted(28, mask)
     out = inpaint_spectrogram(Xc, mask, scfg=WILD)

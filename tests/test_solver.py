@@ -130,21 +130,24 @@ def test_config_defaults():
 
 
 def test_config_step_conditions():
-    with pytest.raises(ValueError):
-        SolverConfig(tau=0.5, sigma=1.0)  # tau*sigma*4 = 2
-    # the defaults sit exactly on the bound
-    SolverConfig(tau=0.25, sigma=1.0)
-    # the data constraint has no dual, so no step size of its own
-    with pytest.raises(TypeError):
-        SolverConfig(eta=4.0)
-    # explicit override lets unsafe steps through
-    cfg = SolverConfig(tau=0.5, sigma=1.0, allow_unsafe=True)
-    assert cfg.tau == 0.5
+    # sigma is the one step knob: tau = 1/(4*sigma) sits on the bound
+    # tau*sigma*4 <= 1 at every sigma
+    for sigma in (0.0625, 0.25, 1.0, 4.0):
+        assert SolverConfig(sigma=sigma).tau * sigma * 4 == 1
+    # so neither tau nor an override of the bound can be set, and the data
+    # constraint has no dual, so no step size of its own
+    for field in ("tau", "allow_unsafe", "eta"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{field: 0.5})
+    # a sigma so small that tau overflows (from a numpy one, no warning)
+    for sigma in (1e-310, np.float64(5e-324)):
+        with pytest.raises(ValueError, match="overflows"):
+            SolverConfig(sigma=sigma)
 
 
 def test_config_rejects_bad_fields():
     for kwargs in (
-        dict(tau=0.0),
+        dict(sigma=0.0),
         dict(sigma=-1.0),
         dict(lam=-0.1),
         dict(inner_iters=0),
@@ -158,11 +161,11 @@ def test_config_rejects_bad_fields():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", ["tau", "sigma", "lam", "epsilon"])
+@pytest.mark.parametrize("field", ["sigma", "lam", "epsilon"])
 def test_config_rejects_nonfinite_fields(field, value):
     # NaN fails every comparison, so the range checks alone let it through
     with pytest.raises(ValueError, match="finite"):
-        SolverConfig(**{field: value}, allow_unsafe=True)
+        SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", [np.nan, 2.5, np.inf, True], ids=["nan", "2.5", "inf", "bool"])
@@ -245,20 +248,13 @@ def test_one_column_gap_leaves_nothing_to_solve():
     assert np.all(feas <= 1e-12)
 
 
-def unsafe_config():
-    # l2_squared's dual step is unbounded; soft's clips every dual entry to
-    # the lam-ball, which keeps the iterates bounded at any step size
-    return SolverConfig(tau=5.0, sigma=5.0, inner_iters=400, allow_unsafe=True,
-                        **kind_fields("l2_squared"))
-
-
-def test_divergence_detected():
+def test_divergence_detected(diverging):
     zero = np.arange(6, 10)
     case = observed(corrupted(three_tone(), zero), zero)
-    bad = unsafe_config()
     with pytest.raises(DivergenceError) as err:
-        gcpa_inner(*case, bad)
-    assert err.value.iteration >= 1
+        gcpa_inner(*case, SolverConfig(inner_iters=400))
+    # the first primal step reads the zero starting dual, the second the overflowed one
+    assert err.value.iteration == 2
 
 
 def test_divergence_error_pickles():
@@ -268,12 +264,13 @@ def test_divergence_error_pickles():
     assert str(err) == "solver diverged at iteration 7"
 
 
-def test_unsafe_steps_cannot_diverge_without_free_samples():
+def test_unsafe_steps_cannot_diverge_without_free_samples(diverging):
+    # an overflowing dual step never acts where every sample is fixed
     zero = np.array([8])
     x = three_tone()
     (run,) = frame_runs(zero, SEG)
     x0, Z0, obs, omega = observed(corrupted(x, zero), zero, run)
-    got, _ = gcpa_inner(x0, Z0, obs, omega, unsafe_config())
+    got, _ = gcpa_inner(x0, Z0, obs, omega, SolverConfig(inner_iters=400))
     span = (SEG.hop * run.start + np.arange(len(got))) % SEG.signal_len
     assert np.max(np.abs(got * obs.peak - x[span])) <= 1e-12
 
@@ -578,7 +575,7 @@ ODD = StftConfig(window_len=992, hop=248, channels=1023, signal_len=8184)
         (SEG, 1.0, True, 0.0, "l2_block", 1.0),
         (SHORT, 1.5, True, 0.0, "soft", 1.0),
         (ODD, 1.0, True, 0.0, "soft", 1.0),
-        # tau*sigma*4 = 1 at sigma != 1, which scales the carried trace
+        # sigma != 1 (tau = 1/(4*sigma)) scales the carried trace
         (SEG, 1.5, True, 0.0, "soft", 0.5),
     ],
     ids=["alpha1", "alpha1.5", "warm-dual", "stale-gap", "l2-block",
@@ -587,8 +584,7 @@ ODD = StftConfig(window_len=992, hop=248, channels=1023, signal_len=8184)
 def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind, sigma):
     zero = np.arange(6, 10) if scfg is SEG else np.arange(14, 18)
     x0, Z0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
-    cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=30, alpha_relax=alpha,
-                       **kind_fields(kind))
+    cfg = SolverConfig(sigma=sigma, inner_iters=30, alpha_relax=alpha, **kind_fields(kind))
     got_rows, ref_rows = blank_rows(cfg), blank_rows(cfg)
     x, Z = gcpa_inner(x0, Z0, obs, omega, cfg, got_rows)
     ref_x, ref_Z = free_sample_reference(x0, Z0, zero, Xc, omega, cfg, ref_rows)
@@ -734,8 +730,7 @@ def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind, si
     # the trace carries the analysis of x along instead of taking it; after
     # 500 iterations its terms still match a new analysis of the output
     # (with noise, the frames that do not move leave a residual of their own)
-    cfg = SolverConfig(tau=0.25 / sigma, sigma=sigma, inner_iters=500, alpha_relax=alpha,
-                       **kind_fields(kind))
+    cfg = SolverConfig(sigma=sigma, inner_iters=500, alpha_relax=alpha, **kind_fields(kind))
     x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
     assert moving > 0
     rows = blank_rows(cfg)

@@ -265,6 +265,12 @@ def test_config_validation():
         StftConfig(window_len=16, hop=8, channels=16, signal_len=40)  # M !| L
     with pytest.raises(ValueError):
         StftConfig(window_len=16, hop=8, channels=16, signal_len=8)  # L < W
+    # integers only: a float or bool field fails here, not in analyze's slicing
+    for field, value in (("window_len", 16.0), ("hop", 8.0), ("channels", 16.0),
+                         ("signal_len", 64.0), ("hop", True)):
+        with pytest.raises(ValueError, match=field):
+            StftConfig(**{**vars(SMALL), field: value})
+    assert StftConfig(np.int64(16), np.uint32(8), 16, 64) == SMALL
 
 
 def test_shape_validation():
