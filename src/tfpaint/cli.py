@@ -40,8 +40,8 @@ METHOD_NAMES = [m.replace("_", "-") for m in METHODS]  # as the options spell th
 
 
 def _ensure_writable(force, *paths):
-    """Refuse existing, unplaceable or repeated outputs (empty paths are
-    skipped); the commands check all of theirs before any work, not after it."""
+    """Refuse existing, unplaceable or repeated outputs (empty paths skipped) once,
+    before any work; the writers then open them exclusively unless forced."""
     paths = [p for p in paths if p]
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"two outputs share one path: {', '.join(paths)}")
@@ -77,9 +77,8 @@ def read_wav(path):
 
 def write_wav(path, rate, x, force=False):
     """Float samples -> 16-bit PCM mono, rounded and clipped."""
-    _ensure_writable(force, path)
     q = np.clip(np.round(np.asarray(x) * 32768.0), -32768, 32767)
-    with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
+    with open(path, "wb" if force else "xb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(int(rate))
@@ -93,31 +92,29 @@ def read_mask(path):
         n_cols, hop, zeros = d["n_cols"], d["hop"], list(d["zero_cols"])
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed mask file ({e})")
-    for name, v in (("n_cols", n_cols), ("hop", hop), *(("zero_cols", c) for c in zeros)):
-        if not _is_int(v):  # not truncated: 13.7 is no column, "512" no hop, true no 1
-            raise ValueError(f"{path}: {name}: {v!r} is not a JSON integer")
-    if hop < 1:
-        raise ValueError(f"{path}: hop must be positive")
-    return ColumnMask(n_cols, np.array(zeros, dtype=int)), hop
+    if not _is_int(hop) or hop < 1:  # "512" is no hop
+        raise ValueError(f"{path}: hop must be an integer >= 1, not {hop!r}")
+    try:
+        return ColumnMask(n_cols, zeros), hop
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_mask(path, mask, hop, force=False):
-    _ensure_writable(force, path)
     payload = {
         "n_cols": int(mask.n_cols),
         "hop": int(hop),
         "zero_cols": [int(c) for c in mask.zero_cols],
     }
-    with open(path, "w") as fh:
+    with open(path, "w" if force else "x") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def write_spectrogram(path, X, force=False):
     """magic, u32 LE M N hop window_len, then M*N little-endian c16 values."""
-    _ensure_writable(force, path)
     M, N = X.data.shape
-    with open(path, "wb") as fh:
+    with open(path, "wb" if force else "xb") as fh:
         fh.write(SPGM_MAGIC)
         fh.write(np.array([M, N, X.config.hop, X.config.window_len],
                           dtype="<u4").tobytes())
@@ -158,10 +155,9 @@ def record_row(r):
 
 
 def write_results(csv_path, json_path, records, summary=None, force=False):
-    _ensure_writable(force, csv_path, json_path)
     rows = [record_row(r) for r in records]
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+        with open(csv_path, "w" if force else "x", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=CSV_HEADER)
             w.writeheader()
             w.writerows(rows)
@@ -169,7 +165,7 @@ def write_results(csv_path, json_path, records, summary=None, force=False):
         payload = {"records": rows}
         if summary is not None:
             payload["summary"] = summary
-        with open(json_path, "w") as fh:
+        with open(json_path, "w" if force else "x") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -216,6 +212,7 @@ def _wav_analysis(path, mask, hop, args):
 
 
 def cmd_make_mask(args):
+    _ensure_writable(args.force, args.out)
     mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
                      placement=args.placement, seed=args.seed)
     write_mask(args.out, mask, args.hop, args.force)
@@ -238,6 +235,8 @@ def cmd_corrupt(args):
 
 def cmd_inpaint(args):
     jobs = _jobs(args.jobs)
+    if not 0 < args.sr < 2**31:  # a 16-bit WAV header holds 2*rate in 32 bits
+        raise ValueError(f"--sr must be a positive integer below 2**31, not {args.sr}")
     _ensure_writable(args.force, args.out, args.spec_out, args.trace)
     mask, hop = read_mask(args.mask)
     if args.infile.endswith(".wav"):
@@ -274,7 +273,7 @@ def cmd_inpaint(args):
     if args.spec_out:
         write_spectrogram(args.spec_out, out, args.force)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
+        with open(args.trace, "w" if args.force else "x", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["gap_start", "iteration", "objective", "feasibility"])
             w.writerows(sorted((run.gaps[0].start, i, obj, feas)
@@ -308,11 +307,9 @@ def _grid(args):
     jobs = _jobs(args.jobs)
     _ensure_writable(args.force, args.out, args.json)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    suite = synthetic_suite(args.seconds, args.sr, seed=args.seed, kinds=kinds)
-    if not suite:
-        raise ValueError(f"no signals for kinds {args.kinds!r}")
-    return suite, dict(scfg=solver_config(args), window_len=args.window, hop=args.hop,
-                       channels=args.channels, jobs=jobs)
+    return (synthetic_suite(args.seconds, args.sr, seed=args.seed, kinds=kinds),
+            dict(scfg=solver_config(args), window_len=args.window, hop=args.hop,
+                 channels=args.channels, jobs=jobs))
 
 
 def cmd_sweep(args):

@@ -113,6 +113,8 @@ def synthetic_suite(duration_s=5.0, sample_rate=16000, seed=0,
     the variation prior models exactly; chirps move and exercise the
     frequency re-estimation; tones cover exact- and fractional-bin offsets.
     """
+    if not kinds or not set(kinds) <= {"multitone", "chirp", "tone"}:
+        raise ValueError(f"kinds must name one or more of multitone, chirp, tone; not {kinds!r}")
     out = []
     if "multitone" in kinds:
         for i in range(10):

@@ -31,9 +31,9 @@ from .stft import Spectrogram, StftConfig, _coeffs, _is_int
 class ColumnMask:
     """Which spectrogram columns were zeroed out.
 
-    n_cols and zero_cols must be integers (a float is rejected, not
-    truncated); zero_cols is stored sorted and unique; everything else
-    counts as reliable.
+    n_cols and zero_cols must be integers (a float or bool is rejected, not
+    truncated; an integer array passes on its dtype); zero_cols is stored
+    sorted and unique; everything else counts as reliable.
     """
 
     n_cols: int
@@ -42,10 +42,11 @@ class ColumnMask:
     def __post_init__(self):
         if not _is_int(self.n_cols) or self.n_cols < 1:
             raise ValueError(f"n_cols must be an integer >= 1, not {self.n_cols!r}")
-        cols = np.asarray(self.zero_cols)
-        if cols.size and not np.issubdtype(cols.dtype, np.integer):
-            raise ValueError(f"zero_cols must be integers, not {cols.dtype}")
-        cols = np.unique(cols.astype(int))
+        cols = self.zero_cols
+        if not np.issubdtype(getattr(cols, "dtype", object), np.integer):  # True is no column 1
+            for c in filter(lambda c: not _is_int(c), np.asarray(cols, dtype=object).ravel()):
+                raise ValueError(f"zero_cols must be integers, not {c!r}")
+        cols = np.unique(np.asarray(cols, dtype=int))
         if cols.size and (cols[0] < 0 or cols[-1] >= self.n_cols):
             raise ValueError("zero_cols out of range")
         object.__setattr__(self, "zero_cols", cols)
@@ -69,10 +70,11 @@ def make_mask(duration_s, sample_rate, hop, gap_cols, placement="per-second-cent
     gap sits inside its own second and no two gaps touch (``find_gaps``
     would merge them).
     """
-    if duration_s < 1.0:
-        raise ValueError("duration must be at least one second")
-    if gap_cols < 1:
-        raise ValueError("gap_cols must be positive")
+    if not math.isfinite(duration_s) or duration_s < 1.0:
+        raise ValueError(f"duration must be finite and at least one second, not {duration_s!r}")
+    for name, n in (("hop", hop), ("gap_cols", gap_cols)):
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {n!r}")
     if placement not in ("per-second-center", "seeded-random"):
         raise ValueError(f"unknown placement {placement!r}")
 

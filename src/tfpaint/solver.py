@@ -102,8 +102,9 @@ class SolverConfig:
         return 0.25 / float(self.sigma)  # a Python float: no overflow warning
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.sigma, self.lam, self.epsilon))):
-            raise ValueError("sigma, lambda and epsilon must be finite")
+        if not all(not isinstance(v, (bool, np.bool_)) and math.isfinite(v)  # True is no 1.0
+                   for v in (self.sigma, self.lam, self.epsilon, self.alpha_relax)):
+            raise ValueError("sigma, lambda, epsilon and alpha_relax must be finite numbers")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if not math.isfinite(self.tau):

@@ -20,6 +20,7 @@ from tfpaint.cli import (
     read_wav,
     solver_config,
     write_mask,
+    write_results,
     write_spectrogram,
     write_wav,
 )
@@ -350,12 +351,56 @@ def test_hop_that_does_not_divide_the_channels(tmp_path):
     assert [row["lambda"] for row in csv.DictReader(open(out))] == ["1.0"] * 4
 
 
-def test_force_required_to_overwrite(tmp_path):
+def test_force_required_to_overwrite(tmp_path, monkeypatch):
     out = str(tmp_path / "mask.json")
     assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", out]) == 0
-    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", out]) == 2
+
+    def must_not_build(*a, **k):
+        raise AssertionError("built a mask although the output exists")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "make_mask", must_not_build)
+        assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", out]) == 2
     assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", out,
                  "--force"]) == 0
+
+
+def test_writers_open_exclusively_unless_forced(tmp_path):
+    # the commands refuse an existing output up front; a writer refuses one
+    # that appeared since, without touching its bytes
+    cfg = StftConfig(9, 3, 9, 27)
+    writes = [lambda p, force: write_wav(p, SR, np.zeros(10), force=force),
+              lambda p, force: write_mask(p, ColumnMask(28, [13]), 512, force=force),
+              lambda p, force: write_spectrogram(p, Spectrogram(np.ones((9, 9), complex), cfg),
+                                                 force=force),
+              lambda p, force: write_results(p, None, [], force=force),
+              lambda p, force: write_results(None, p, [], force=force)]
+    for i, write in enumerate(writes):
+        p = tmp_path / f"out{i}"
+        p.write_bytes(b"keep")
+        with pytest.raises(FileExistsError):
+            write(str(p), False)
+        assert p.read_bytes() == b"keep"
+        write(str(p), True)
+        assert p.read_bytes() != b"keep"
+
+
+def test_inpaint_keeps_an_output_that_appears_while_it_solves(tmp_path, monkeypatch, capsys):
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=13))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    out = tmp_path / "r.wav"
+    solve = cli.inpaint_spectrogram
+
+    def solve_then_race(*a, **k):
+        out.write_bytes(b"keep")
+        return solve(*a, **k)
+
+    monkeypatch.setattr(cli, "inpaint_spectrogram", solve_then_race)
+    assert main(["inpaint", "--in", clean, "--mask", mask, "--out", str(out),
+                 "--inner", "2", "--outer", "0", "--jobs", "1"]) == 1
+    assert "exists" in capsys.readouterr().err
+    assert out.read_bytes() == b"keep"
 
 
 def test_snr_command(tmp_path, capsys):
@@ -463,6 +508,39 @@ def test_inpaint_oracle_requires_truth(tmp_path):
     assert main(["inpaint", "--in", clean, "--mask", mask, "--out", out,
                  "--method", "bphain-oracle", "--truth", clean,
                  "--inner", "5", "--outer", "1"]) == 0
+
+
+def test_inpaint_checks_the_output_rate_first(tmp_path, monkeypatch, capsys):
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=12))
+    mask, spgm = str(tmp_path / "m.json"), str(tmp_path / "c.spgm")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    assert main(["corrupt", "--in", clean, "--mask", mask, "--out", str(tmp_path / "cc.wav"),
+                 "--spec-out", spgm]) == 0
+
+    def must_not_solve(*a, **k):
+        raise AssertionError("solved although --sr is unusable")
+
+    monkeypatch.setattr(cli, "inpaint_spectrogram", must_not_solve)
+    out = tmp_path / "r.wav"
+    capsys.readouterr()
+    for sr in ("0", "-16000", str(2**31)):  # a WAV header holds 2*rate in 32 bits
+        assert main(["inpaint", "--in", spgm, "--mask", mask, "--out", str(out),
+                     "--sr", sr]) == 2
+        assert "--sr" in capsys.readouterr().err and not out.exists()
+
+
+def test_mask_geometry_and_suite_kinds_are_checked_before_writing(tmp_path, capsys):
+    # a ValueError (exit 2), not a ZeroDivisionError or OverflowError
+    # traceback; a misspelt kind is refused, not dropped from the suite
+    out = tmp_path / "o.json"
+    kinds = "multitone, chirp, tone"
+    for args, word in ((["make-mask", "--seconds", "1", "--gap-cols", "1", "--hop", "0"], "hop"),
+                       (["make-mask", "--seconds", "inf", "--gap-cols", "1"], "duration"),
+                       (["compare", "--seconds", "1", "--kinds", "tone", "--hop", "0"], "hop"),
+                       (["compare", "--seconds", "1", "--kinds", "multitone,chrip"], kinds),
+                       (["sweep", "--seconds", "1", "--kinds", ","], kinds)):
+        assert main([*args, "--out", str(out)]) == 2, args
+        assert word in capsys.readouterr().err and not out.exists()
 
 
 def test_inpaint_trace_file(tmp_path):

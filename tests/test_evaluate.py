@@ -127,6 +127,10 @@ def test_synthetic_suite_composition():
     assert all(len(x) == SR for _, x in suite)
     chirps = synthetic_suite(duration_s=1.0, kinds=("chirp",))
     assert len(chirps) == 10
+    # a misspelt or missing kind is refused, not dropped
+    for kinds in (("multitone", "chrip"), ()):
+        with pytest.raises(ValueError, match="multitone, chirp, tone"):
+            synthetic_suite(duration_s=1.0, kinds=kinds)
     again = synthetic_suite(duration_s=1.0)
     assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(suite, again))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,12 @@ def test_mask_validation():
         make_mask(0.5, SR, HOP, 1)
     with pytest.raises(ValueError):
         make_mask(1, SR, HOP, 0)
+    # a ValueError, not a ZeroDivisionError, OverflowError or TypeError;
+    # True is no one-column gap
+    for args in ((1, SR, 0, 1), (1, SR, -512, 1), (1, SR, 512.0, 1), (2.0, SR, HOP, 2.5),
+                 (1, SR, HOP, True), (math.inf, SR, HOP, 1), (math.nan, SR, HOP, 1)):
+        with pytest.raises(ValueError, match="hop|gap_cols|duration"):
+            make_mask(*args)
     # any width that fits with a one-column margin each side
     assert len(make_mask(1, SR, HOP, 7).zero_cols) == 7
     with pytest.raises(ValueError):
@@ -119,10 +126,12 @@ def test_column_mask_contract():
         ColumnMask(5, [5])
     with pytest.raises(ValueError):
         ColumnMask(5, [-1])
-    # integers only, not truncated: 1.7 is no column 1
-    for n_cols, zero in ((60, [1.7, 2.2]), (60, [1.0]), (60.9, [1]), (True, [])):
+    # integers only, not truncated: 1.7 is no column 1, True no column 1
+    for n_cols, zero in ((60, [1.7, 2.2]), (60, [1.0]), (60.9, [1]), (True, []),
+                         (60, [True, 3]), (60, np.array([True])), (60, [13.0])):
         with pytest.raises(ValueError, match="integer"):
             ColumnMask(n_cols, zero)
+    assert list(ColumnMask(60, [3, np.int64(2)]).zero_cols) == [2, 3]
     assert ColumnMask(np.int64(5), np.array([], dtype=float)).zero_cols.size == 0
 
 

@@ -160,10 +160,11 @@ def test_config_rejects_bad_fields():
             SolverConfig(**kwargs)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", ["sigma", "lam", "epsilon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, True], ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("field", ["sigma", "lam", "epsilon", "alpha_relax"])
 def test_config_rejects_nonfinite_fields(field, value):
-    # NaN fails every comparison, so the range checks alone let it through
+    # NaN fails every comparison, so the range checks alone let it through;
+    # a bool is no number either (sigma=True would run at sigma = 1)
     with pytest.raises(ValueError, match="finite"):
         SolverConfig(**{field: value})
 
