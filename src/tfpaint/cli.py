@@ -40,8 +40,8 @@ METHOD_NAMES = [m.replace("_", "-") for m in METHODS]  # as the options spell th
 
 
 def _ensure_writable(force, *paths):
-    """Refuse existing, unplaceable or repeated outputs (empty paths skipped) once,
-    before any work; the writers then open them exclusively unless forced."""
+    """Refuse existing, unplaceable or repeated outputs (empty paths skipped): each command
+    calls this once, before any work; its writers open them exclusively unless forced."""
     paths = [p for p in paths if p]
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"two outputs share one path: {', '.join(paths)}")
