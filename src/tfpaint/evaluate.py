@@ -17,11 +17,13 @@ from .stft import StftConfig, analyze, default_window, synthesize
 class EvalRecord:
     """One evaluation result row.
 
-    lambda is a reserved word, so the field is lambda_; file emission uses
-    the plain name.  runtime_s is the wall time of the solve
-    (``inpaint_spectrogram``), measured in the process that solved the
-    record, and therefore the one field that is not reproducible
-    bit-for-bit.
+    The fields are the method, the gap length in columns (mask_gap_cols),
+    the signal's id, the restoration's SNR, the solve's runtime_s, the
+    regularization weight and the inner-iteration budget.  lambda is a
+    reserved word, so the field is lambda_; file emission uses the plain
+    name.  runtime_s is the wall time of the solve (``inpaint_spectrogram``),
+    measured in the process that solved the record, and therefore the one
+    field that is not reproducible bit-for-bit.
     """
 
     method: str
@@ -31,7 +33,6 @@ class EvalRecord:
     runtime_s: float
     lambda_: float
     iters_inner: int
-    iters_outer_used: int
 
 
 def snr(x_ref, x_test):
@@ -59,12 +60,11 @@ def _sweep(phase):
 
 
 def make_test_signal(kind, duration_s=5.0, sample_rate=16000, *, f=440.0,
-                     delta_bins=0.0, k=3, f0=440.0, f1=880.0, seed=0,
-                     channels=StftConfig.channels):
+                     delta_bins=0.0, k=3, f0=440.0, f1=880.0, seed=0):
     """Deterministic synthetic signal of one of four kinds.
 
     tone       sinusoid placed delta_bins away from the nearest analysis bin
-               of an M=channels transform (delta 0 = exact bin center)
+               of a StftConfig.channels transform (delta 0 = exact bin center)
     multitone  k random tones, seeded amplitudes/frequencies/phases
     chirp      linear frequency ramp f0 -> f1 (f0 = f1 reduces to a tone)
     noise      seeded white noise
@@ -79,8 +79,8 @@ def make_test_signal(kind, duration_s=5.0, sample_rate=16000, *, f=440.0,
     t = np.arange(n) / float(sample_rate)
 
     if kind == "tone":
-        bin_idx = round(f * channels / sample_rate)
-        f_exact = (bin_idx + delta_bins) * sample_rate / channels
+        bin_idx = round(f * StftConfig.channels / sample_rate)
+        f_exact = (bin_idx + delta_bins) * sample_rate / StftConfig.channels
         if not 0.0 < f_exact < sample_rate / 2.0:
             raise ValueError("tone frequency must lie below Nyquist")
         return _sweep(f_exact * t)
@@ -172,19 +172,17 @@ def _records(signals, cells, window_len, hop, channels, jobs):
     def restore(record):
         """Restore record (method, scfg, mask, signal index): analysis,
         inpainting, synthesis.  Returns (the restored signal, the solve's
-        wall time, the rounded mean of its per-run outer rounds)."""
+        wall time)."""
         method, scfg, mask, s = record
         x = _span(signals[s][1], mask, hop)
         cfg = StftConfig(window_len=window_len, hop=hop, channels=channels, signal_len=len(x))
         X = analyze(x, default_window(cfg), cfg)
         t0 = time.perf_counter()
-        rec, info = inpaint_spectrogram(
+        rec = inpaint_spectrogram(
             X, mask, method=method, scfg=scfg, x_true=x if method == "bphain_oracle" else None,
-            jobs=jobs if len(items) == 1 else 1, return_info=True)
+            jobs=jobs if len(items) == 1 else 1)
         dt = time.perf_counter() - t0
-        x_hat = synthesize(rec, default_window(cfg), cfg)
-        outers = info["outer_iters_used"]
-        return x_hat, dt, int(round(np.mean(outers))) if outers else 0
+        return synthesize(rec, default_window(cfg), cfg), dt
 
     with closing(_fan_out(restore, items, jobs)) as restored:
         return [EvalRecord(
@@ -195,8 +193,7 @@ def _records(signals, cells, window_len, hop, channels, jobs):
             runtime_s=dt,
             lambda_=scfg.lam,
             iters_inner=scfg.inner_iters,
-            iters_outer_used=outer,
-        ) for (method, scfg, mask, s), (x_hat, dt, outer) in zip(items, restored)]
+        ) for (method, scfg, mask, s), (x_hat, dt) in zip(items, restored)]
 
 
 def _gap_len(mask):
@@ -206,15 +203,12 @@ def _gap_len(mask):
 
 def _mean_records(records, n):
     """Each cell's n records (one per signal, as ``_records`` lists them)
-    as one: snr_db and runtime_s are means over the signals,
-    iters_outer_used the rounded mean over the signals of each record's
-    own rounded mean of its per-run outer rounds."""
+    as one: snr_db and runtime_s are means over the signals."""
     return [dataclasses.replace(
         group[0],
         signal_id=f"mean({n})",
         snr_db=float(np.mean([r.snr_db for r in group])),
         runtime_s=float(np.mean([r.runtime_s for r in group])),
-        iters_outer_used=int(round(np.mean([r.iters_outer_used for r in group]))),
     ) for group in (records[k:k + n] for k in range(0, len(records), n))]
 
 
@@ -236,10 +230,9 @@ def sweep_lambda(signals, mask, lambda_grid=DEFAULT_LAMBDA_GRID, scfg=None,
     """Mean reconstruction SNR per regularization weight.
 
     signals is [(signal_id, samples)].  One record per grid value: snr_db
-    and runtime_s are means over the signals, iters_outer_used the rounded
-    mean over the signals of each restoration's own rounded mean of its
-    per-run outer rounds.  jobs is ``inpaint_spectrogram``'s: the
-    (value, signal) restorations run in a pool of that many processes.
+    and runtime_s are means over the signals.  jobs is
+    ``inpaint_spectrogram``'s: the (value, signal) restorations run in a
+    pool of that many processes.
     """
     return _per_value(signals, mask, "lam", [float(lam) for lam in lambda_grid], scfg,
                       method, window_len, hop, channels, jobs)

@@ -11,32 +11,41 @@ estimate is -Im(X_d / X_g) scaled by M/(2*pi), where X_d and X_g are the
 analyses with the derivative window and the plain window.  With that scale
 the correction factor exp(-i*2*pi*a*cumsum(omega)/M) exactly cancels a pure
 tone's per-frame advance; the scale is the lone convention choice and the
-pure-tone tests pin it down.  The ratio is scale-invariant, so any common
-rescaling of the window pair (e.g. using the tight window) gives identical
-estimates.  Rows 0..M//2 are estimated; the rest mirror them with the sign
-flipped, as for any real signal.
+pure-tone tests pin it down.  The estimate always takes the plain Hann
+pair and a fixed magnitude floor; the ratio is scale-invariant, so that
+pair gives the estimates of any common rescaling of it, the tight analysis
+window included.  Rows 0..M//2 are estimated; the rest mirror them with the
+sign flipped, as for any real signal.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from .stft import Spectrogram, StftConfig, _coeffs, _rfft_frames, _window, analyze
+from .stft import (Spectrogram, StftConfig, _coeffs, _rfft_frames, analyze, make_hann,
+                   make_hann_derivative)
+
+_MAG_FLOOR = 1e-10  # omega = 0 where |X_g| is at or below this share of its largest
 
 
-def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
+@lru_cache(maxsize=64)
+def _if_windows(window_len):
+    # the plain Hann pair, read-only: every estimate shares it
+    pair = make_hann(window_len), make_hann_derivative(window_len)
+    for w in pair:
+        w.flags.writeable = False
+    return pair
+
+
+def estimate_if(x, cfg, circular=True):
     """Entrywise instantaneous-frequency offsets of a real signal, in bins,
-    as an M x N array.
+    as an M x N array, from the plain Hann pair (``_if_windows``), which
+    serves the tight analysis as the ratio is scale-invariant; 0 where
+    |X_g| <= _MAG_FLOOR * max|X_g|.
 
-    Parameters
-    ----------
-    x : real signal of length cfg.signal_len, or (circular False) the span
-        buffer of a run of frames (see ``stft``): offsets and magnitude
-        floor are then the run's
-    g : analysis window
-    g_prime : derivative window of g (same scale convention)
-    cfg : StftConfig
-    mag_floor : relative magnitude threshold; coefficients whose analysis
-        magnitude is at or below mag_floor * max|X| get omega = 0 instead of
-        a meaningless ratio.
+    x is a real signal of length cfg.signal_len, or (circular False) the
+    span buffer of a run of frames (see ``stft``): offsets and magnitude
+    floor are then the run's.
     """
     x = np.asarray(x, dtype=float)
     if circular and x.shape != (cfg.signal_len,):
@@ -44,11 +53,11 @@ def estimate_if(x, g, g_prime, cfg, mag_floor=1e-10, circular=True):
     # the frame ramp multiplies both analyses alike and cancels in the
     # ratio, so the frame-local transforms of rows 0..M//2 suffice (frames-
     # major, as stft's private helpers are)
-    Xg = _rfft_frames(x, _window(g, cfg), cfg, circular)
-    Xd = _rfft_frames(x, _window(g_prime, cfg), cfg, circular)
+    g, g_prime = _if_windows(cfg.window_len)
+    Xg = _rfft_frames(x, g, cfg, circular)
+    Xd = _rfft_frames(x, g_prime, cfg, circular)
     mag = np.abs(Xg)
-    floor = mag_floor * np.max(mag)
-    ok = mag > floor
+    ok = mag > _MAG_FLOOR * np.max(mag)
     omega = np.zeros(Xg.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = -np.imag(Xd / Xg) * (cfg.channels / (2.0 * np.pi))

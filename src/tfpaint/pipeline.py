@@ -44,8 +44,11 @@ class ColumnMask:
             raise ValueError(f"n_cols must be an integer >= 1, not {self.n_cols!r}")
         cols = self.zero_cols
         if not np.issubdtype(getattr(cols, "dtype", object), np.integer):  # True is no column 1
-            for c in filter(lambda c: not _is_int(c), np.asarray(cols, dtype=object).ravel()):
+            entries = np.asarray(cols, dtype=object).ravel()
+            for c in filter(lambda c: not _is_int(c), entries):
                 raise ValueError(f"zero_cols must be integers, not {c!r}")
+            if not all(0 <= c < self.n_cols for c in entries):  # 10**30 overflows int64
+                raise ValueError("zero_cols out of range")
         cols = np.unique(np.asarray(cols, dtype=int))
         if cols.size and (cols[0] < 0 or cols[-1] >= self.n_cols):
             raise ValueError("zero_cols out of range")

@@ -48,8 +48,6 @@ from .stft import (
     _overlap_add,
     _rfft_frames,
     default_window,
-    make_hann,
-    make_hann_derivative,
 )
 
 METHODS = ("uphain", "bphain", "bphain_oracle", "tf_only")
@@ -118,17 +116,6 @@ class SolverConfig:
         if not 0.0 < self.alpha_relax < 2.0:
             raise ValueError("alpha_relax must lie in (0, 2)")
         self.thresholder(np.zeros(0, dtype=complex), self.lam)  # its checks of lam (sign, overflow)
-
-
-@lru_cache(maxsize=64)
-def _if_windows(window_len):
-    # IF estimation uses the plain Hann pair; the estimate is a ratio, so a
-    # common rescaling of both windows (e.g. the tight normalization at 75%
-    # overlap) leaves it unchanged.  Read-only: every solve shares them.
-    pair = make_hann(window_len), make_hann_derivative(window_len)
-    for w in pair:
-        w.flags.writeable = False
-    return pair
 
 
 def _dual_step(Q, thresh, lam, M, mag):
@@ -509,8 +496,7 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
     untraced, takes no IF estimate, which ``gcpa_inner`` would not read.
     Only the gap frames' hull is analysed: a frame's rFFT is its own row."""
     scfg = obs.cfg
-    estimate = lambda x: estimate_if(x, *_if_windows(scfg.window_len), scfg,
-                                     circular=obs.circular)
+    estimate = lambda x: estimate_if(x, scfg, circular=obs.circular)
     omega_of = estimate
     if method == "bphain_oracle":
         # one round, so the oracle's estimate is taken at most once

@@ -160,10 +160,7 @@ def default_window(cfg):
 
 
 def _window(g, cfg):
-    """Float samples of window g (default_window(cfg) for None), checked
-    against cfg.window_len."""
-    if g is None:
-        g = default_window(cfg)
+    """Float samples of window g, checked against cfg.window_len."""
     w = np.asarray(g, dtype=float)
     if len(w) != cfg.window_len:
         raise ValueError("window length does not match config")

@@ -45,7 +45,6 @@ from tfpaint.stft import (
     StftConfig,
     analyze,
     make_hann,
-    make_hann_derivative,
     synthesize,
     tight_window,
 )
@@ -219,12 +218,11 @@ def test_criterion_05_tone_annihilation():
     # off-bin tones are floored by the interference between the positive-
     # and negative-frequency components, lowest for mid-band bins
     hann = make_hann(CFG.window_len)
-    hannd = make_hann_derivative(CFG.window_len)
     ni = CFG.n_frames - CFG.window_len // CFG.hop + 1
     l = np.arange(CFG.signal_len)
     for delta in (-0.4, 0.0, 0.25):
         x = np.cos(2 * np.pi * (417 + delta) * l / CFG.channels + 0.3)
-        om = estimate_if(x, hann, hannd, CFG)
+        om = estimate_if(x, CFG)
         X = analyze(x, hann, CFG).data
         V = time_variation(phase_correct(X, om, CFG.hop, CFG.channels))
         penalty = np.sum(np.abs(V[:, : ni - 1]))

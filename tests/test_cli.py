@@ -107,10 +107,12 @@ def test_mask_file_validation(tmp_path, capsys):
     bad.write_text('{"n_cols": 28}')
     with pytest.raises(ValueError):
         read_mask(str(bad))
-    # JSON integers only, not truncated: 13.7 is no column 13, true no column 1
+    # JSON integers only, not truncated: 13.7 is no column 13, true no column
+    # 1; a column past int64 is out of range
     out = tmp_path / "r.wav"
     for field, value in (("zero_cols", [13.7, 14]), ("zero_cols", [True, 13]),
-                         ("zero_cols", [13.0]), ("hop", "512"), ("n_cols", 28.9)):
+                         ("zero_cols", [13.0]), ("zero_cols", [10**30]), ("hop", "512"),
+                         ("n_cols", 28.9)):
         bad.write_text(json.dumps({"n_cols": 28, "hop": 512, "zero_cols": [13], field: value}))
         with pytest.raises(ValueError, match=field):
             read_mask(str(bad))

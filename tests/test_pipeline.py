@@ -126,6 +126,10 @@ def test_column_mask_contract():
         ColumnMask(5, [5])
     with pytest.raises(ValueError):
         ColumnMask(5, [-1])
+    # refused, not an OverflowError from the int64 conversion
+    for zero in ([10**30], [-10**30]):
+        with pytest.raises(ValueError, match="zero_cols out of range"):
+            ColumnMask(60, zero)
     # integers only, not truncated: 1.7 is no column 1, True no column 1
     for n_cols, zero in ((60, [1.7, 2.2]), (60, [1.0]), (60.9, [1]), (True, []),
                          (60, [True, 3]), (60, np.array([True])), (60, [13.0])):

@@ -5,6 +5,7 @@ import pytest
 
 from tfpaint.phase_prior import (
     _coeffs,
+    _if_windows,
     correction_factors,
     estimate_if,
     time_variation,
@@ -20,7 +21,6 @@ from tfpaint.solver import (
     SolverConfig,
     _d_rel,
     _dual_step,
-    _if_windows,
     _observe,
     _reach,
     _trace_terms,
@@ -84,8 +84,7 @@ def observed(Xc, zero, run=None):
     if run is None:
         run = (frame_runs(zero, scfg) or [circle(scfg, zero)])[0]
     obs = _observe(Xc, zero, run)
-    omega = estimate_if(obs.x0, make_hann(scfg.window_len),
-                        make_hann_derivative(scfg.window_len), scfg, circular=obs.circular)
+    omega = estimate_if(obs.x0, scfg, circular=obs.circular)
     return obs.x0, half_zeros(scfg, run.count - 1), obs, omega
 
 
@@ -606,7 +605,9 @@ def test_free_sample_fixed_point_is_feasible_and_no_worse_than_two_duals():
     scfg = StftConfig(window_len=64, hop=16, channels=64, signal_len=512)
     zero = np.arange(10, 16)
     x0, Z0, obs, Xc, omega = oracle_case(scfg, zero)
-    cfg = SolverConfig(inner_iters=3000)
+    # sigma pinned: tau = 0.25 and the reference's eta = 4 keep tau * eta = 1
+    # whatever the default sigma
+    cfg = SolverConfig(sigma=1.0, inner_iters=3000)
     rot = correction_factors(omega, scfg.hop, scfg.channels)
     reliable = np.ones(scfg.n_frames, dtype=bool)
     reliable[zero] = False
@@ -986,7 +987,7 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
     X = analyze(three_tone(RUNS.signal_len), default_window(RUNS), RUNS).data.copy()
     X[:, zero] = 0.0
     x0 = synthesize(X, default_window(RUNS), RUNS)
-    omega = estimate_if(x0, make_hann(2048), make_hann_derivative(2048), RUNS)
+    omega = estimate_if(x0, RUNS)
     cfg = SolverConfig(inner_iters=30)
     runs = frame_runs(zero, RUNS)
     if len(zero) == 5:
