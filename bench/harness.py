@@ -67,7 +67,6 @@ SETTINGS = {"default": {}, "jobs1": {"jobs": 1}}
 
 def measure(src, setting, runs, seed):
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("TFPAINT_JOBS", None)
     code = MEASURE.format(perfbench=os.path.join(ROOT, "perfbench"), seed=seed,
                           kwargs=SETTINGS[setting], runs=runs)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -83,7 +83,6 @@ print(json.dumps({"rc": rc, "wall_s": wall,
 
 def run_python(code, src, *args):
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("TFPAINT_JOBS", None)
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                          capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1]) if out.stdout.strip() else None

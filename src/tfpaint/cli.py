@@ -17,7 +17,7 @@ from .evaluate import (
     sweep_lambda,
     synthetic_suite,
 )
-from .pipeline import (METHODS, ColumnMask, _job_count, apply_mask, find_gaps,
+from .pipeline import (METHODS, ColumnMask, apply_mask, find_gaps,
                        inpaint_spectrogram, make_mask)
 from .prox import Thresholder
 from .solver import DivergenceError, SolverConfig
@@ -181,17 +181,11 @@ def solver_config(args):
 
 
 def _jobs(flag):
-    """--jobs, else TFPAINT_JOBS, else None (``inpaint_spectrogram``'s
-    default: the available cores); a job count must be an integer >= 1."""
-    source, value = "--jobs", flag
-    if flag is None:
-        source, value = "TFPAINT_JOBS", os.environ.get("TFPAINT_JOBS")
-        if not value:
-            return None
-    try:
-        return _job_count(int(value))
-    except ValueError:
-        raise ValueError(f"{source} must be an integer >= 1, not {value!r}") from None
+    """--jobs, else None (``inpaint_spectrogram``'s default: the available
+    cores); a job count must be an integer >= 1."""
+    if flag is not None and flag < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, not {flag!r}")
+    return flag
 
 
 def _wav_analysis(path, mask, hop, args):
@@ -258,7 +252,9 @@ def cmd_inpaint(args):
     if method == "bphain_oracle":
         if not args.truth:
             raise ValueError("--truth is required for method bphain-oracle")
-        _, xt = read_wav(args.truth)
+        truth_rate, xt = read_wav(args.truth)
+        if truth_rate != rate:
+            raise ValueError(f"--truth is {truth_rate} Hz, the restoration {rate} Hz")
         n = Xc.config.signal_len
         if len(xt) < n:
             raise ValueError("--truth audio shorter than the working span")
@@ -301,21 +297,21 @@ def cmd_snr(args):
     return 0
 
 
-def _grid(args):
-    """(the synthetic suite, the harness keywords) of a sweep or comparison,
-    its job count and outputs checked first."""
+def _grid(args, widths):
+    """(the synthetic suite, one mask per gap width, the harness keywords) of
+    a sweep or comparison, its job count and outputs checked first."""
     jobs = _jobs(args.jobs)
     _ensure_writable(args.force, args.out, args.json)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     return (synthetic_suite(args.seconds, args.sr, seed=args.seed, kinds=kinds),
+            [make_mask(args.seconds, args.sr, args.hop, g, placement=args.placement,
+                       seed=args.seed, channels=args.channels) for g in widths],
             dict(scfg=solver_config(args), window_len=args.window, hop=args.hop,
                  channels=args.channels, jobs=jobs))
 
 
 def cmd_sweep(args):
-    suite, harness = _grid(args)
-    mask = make_mask(args.seconds, args.sr, args.hop, args.gap_cols,
-                     placement=args.placement, seed=args.seed, channels=args.channels)
+    suite, (mask,), harness = _grid(args, [args.gap_cols])
     if args.lambdas == "default":
         grid = DEFAULT_LAMBDA_GRID
     else:
@@ -329,12 +325,8 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
-    suite, harness = _grid(args)
+    suite, masks, harness = _grid(args, [int(g) for g in args.gap_cols.split(",")])
     methods = [m.strip().replace("-", "_") for m in args.methods.split(",")]
-    gap_lengths = [int(g) for g in args.gap_cols.split(",")]
-    masks = [make_mask(args.seconds, args.sr, args.hop, g, placement=args.placement,
-                       seed=args.seed, channels=args.channels)
-             for g in gap_lengths]
     records, summary = compare_methods(suite, masks, methods, **harness)
     write_results(args.out, args.json, records, summary=summary,
                   force=args.force)
@@ -366,8 +358,8 @@ def build_parser():
                         help="smooth-hard sharpness (default %(default)s)")
     solver.add_argument("--jobs", type=int, default=None,
                         help="worker processes: for the frame runs in inpaint, for "
-                             "the records in sweep and compare (default: env "
-                             "TFPAINT_JOBS, else the available cores)")
+                             "the records in sweep and compare (default: the "
+                             "available cores)")
 
     frame = argparse.ArgumentParser(add_help=False)
     frame.add_argument("--window", type=int, default=StftConfig.window_len,

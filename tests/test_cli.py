@@ -24,7 +24,7 @@ from tfpaint.cli import (
     write_spectrogram,
     write_wav,
 )
-from tfpaint.evaluate import make_test_signal
+from tfpaint.evaluate import EvalRecord, make_test_signal
 from tfpaint.pipeline import ColumnMask, apply_mask
 from tfpaint.solver import SolverConfig
 from tfpaint.stft import Spectrogram, StftConfig, analyze, default_window
@@ -282,8 +282,8 @@ def test_method_choices():
 
 
 def test_jobs_env_default(tmp_path, monkeypatch, capsys):
-    # --jobs, else TFPAINT_JOBS, else the library's default (None: the
-    # available cores), resolved when the command runs
+    # --jobs, else the library's default (None: the available cores),
+    # resolved when the command runs; no environment variable is read
     x = make_test_signal("multitone", 1.0, SR, seed=12)
     clean = wav_path(tmp_path, "c.wav", x)
     mask = str(tmp_path / "m.json")
@@ -295,26 +295,24 @@ def test_jobs_env_default(tmp_path, monkeypatch, capsys):
         return Xc, {}
 
     monkeypatch.setattr(cli, "inpaint_spectrogram", spy)
-    base = ["inpaint", "--in", clean, "--mask", mask, "--out", str(tmp_path / "r.wav"),
-            "--force"]
-    monkeypatch.delenv("TFPAINT_JOBS", raising=False)
+    out = tmp_path / "r.wav"
+    base = ["inpaint", "--in", clean, "--mask", mask, "--out", str(out), "--force"]
     assert build_parser().parse_args(base).jobs is None
     assert main(base) == 0
-    monkeypatch.setenv("TFPAINT_JOBS", "")
-    assert main(base) == 0
-    monkeypatch.setenv("TFPAINT_JOBS", "4")
-    assert main(base) == 0
     assert main(base + ["--jobs", "3"]) == 0
-    assert seen == [None, None, 4, 3]
+    for env in ("4", "0"):
+        monkeypatch.setenv("TFPAINT_JOBS", env)
+        assert main(base) == 0
+    assert seen == [None, 3, None, None]
     capsys.readouterr()
 
     # a job count that is not an integer >= 1 is an error, not 1
-    for env, flag in (("soon", []), ("0", []), ("-2", []), ("2.5", []), ("4", ["--jobs", "0"])):
-        monkeypatch.setenv("TFPAINT_JOBS", env)
-        assert main(base + flag) == 2
+    out.unlink()
+    for flag in ("0", "-1"):
+        assert main(base + ["--jobs", flag]) == 2
         err = capsys.readouterr().err
-        assert ("--jobs" if flag else "TFPAINT_JOBS") in err and "integer >= 1" in err
-    assert len(seen) == 4
+        assert "--jobs" in err and "integer >= 1" in err
+    assert len(seen) == 4 and not out.exists()
 
 
 # ---------------------------------------------------------------- commands
@@ -499,7 +497,7 @@ def test_inpaint_empty_mask_round_trips(tmp_path):
     assert np.array_equal(a, b)  # synthesis round-trip inside one quantum
 
 
-def test_inpaint_oracle_requires_truth(tmp_path):
+def test_inpaint_oracle_requires_truth(tmp_path, capsys):
     x = make_test_signal("multitone", 1.0, SR, seed=10)
     clean = wav_path(tmp_path, "c.wav", x)
     mask = str(tmp_path / "m.json")
@@ -507,6 +505,22 @@ def test_inpaint_oracle_requires_truth(tmp_path):
     out = str(tmp_path / "r.wav")
     assert main(["inpaint", "--in", clean, "--mask", mask, "--out", out,
                  "--method", "bphain-oracle", "--inner", "5", "--outer", "1"]) == 2
+    # the truth must have the restoration's rate: the input WAV's, or --sr
+    # for a spectrogram; a mismatch stops the command before the solve
+    spgm = str(tmp_path / "c.spgm")
+    assert main(["corrupt", "--in", clean, "--mask", mask, "--out", str(tmp_path / "cc.wav"),
+                 "--spec-out", spgm]) == 0
+    slow = wav_path(tmp_path, "t8k.wav", x, rate=8000)  # as many samples as clean
+    capsys.readouterr()
+    for infile, truth, extra, words in ((clean, slow, [], "8000 Hz, the restoration 16000"),
+                                        (spgm, slow, [], "8000 Hz, the restoration 16000"),
+                                        (spgm, clean, ["--sr", "8000"],
+                                         "16000 Hz, the restoration 8000")):
+        assert main(["inpaint", "--in", infile, "--mask", mask, "--out", out,
+                     "--method", "bphain-oracle", "--truth", truth,
+                     "--inner", "5", "--outer", "1", *extra]) == 2
+        assert f"--truth is {words} Hz" in capsys.readouterr().err
+        assert not os.path.exists(out)
     assert main(["inpaint", "--in", clean, "--mask", mask, "--out", out,
                  "--method", "bphain-oracle", "--truth", clean,
                  "--inner", "5", "--outer", "1"]) == 0
@@ -755,30 +769,33 @@ def test_sweep_and_compare_check_outputs_before_running(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command, target", [("sweep", "sweep_lambda"),
                                              ("compare", "compare_methods")])
 def test_sweep_and_compare_take_jobs(tmp_path, monkeypatch, capsys, command, target):
-    # --jobs, else TFPAINT_JOBS, else None, as inpaint takes them
+    # --jobs, else None, as inpaint takes them; no environment variable is read
     seen = []
+    record = EvalRecord(method="uphain", mask_gap_cols=1, signal_id="tone-00", snr_db=0.0,
+                        runtime_s=0.0, lambda_=0.01, iters_inner=1)
 
     def spy(*a, **kw):
         seen.append(kw["jobs"])
-        raise ValueError("stop after the call")
+        return [record] if target == "sweep_lambda" else ([record], [])
 
     monkeypatch.setattr(cli, target, spy)
     out = tmp_path / "s.csv"
     args = [command, "--seconds", "1", "--kinds", "tone", "--gap-cols", "1",
-            "--out", str(out)]
-    monkeypatch.delenv("TFPAINT_JOBS", raising=False)
-    assert main(args) == 2
-    assert main(args + ["--jobs", "3"]) == 2
-    monkeypatch.setenv("TFPAINT_JOBS", "4")
-    assert main(args) == 2
-    assert seen == [None, 3, 4]
+            "--out", str(out), "--force"]
+    assert main(args) == 0
+    assert main(args + ["--jobs", "3"]) == 0
+    for env in ("4", "0"):
+        monkeypatch.setenv("TFPAINT_JOBS", env)
+        assert main(args) == 0
+    assert seen == [None, 3, None, None]
     capsys.readouterr()
     # a bad count stops the command before any work, with nothing written
-    for env, flag in (("0", []), ("4", ["--jobs", "-1"])):
-        monkeypatch.setenv("TFPAINT_JOBS", env)
-        assert main(args + flag) == 2
-        assert "integer >= 1" in capsys.readouterr().err
-    assert len(seen) == 3 and not out.exists()
+    out.unlink()
+    for flag in ("0", "-1"):
+        assert main(args + ["--jobs", flag]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "integer >= 1" in err
+    assert len(seen) == 4 and not out.exists()
 
 
 def test_inpaint_rejects_nonfinite_spectrogram(tmp_path, capsys):

@@ -421,3 +421,25 @@ def test_two_column_gap_restores_to_round_off():
     # its reliable columns fix every sample the gap touches
     _, err = restoration_error(2)
     assert float(np.sum(err**2)) <= 1e-20
+
+
+# uphain at the default SolverConfig on the seeded 3-tone multitone, one
+# centred gap per width, measured 116.3, 85.5, 79.2, 73.5 and 65.5 dB at
+# widths 3-7; each floor sits 15 dB under, as round-off moves such figures
+# by up to 4.6 dB from seed to seed
+UPHAIN_FLOORS_DB = {3: 101.0, 4: 70.0, 5: 64.0, 6: 58.0, 7: 50.0}
+
+
+def test_uphain_keeps_a_floor_at_each_width():
+    # width 8 is unconverged at sigma = 1 (9.7 dB against 5.8 dB zero fill):
+    # its floor is zero fill + 2 dB
+    x = make_test_signal("multitone", 1.0, SR, k=3, seed=0)
+    masks = [make_mask(1, SR, HOP, g) for g in range(3, 9)]
+    recs, _ = compare_methods([("multitone", x)], masks, ["uphain"], jobs=2)
+    assert [r.mask_gap_cols for r in recs] == list(range(3, 9))
+    for rec, mask in zip(recs, masks):
+        cfg = StftConfig(M, HOP, M, mask.n_cols * HOP)
+        w, xs = default_window(cfg), x[: cfg.signal_len]
+        zero_fill = snr(xs, synthesize(apply_mask(analyze(xs, w, cfg), mask), w, cfg))
+        floor = UPHAIN_FLOORS_DB.get(rec.mask_gap_cols, zero_fill + 2.0)
+        assert rec.snr_db >= floor, (rec.mask_gap_cols, rec.snr_db, floor)
