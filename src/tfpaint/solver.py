@@ -92,7 +92,6 @@ class SolverConfig:
     inner_iters: int = 500
     outer_iters: int = 10
     epsilon: float = 0.001
-    alpha_relax: float = 1.0
     thresholder: Thresholder = Thresholder()
 
     @property
@@ -101,8 +100,8 @@ class SolverConfig:
 
     def __post_init__(self):
         if not all(not isinstance(v, (bool, np.bool_)) and math.isfinite(v)  # True is no 1.0
-                   for v in (self.sigma, self.lam, self.epsilon, self.alpha_relax)):
-            raise ValueError("sigma, lambda, epsilon and alpha_relax must be finite numbers")
+                   for v in (self.sigma, self.lam, self.epsilon)):
+            raise ValueError("sigma, lambda and epsilon must be finite numbers")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if not math.isfinite(self.tau):
@@ -113,8 +112,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 < self.alpha_relax < 2.0:
-            raise ValueError("alpha_relax must lie in (0, 2)")
         self.thresholder(np.zeros(0, dtype=complex), self.lam)  # its checks of lam (sign, overflow)
 
 
@@ -129,8 +126,10 @@ def _dual_step(Q, thresh, lam, M, mag):
         np.divide(lam, mag, out=mag)
         Q *= mag
         return Q
-    # on all M rows, so a block norm counts the mirrored rows too
-    Q -= thresh(_expand(Q, M), lam)[: Q.shape[1]].T
+    if thresh.kind == "l2_block":  # on all M rows: the norm counts the mirrored rows
+        Q -= thresh(_expand(Q, M), lam)[: Q.shape[1]].T
+    else:  # entrywise, mapping conj(z) to the conjugate of z's image: rows 0..M//2
+        Q -= thresh(Q, lam)
     return Q
 
 
@@ -369,7 +368,7 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     Tracing costs no transform: T = sigma*D(R_omega ana(x)) (the cut pair
     zero) and the reliable moving frames' sigma*R_omega ana(x) are carried
     along from the loop's own differences Q and its A2 of the extrapolated
-    point, relaxed by alpha/2 as x is (the analysis is linear), so a row is
+    point, moved halfway as x is (the analysis is linear), so a row is
     (lam/sigma)*sum|T| and a fixed-frame feasibility constant plus the
     carried frames, to round-off, both scaled once after the loop.
     Divergence (a non-finite moving sample) raises DivergenceError with the
@@ -380,9 +379,9 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     rest free", and the data constraint needs no dual: this is plain
     Chambolle-Pock on min lam*||D R_omega ana(x)||_1 over the free samples.
     The primal step moves only the free samples and holds the others at
-    x_det; the start is reset to x_det there too, so relaxation keeps every
-    iterate feasible.  A gap of one or two columns at hop W/4 leaves no free
-    sample and comes back as x_det.
+    x_det; the start is reset to x_det there too, so every iterate is
+    feasible.  A gap of one or two columns at hop W/4 leaves no free sample
+    and comes back as x_det.
 
     Moving frames.  Only the frames that touch a free sample (the run's
     ``moving`` hull) are transformed in the loop, and this is exact: on a
@@ -404,7 +403,6 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     scfg, circular, cut, fm = run.cfg, run.circular, run.cut, run.moving
     w = default_window(scfg)
     M, W, a = scfg.channels, scfg.window_len, scfg.hop
-    alpha = cfg.alpha_relax
 
     x = np.where(run.free, x0, run.x_det)
     Z = Z0.copy()
@@ -422,7 +420,7 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     if rows is not None:
         # T = sigma*D(R_omega A x) over the pairs, C = A2 over the reliable
         # moving frames; rot has unit modulus, so |A - Xc| = |C - Xs| / sigma
-        wt, half, pm = _row_weights(M), alpha / 2.0, slice(max(fm.start - 1, 0), fm.stop)
+        wt, pm = _row_weights(M), slice(max(fm.start - 1, 0), fm.stop)
         T = A2[:-1] - A2[1:]
         T[cut] = 0.0
         Xs = run.Xc * rot * cfg.sigma
@@ -457,22 +455,16 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
             xbar -= xm
             np.multiply(_rfft_frames(xbar, w, scfg, circular), ramp_rot_sigma[fm], out=A2[fm])
             np.subtract(A2[:-1], A2[1:], out=Q)
-            if rows is not None:  # relaxed as x is below
-                T[pm] += half * (Q[pm] - T[pm])
+            if rows is not None:  # x_half is the midpoint of xm and xbar
+                T[pm] += 0.5 * (Q[pm] - T[pm])
                 T[cut] = 0.0
-                C += half * (A2[rel] - C)
+                C += 0.5 * (A2[rel] - C)
             Q += Z
             Q[cut] = 0.0
             _dual_step(Q, cfg.thresholder, cfg.lam, M, mag)  # Q holds the dual step now
 
-            if alpha == 1.0:
-                Z, Q = Q, Z
-                xm[:] = x_half
-            else:
-                Q -= Z
-                np.multiply(alpha, Q, out=Q)
-                Z += Q
-                xm += alpha * (x_half - xm)
+            Z, Q = Q, Z
+            xm[:] = x_half
             if not _finite(xm):
                 raise DivergenceError(i + 1)
             if rows is not None:

@@ -125,7 +125,6 @@ def test_config_defaults():
     assert cfg.lam == 0.01
     assert (cfg.inner_iters, cfg.outer_iters) == (500, 10)
     assert cfg.epsilon == 0.001
-    assert cfg.alpha_relax == 1.0
     assert cfg.thresholder.kind == "soft"
 
 
@@ -134,9 +133,10 @@ def test_config_step_conditions():
     # tau*sigma*4 <= 1 at every sigma
     for sigma in (0.0625, 0.25, 1.0, 4.0):
         assert SolverConfig(sigma=sigma).tau * sigma * 4 == 1
-    # so neither tau nor an override of the bound can be set, and the data
-    # constraint has no dual, so no step size of its own
-    for field in ("tau", "allow_unsafe", "eta"):
+    # so neither tau nor an override of the bound can be set, the data
+    # constraint has no dual, so no step size of its own, and the step is
+    # the plain one, with no relaxation
+    for field in ("tau", "allow_unsafe", "eta", "alpha_relax"):
         with pytest.raises(TypeError):
             SolverConfig(**{field: 0.5})
     # a sigma so small that tau overflows (from a numpy one, no warning)
@@ -153,15 +153,13 @@ def test_config_rejects_bad_fields():
         dict(inner_iters=0),
         dict(outer_iters=-1),
         dict(epsilon=0.0),
-        dict(alpha_relax=0.0),
-        dict(alpha_relax=2.0),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, True], ids=["nan", "inf", "bool"])
-@pytest.mark.parametrize("field", ["sigma", "lam", "epsilon", "alpha_relax"])
+@pytest.mark.parametrize("field", ["sigma", "lam", "epsilon"])
 def test_config_rejects_nonfinite_fields(field, value):
     # NaN fails every comparison, so the range checks alone let it through;
     # a bool is no number either (sigma=True would run at sigma = 1)
@@ -528,7 +526,6 @@ def free_sample_reference(x0, Z0, zero, Xc, omega, cfg, rows=None):
     reliable = np.ones(Xc.data.shape[1], dtype=bool)
     reliable[zero] = False
     fixed, x_det = fixed_values(Xc, reliable)
-    alpha = cfg.alpha_relax
     x, Z = x0.copy(), _expand(Z0, scfg.channels)
     x[fixed] = x_det
     for i in range(cfg.inner_iters):
@@ -537,9 +534,7 @@ def free_sample_reference(x0, Z0, zero, Xc, omega, cfg, rows=None):
         x_half[fixed] = x_det
         A2 = analyze(2.0 * x_half - x, w, scfg).data
         Q = Z + cfg.sigma * time_variation(A2 * rot)
-        Z_half = Q - cfg.thresholder(Q, cfg.lam)
-        x = x + alpha * (x_half - x)
-        Z = Z + alpha * (Z_half - Z)
+        x, Z = x_half, Q - cfg.thresholder(Q, cfg.lam)
         if rows is not None:
             rows[i] = objective_and_feasibility(x, Xc, rot, reliable, cfg.lam)
     return x, Z
@@ -589,27 +584,28 @@ SHORT = StftConfig(window_len=1024, hop=256, channels=2048, signal_len=8192)
 ODD = StftConfig(window_len=992, hop=248, channels=1023, signal_len=8184)
 
 
+# "alpha1" names the plain case: the Chambolle-Pock step at relaxation 1,
+# the only one the solver takes
 @pytest.mark.parametrize(
-    "scfg, alpha, warm, gap_left, kind, sigma",
+    "scfg, warm, gap_left, kind, sigma",
     [
-        (SEG, 1.0, False, 0.0, "soft", 1.0),
-        (SEG, 1.5, False, 0.0, "soft", 1.0),
-        (SEG, 1.5, True, 0.0, "soft", 1.0),
-        (SEG, 1.0, False, 0.5, "soft", 1.0),
+        (SEG, False, 0.0, "soft", 1.0),
+        (SEG, True, 0.0, "soft", 1.0),
+        (SEG, False, 0.5, "soft", 1.0),
         # a block norm must count the mirrored rows the solver does not store
-        (SEG, 1.0, True, 0.0, "l2_block", 1.0),
-        (SHORT, 1.5, True, 0.0, "soft", 1.0),
-        (ODD, 1.0, True, 0.0, "soft", 1.0),
+        (SEG, True, 0.0, "l2_block", 1.0),
+        (SHORT, True, 0.0, "soft", 1.0),
+        (ODD, True, 0.0, "soft", 1.0),
         # sigma != 1 (tau = 1/(4*sigma)) scales the carried trace
-        (SEG, 1.5, True, 0.0, "soft", 0.5),
+        (SEG, True, 0.0, "soft", 0.5),
     ],
-    ids=["alpha1", "alpha1.5", "warm-dual", "stale-gap", "l2-block",
-         "short-window", "odd-channels", "sigma0.5"],
+    ids=["alpha1", "warm-dual", "stale-gap", "l2-block", "short-window", "odd-channels",
+         "sigma0.5"],
 )
-def test_gcpa_matches_free_sample_reference(scfg, alpha, warm, gap_left, kind, sigma):
+def test_gcpa_matches_free_sample_reference(scfg, warm, gap_left, kind, sigma):
     zero = np.arange(6, 10) if scfg is SEG else np.arange(14, 18)
     x0, Z0, obs, Xc, omega = oracle_case(scfg, zero, warm, gap_left)
-    cfg = SolverConfig(sigma=sigma, inner_iters=30, alpha_relax=alpha, **kind_fields(kind))
+    cfg = SolverConfig(sigma=sigma, inner_iters=30, **kind_fields(kind))
     got_rows, ref_rows = blank_rows(cfg), blank_rows(cfg)
     x, Z = gcpa_inner(x0, Z0, obs, omega, cfg, got_rows)
     ref_x, ref_Z = free_sample_reference(x0, Z0, zero, Xc, omega, cfg, ref_rows)
@@ -686,10 +682,10 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
             return _f(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, counted)
 
-    def count(case, iters, alpha, trace=None):
+    def count(case, iters, trace=None):
         for log in rows.values():
             log.clear()
-        cfg = SolverConfig(inner_iters=iters, alpha_relax=alpha)
+        cfg = SolverConfig(inner_iters=iters)
         gcpa_inner(*case, cfg, trace)
         return {name: (len(log), sum(log)) for name, log in rows.items()}
 
@@ -701,16 +697,15 @@ def test_gcpa_two_transforms_per_iteration(monkeypatch, warm):
                                  (RUNS, np.array([14]), 0)):
         *case, k, moving = run_case(scfg, zero, warm)
         assert moving == n_moving
-        for alpha in (1.0, 1.5):
-            few, many = count(case, 5, alpha), count(case, 15, alpha)
-            for name in rows:
-                assert many[name][1] - few[name][1] == 10 * moving
-                assert few[name][0] - (5 if moving else 0) <= 1
-                assert few[name][1] - 5 * moving <= k
+        few, many = count(case, 5), count(case, 15)
+        for name in rows:
+            assert many[name][1] - few[name][1] == 10 * moving
+            assert few[name][0] - (5 if moving else 0) <= 1
+            assert few[name][1] - 5 * moving <= k
         # tracing adds no transform
         traces = [np.full((n, 2), np.nan) for n in (5, 15)]
-        few = count(case, 5, 1.0, trace=traces[0])
-        many = count(case, 15, 1.0, trace=traces[1])
+        few = count(case, 5, trace=traces[0])
+        many = count(case, 15, trace=traces[1])
         for name in rows:
             assert many[name][1] - few[name][1] == 10 * moving
         assert all(np.all(np.isfinite(t)) for t in traces)
@@ -746,18 +741,17 @@ def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
     assert np.array_equal(gcpa_inner(x0, Z0, obs, omega, cfg)[0], obs.x_det)
 
 
-@pytest.mark.parametrize("alpha, kind, sigma", [(1.0, "soft", 1.0), (1.5, "soft", 1.0),
-                                                (1.0, "l2_block", 1.0), (1.5, "soft", 0.5)],
-                         ids=["alpha1", "alpha1.5", "l2-block", "sigma0.5"])
+@pytest.mark.parametrize("kind, sigma", [("soft", 1.0), ("l2_block", 1.0), ("soft", 0.5)],
+                         ids=["alpha1", "l2-block", "sigma0.5"])  # alpha1: the plain step
 @pytest.mark.parametrize("zero, noise", [(np.arange(14, 18), 0.0),
                                          (np.array([30, 31, 0, 1]), 0.0),
                                          (np.arange(14, 18), 1e-3)],
                          ids=["interior", "file-end", "noisy"])
-def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind, sigma):
+def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, kind, sigma):
     # the trace carries the analysis of x along instead of taking it; after
     # 500 iterations its terms still match a new analysis of the output
     # (with noise, the frames that do not move leave a residual of their own)
-    cfg = SolverConfig(sigma=sigma, inner_iters=500, alpha_relax=alpha, **kind_fields(kind))
+    cfg = SolverConfig(sigma=sigma, inner_iters=500, **kind_fields(kind))
     x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True, noise=noise)
     assert moving > 0
     rows = blank_rows(cfg)
@@ -771,22 +765,41 @@ def test_trace_does_not_drift_from_a_fresh_analysis(zero, noise, alpha, kind, si
     assert abs(rows[-1, 1] - feas) <= 1e-12 * data
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.01])
-def test_dual_step_clip_matches_min_max_formula(lam):
-    # Q * (lam / max(|Q|, lam)) is the old min(|Q|, lam) / max(|Q|, 1e-300)
-    # bit for bit, at zero entries, on the ball's edge and one ulp outside
+def edge_dual(lam, half):
+    """An (8, half) dual: zero entries, entries on the lam-ball's edge and one
+    ulp either side, tiny ones, then seeded ones."""
     up, down = np.nextafter(lam, np.inf), np.nextafter(lam, -np.inf)
     rng = np.random.default_rng(8)
     # (below 1e-300 the old floor scaled the entry down by |Q| / 1e-300)
     edge = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), lam, -lam, 1j * lam,
             -1j * lam, up, -up, 1j * up, down, 1j * down, 1e-300, -1e-300j, 2e-300]
-    Q = np.concatenate([np.array(edge, dtype=complex),
-                        0.02 * (rng.standard_normal(48) + 1j * rng.standard_normal(48))])
-    Q = Q.reshape(8, 8)
+    n = 8 * half - len(edge)
+    return np.concatenate([np.array(edge, dtype=complex),
+                           0.02 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))]
+                          ).reshape(8, half)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_dual_step_clip_matches_min_max_formula(lam):
+    # Q * (lam / max(|Q|, lam)) is the old min(|Q|, lam) / max(|Q|, 1e-300)
+    # bit for bit, at zero entries, on the ball's edge and one ulp outside
+    Q = edge_dual(lam, 8)
     mag = np.abs(Q)
     old = Q * (np.minimum(mag, lam) / np.maximum(mag, 1e-300))
     got = _dual_step(Q.copy(), Thresholder("soft"), lam, 14, np.empty(Q.shape))
     assert got.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("M", [14, 13])
+@pytest.mark.parametrize("kind", ["p_shrinkage", "smooth_hard", "l2_squared", "l2_block"])
+def test_dual_step_matches_the_m_row_formula(kind, M):
+    # the entrywise kinds step rows 0..M//2 alone, l2_block all M rows; each
+    # gives the bits of thresholding all M rows and keeping rows 0..M//2
+    lam, thresh = KIND_LAM[kind], Thresholder(kind)
+    Q = edge_dual(lam, M // 2 + 1)
+    want = Q - thresh(_expand(Q, M), lam)[: Q.shape[1]].T
+    got = _dual_step(Q.copy(), thresh, lam, M, np.empty(Q.shape))
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------- free-sample threshold
@@ -1039,17 +1052,16 @@ def test_run_solve_matches_whole_spectrogram_reference(zero):
 RUN_ARRAYS = ("x0", "x_det", "free", "Xc", "ramp")
 
 
-@pytest.mark.parametrize("alpha, kind", [(1.0, "soft"), (1.5, "soft"), (1.0, "l2_block")],
-                         ids=["alpha1", "alpha1.5", "l2-block"])
+@pytest.mark.parametrize("kind", ["soft", "l2_block"],
+                         ids=["alpha1", "l2-block"])  # alpha1: soft, the plain step
 @pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([30, 31, 0, 1])],
                          ids=["interior", "file-end"])
-def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
+def test_solvers_leave_their_inputs_unchanged(zero, kind):
     # the outer loop hands one _Run to up to outer_iters + 1 inner runs, and
     # its ramp is frame_plan's cached array: an in-place write to any of
     # them, or a fixed-frame analysis kept from an earlier call, would leak
     # into the next round
-    cfg = SolverConfig(inner_iters=10, outer_iters=2, alpha_relax=alpha,
-                       **kind_fields(kind))
+    cfg = SolverConfig(inner_iters=10, outer_iters=2, **kind_fields(kind))
     x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
     assert 0 < moving < k
     # the file-end run crosses the pair N-1 -> 0
@@ -1087,16 +1099,15 @@ def test_solvers_leave_their_inputs_unchanged(zero, alpha, kind):
                 assert np.array_equal(getattr(made_run, name), snap[name]), (method, name)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.5], ids=["alpha1", "alpha1.5"])
-@pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([14])], ids=["moving", "fixed"])
-def test_inner_leaves_a_warm_state_unchanged(zero, alpha):
+@pytest.mark.parametrize("zero", [np.arange(14, 18), np.array([14])],
+                         ids=["moving-alpha1", "fixed-alpha1"])  # alpha1: the plain step
+def test_inner_leaves_a_warm_state_unchanged(zero):
     # the dual stays on rows 0..M//2 from round to round, so gcpa_inner
-    # must step a copy of Z0: at alpha 1 the loop swaps its two dual
-    # buffers, otherwise it updates Z in place
+    # must step a copy of Z0: the loop swaps its two dual buffers
     x0, Z0, obs, omega, k, moving = run_case(RUNS, zero, warm=True)
     assert (moving > 0) == (len(zero) > 1) and np.any(Z0)
     x_kept, Z_kept = x0.copy(), Z0.copy()
-    cfg = SolverConfig(inner_iters=5, alpha_relax=alpha)
+    cfg = SolverConfig(inner_iters=5)
     for rows in (None, blank_rows(cfg)):
         x, Z = gcpa_inner(x0, Z0, obs, omega, cfg, rows)
         assert np.array_equal(x0, x_kept) and np.array_equal(Z0, Z_kept)
