@@ -46,6 +46,8 @@ def _ensure_writable(force, *paths):
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"two outputs share one path: {', '.join(paths)}")
     for path in paths:
+        if os.path.isdir(path):  # --force replaces a file, never a directory
+            raise ValueError(f"{path} is a directory")
         if os.path.exists(path) and not force:
             raise ValueError(f"{path} exists; pass --force to overwrite")
         folder = os.path.dirname(path) or "."

@@ -198,6 +198,10 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
         x_true = np.asarray(x_true, dtype=float)
         if x_true.shape != (X_corr.config.signal_len,):
             raise ValueError("x_true length does not match the spectrogram config")
+    cfg = X_corr.config
+    if X_corr.data.shape != (cfg.channels, cfg.n_frames):
+        raise ValueError(f"coefficients of shape {X_corr.data.shape} do not match their "
+                         f"config's ({cfg.channels}, {cfg.n_frames})")
     if X_corr.data.shape[1] != mask.n_cols:
         raise ValueError("mask length does not match spectrogram columns")
     if trace and not return_info:

@@ -63,7 +63,7 @@ def test_wav_round_trip(tmp_path):
     assert p3.read_bytes() == theirs
 
 
-def test_wav_validation(tmp_path):
+def test_wav_validation(tmp_path, capsys):
     stereo = tmp_path / "st.wav"
     wavfile.write(stereo, SR, np.zeros((100, 2), dtype=np.int16))
     with pytest.raises(ValueError):
@@ -88,6 +88,14 @@ def test_wav_validation(tmp_path):
         with pytest.raises(ValueError, match="wav"):
             read_wav(str(bad))
     assert main(["snr", "--ref", str(cut), "--test", str(cut)]) == 2
+    # audio shorter than the mask span stops corrupt and inpaint's WAV route
+    mask, out = str(tmp_path / "m.json"), tmp_path / "o.wav"
+    write_mask(mask, ColumnMask(28, [13]), 512)
+    short = str(tmp_path / "whole.wav")  # 100 of the 28 * 512 samples
+    for command in ("corrupt", "inpaint"):
+        assert main([command, "--in", short, "--mask", mask, "--out", str(out)]) == 2
+        assert "shorter than the mask span (100 < 14336 samples)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_mask_file_round_trip(tmp_path):
@@ -521,6 +529,11 @@ def test_inpaint_oracle_requires_truth(tmp_path, capsys):
                      "--inner", "5", "--outer", "1", *extra]) == 2
         assert f"--truth is {words} Hz" in capsys.readouterr().err
         assert not os.path.exists(out)
+    short = wav_path(tmp_path, "short.wav", x[:1000])
+    assert main(["inpaint", "--in", spgm, "--mask", mask, "--out", out,
+                 "--method", "bphain-oracle", "--truth", short, "--inner", "5", "--outer", "1"]) == 2
+    assert "--truth audio shorter than the working span" in capsys.readouterr().err
+    assert not os.path.exists(out)
     assert main(["inpaint", "--in", clean, "--mask", mask, "--out", out,
                  "--method", "bphain-oracle", "--truth", clean,
                  "--inner", "5", "--outer", "1"]) == 0
@@ -622,7 +635,7 @@ def test_compare_command(tmp_path, capsys):
     assert "gap 1" in capsys.readouterr().out
 
 
-def test_inpaint_checks_outputs_before_solving(tmp_path, monkeypatch):
+def test_inpaint_checks_outputs_before_solving(tmp_path, monkeypatch, capsys):
     clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=13))
     mask = str(tmp_path / "m.json")
     assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
@@ -651,6 +664,16 @@ def test_inpaint_checks_outputs_before_solving(tmp_path, monkeypatch):
     args[-1] = str(tmp_path / "missing" / "t.csv")
     assert main(args) == 1
     assert not out.exists() and not spec.exists()
+    # a directory is no output, even with --force
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (folder / "inside").write_bytes(b"keep")
+    for paths in ((folder, trace), (out, folder)):
+        assert main(["inpaint", "--in", clean, "--mask", mask, "--out", str(paths[0]),
+                     "--trace", str(paths[1]), "--force"]) == 2
+        assert f"{folder} is a directory" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
+        assert os.listdir(folder) == ["inside"] and (folder / "inside").read_bytes() == b"keep"
 
 
 def test_corrupt_checks_outputs_before_writing(tmp_path):
@@ -685,6 +708,28 @@ def test_outputs_may_not_share_a_path(tmp_path, monkeypatch):
                  ["compare", "--out", out, "--json", out]):
         assert main(args) == 2, args
         assert not os.path.exists(out), args
+
+
+def test_outputs_may_not_be_directories(tmp_path, monkeypatch, capsys):
+    # --force replaces a file, never a directory: refused before any work
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=14))
+    mask = str(tmp_path / "m.json")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+
+    def must_not_run(*a, **k):
+        raise AssertionError("ran although an output is a directory")
+
+    monkeypatch.setattr(cli, "compare_methods", must_not_run)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "r.wav"
+    for args in (["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", str(folder)],
+                 ["corrupt", "--in", clean, "--mask", mask, "--out", str(out),
+                  "--spec-out", str(folder)],
+                 ["compare", "--out", str(out), "--json", str(folder)]):
+        assert main([*args, "--force"]) == 2, args
+        assert f"{folder} is a directory" in capsys.readouterr().err
+        assert not out.exists() and os.listdir(folder) == [], args
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"], ["--eps", "nan"],
@@ -838,6 +883,15 @@ def test_inpaint_rejects_nonsymmetric_spectrogram(tmp_path, capsys):
                  "--spec-out", str(spec), "--inner", "5", "--outer", "1"]) == 2
     assert "not conjugate-symmetric" in capsys.readouterr().err
     assert not out.exists() and not spec.exists()
+    # a mask whose hop is not the spectrogram's is refused too
+    assert main(["corrupt", "--in", clean, "--mask", mask, "--out", str(tmp_path / "cc.wav"),
+                 "--spec-out", spgm, "--force"]) == 0
+    write_mask(str(tmp_path / "m256.json"), read_mask(mask)[0], 256)
+    capsys.readouterr()
+    assert main(["inpaint", "--in", spgm, "--mask", str(tmp_path / "m256.json"),
+                 "--out", str(out), "--inner", "5", "--outer", "1"]) == 2
+    assert "mask hop does not match the spectrogram hop" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inpaint_holds_about_two_coefficient_arrays(tmp_path):

@@ -114,6 +114,8 @@ def test_make_test_signal_validation():
         make_test_signal("square", 1.0, SR)
     with pytest.raises(ValueError):
         make_test_signal("tone", 0.0, SR)
+    with pytest.raises(ValueError, match="no samples"):
+        make_test_signal("tone", 1e-5, SR)  # 0.16 samples round to none
 
 
 def test_synthetic_suite_composition():
@@ -276,6 +278,8 @@ def test_short_signal_rejected(pools):
     sigs = signals_one() + [("short", np.ones(100))]
     with pytest.raises(ValueError, match="shorter"):
         compare_methods(sigs, [mask], ["uphain", "bphain"], scfg=FAST, jobs=2)
+    with pytest.raises(ValueError, match="no signals"):
+        compare_methods([], [mask], ["uphain"], scfg=FAST, jobs=2)
     assert pools == []
 
 

@@ -246,5 +246,10 @@ def test_wrapper_types():
     rotated = phase_correct(X, om)
     assert isinstance(rotated, Spectrogram) and rotated.config is CFG
     assert np.array_equal(rotated.data, phase_correct(X.data, om, CFG.hop, CFG.channels))
+    # a signal of another length, or offsets of another shape, are refused
+    with pytest.raises(ValueError, match="signal length does not match config"):
+        estimate_if(x[:-1], CFG)
+    with pytest.raises(ValueError, match="omega shapes differ"):
+        phase_correct(X, om[:, 1:])
     V = time_variation(rotated)
     assert type(V) is np.ndarray and V.shape == (CFG.channels, CFG.n_frames - 1)

@@ -127,7 +127,7 @@ def test_column_mask_contract():
     with pytest.raises(ValueError):
         ColumnMask(5, [-1])
     # refused, not an OverflowError from the int64 conversion
-    for zero in ([10**30], [-10**30]):
+    for zero in ([10**30], [-10**30], np.array([60]), np.array([-1])):
         with pytest.raises(ValueError, match="zero_cols out of range"):
             ColumnMask(60, zero)
     # integers only, not truncated: 1.7 is no column 1, True no column 1
@@ -429,6 +429,10 @@ def test_inpaint_validation(monkeypatch):
         raise AssertionError("solved")
 
     monkeypatch.setattr(tfpaint.pipeline, "solve_observed", must_not_solve)
+    # so do coefficients of another shape than their config's (2048, 28)
+    for rows in (np.vstack([Xc.data, Xc.data[:1]]), Xc.data[:1024]):
+        with pytest.raises(ValueError, match=rf"shape \({len(rows)}, 28\) .* \(2048, 28\)"):
+            inpaint_spectrogram(Spectrogram(rows, Xc.config), mask, scfg=FAST)
     Xc.data[7, mask.zero_cols[0] - 1] = np.nan
     with pytest.raises(ValueError, match=r"column\(s\) \[12\] .* non-finite"):
         inpaint_spectrogram(Xc, mask, scfg=FAST)

@@ -265,6 +265,8 @@ def test_config_validation():
         StftConfig(window_len=16, hop=8, channels=16, signal_len=40)  # M !| L
     with pytest.raises(ValueError):
         StftConfig(window_len=16, hop=8, channels=16, signal_len=8)  # L < W
+    with pytest.raises(ValueError, match="window_len must be >= 2"):
+        StftConfig(window_len=1, hop=1, channels=16, signal_len=16)
     # integers only: a float or bool field fails here, not in analyze's slicing
     for field, value in (("window_len", 16.0), ("hop", 8.0), ("channels", 16.0),
                          ("signal_len", 64.0), ("hop", True)):
