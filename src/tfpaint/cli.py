@@ -190,6 +190,13 @@ def _jobs(flag):
     return flag
 
 
+def _frame(args):
+    """(window length, channels): --window and --channels, or StftConfig's
+    where a flag was not given (its None default tells the two apart)."""
+    return (StftConfig.window_len if args.window is None else args.window,
+            StftConfig.channels if args.channels is None else args.channels)
+
+
 def _wav_analysis(path, mask, hop, args):
     """(rate, the analysis of the WAV at path over the mask's span)."""
     rate, x = read_wav(path)
@@ -200,7 +207,8 @@ def _wav_analysis(path, mask, hop, args):
     if len(x) > n:
         print(f"warning: {path}: truncating to {n} samples to match the mask",
               file=sys.stderr)
-    cfg = StftConfig(args.window, hop, args.channels, n)
+    window, channels = _frame(args)
+    cfg = StftConfig(window, hop, channels, n)
     return rate, analyze(x[:n], default_window(cfg), cfg)
 
 
@@ -240,6 +248,12 @@ def cmd_inpaint(args):
     else:
         rate = args.sr
         Xc = read_spectrogram(args.infile)
+        # the header sets the frame: a flag that says otherwise would not take effect
+        for flag, given, held in (("--window", args.window, Xc.config.window_len),
+                                  ("--channels", args.channels, Xc.config.channels)):
+            if given is not None and given != held:
+                raise ValueError(f"{flag} {given} does not match the {held} of the "
+                                 f"{args.infile} header")
         # the solver restores real audio: it would silently drop the part of
         # the coefficients that no real signal has
         residual = symmetry_residual(Xc)
@@ -305,11 +319,12 @@ def _grid(args, widths):
     jobs = _jobs(args.jobs)
     _ensure_writable(args.force, args.out, args.json)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    window, channels = _frame(args)
     return (synthetic_suite(args.seconds, args.sr, seed=args.seed, kinds=kinds),
             [make_mask(args.seconds, args.sr, args.hop, g, placement=args.placement,
-                       seed=args.seed, channels=args.channels) for g in widths],
-            dict(scfg=solver_config(args), window_len=args.window, hop=args.hop,
-                 channels=args.channels, jobs=jobs))
+                       seed=args.seed, channels=channels) for g in widths],
+            dict(scfg=solver_config(args), window_len=window, hop=args.hop,
+                 channels=channels, jobs=jobs))
 
 
 def cmd_sweep(args):
@@ -363,11 +378,12 @@ def build_parser():
                              "the records in sweep and compare (default: the "
                              "available cores)")
 
+    # None: not given, so a .spgm input's header may set them (see _frame)
     frame = argparse.ArgumentParser(add_help=False)
-    frame.add_argument("--window", type=int, default=StftConfig.window_len,
-                       help="analysis window length (default %(default)s)")
-    frame.add_argument("--channels", type=int, default=StftConfig.channels,
-                       help="frequency channels (default %(default)s)")
+    frame.add_argument("--window", type=int, default=None,
+                       help=f"analysis window length (default {StftConfig.window_len})")
+    frame.add_argument("--channels", type=int, default=None,
+                       help=f"frequency channels (default {StftConfig.channels})")
 
     force = argparse.ArgumentParser(add_help=False)
     force.add_argument("--force", action="store_true",
@@ -416,7 +432,9 @@ def build_parser():
     ip = sub.add_parser("inpaint", parents=[solver, frame, force],
                         help="reconstruct masked columns")
     ip.add_argument("--in", dest="infile", required=True,
-                    help="corrupted WAV or spectrogram file")
+                    help="corrupted WAV or spectrogram file (whose header sets "
+                         "the window and channels: a --window or --channels "
+                         "that differs is refused)")
     ip.add_argument("--mask", required=True)
     ip.add_argument("--out", required=True, help="restored WAV")
     ip.add_argument("--spec-out", default=None,

@@ -1,11 +1,13 @@
 """End-to-end inpainting: masks, gap discovery, dispatch.
 
 The driver groups the gaps of a mask into independent frame runs on the
-full-length frame grid (``solver.frame_runs``), solves each run on its own
-sample span, normalized to unit peak there (``solver.solve_observed``), and
-writes the reconstructed gap columns back.  Reliable columns never pass
-through the solver, so they survive bit-exactly.  The runs that take
-inner steps are solved in a pool of forked processes.
+full-length frame grid (``solver.frame_runs``), solves each run that moves
+on its own sample span, normalized to unit peak there
+(``solver.solve_observed``), restores each run that cannot move in closed
+form (``solver._observe``), and writes the reconstructed gap columns back.
+Reliable columns never pass through the solver, so they survive
+bit-exactly.  The runs that take inner steps are solved in a pool of
+forked processes.
 """
 
 import math
@@ -19,9 +21,10 @@ import numpy as np
 from .solver import (  # noqa: F401
     METHODS,
     SolverConfig,
+    _frame_runs,
     _observe,
+    _reliable,
     find_gaps,
-    frame_runs,
     solve_observed,
 )
 from .stft import Spectrogram, StftConfig, _coeffs, _is_int
@@ -207,15 +210,15 @@ def inpaint_spectrogram(X_corr, mask, method="uphain", scfg=None, x_true=None,
     if trace and not return_info:
         raise ValueError("trace=True needs return_info=True: the rows come back in info")
 
-    runs = frame_runs(mask.zero_cols, X_corr.config)
-    observed = [_observe(X_corr, mask.zero_cols, run) for run in runs]
+    reliable = _reliable(mask.zero_cols, cfg.n_frames)
+    runs = _frame_runs(reliable, cfg)
+    observed = [_observe(X_corr, reliable, run) for run in runs]
     solve = lambda i: solve_observed(observed[i], scfg, method, x_true, trace)
-    stepping = [i for i, obs in enumerate(observed) if obs.moves]
+    stepping = [i for i, run in enumerate(runs) if run.moves]
 
     # the stepping runs go to the pool; the rest are solved here meanwhile
     with closing(_fan_out(solve, stepping, jobs)) as stepped:
-        results = [next(stepped) if obs.moves else solve(i)
-                   for i, obs in enumerate(observed)]
+        results = [next(stepped) if run.moves else solve(i) for i, run in enumerate(runs)]
 
     out = X_corr.data.copy()
     for cols, values, _ in results:

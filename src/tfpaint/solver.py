@@ -13,9 +13,13 @@ frame operator of ``stft``.  The loop uses the tight default window and one
 dual step, ``_dual_step``, whose block norms count the mirrored rows.
 
 ``frame_runs`` groups the gaps of a mask into independent runs of frames
-on the full-length grid, ``_observe`` sets one up on its own sample span
-(a run that reaches round the circle is the whole circle), and
-``solve_observed`` solves it with one of ``METHODS``:
+on the full-length grid and finds which of them move, ``_observe`` sets one
+up on its own sample span (a run that reaches round the circle is the
+whole circle), and ``solve_observed`` solves it with one of ``METHODS``.
+A run with no free sample (a gap of one or two columns at hop W/4) cannot
+move: ``_observe`` restores it in closed form, with one synthesis of the
+frames that reach its gap frames and one analysis of those, and it takes
+no iteration, IF estimate or dual.  The runs that move are solved by:
 
 * ``uphain``  -- re-estimates the instantaneous frequency from the
   current reconstruction before every inner run (the full iterated method).
@@ -27,12 +31,13 @@ on the full-length grid, ``_observe`` sets one up on its own sample span
   plain time-direction total variation on the same free samples; no IF
   estimate.
 
-Every method runs ``solve_observed``'s outer loop over ``gcpa_inner``; they
-differ only in where omega comes from and in the number of rounds.
+Every method runs ``solve_observed``'s outer loop over ``gcpa_inner`` on a
+run that moves; they differ only in where omega comes from and in the
+number of rounds.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -149,11 +154,14 @@ def find_gaps(mask):
 @dataclass(frozen=True)
 class FrameRun:
     """Frames start .. start + count - 1 (modulo N) of the full-length grid,
-    on which the gaps in ``gaps`` (column ranges, in frame order) are solved."""
+    on which the gaps in ``gaps`` (column ranges, in frame order) are solved;
+    ``moves``, whether a frame touches a free sample (``frame_runs`` finds
+    it; a run made by hand is taken to move), is left out of comparisons."""
 
     start: int
     count: int
     gaps: tuple
+    moves: bool = field(default=True, compare=False)
 
 
 def _overlap(cfg):
@@ -202,16 +210,21 @@ def _free(reliable, span, cfg, circular):
     """(d_rel, free, moving) on the span (``_reach``) of frames flagged
     ``reliable``: their ``_d_rel``, the samples with d_rel <= FREE_DREL, and
     the hull of the frames that touch one, counted from the span's first
-    frame: every frame on the circle, none when no sample is free."""
+    frame: none when no sample is free, every frame on the circle."""
     d_rel = _d_rel(reliable, cfg, circular)[span]
     free = d_rel <= FREE_DREL
+    if circular:
+        return d_rel, free, slice(0, len(reliable))
     f = np.flatnonzero(free)
     if not f.size:
         return d_rel, free, slice(0, 0)
-    if circular:
-        return d_rel, free, slice(0, len(reliable))
     first, last = _touching(int(f[0]), int(f[-1]), cfg)
     return d_rel, free, slice(first, last + 1)
+
+
+def _reliable(zero_cols, N):
+    """Whether each of the N columns is reliable: not among zero_cols."""
+    return np.bincount(_zero_cols(zero_cols), minlength=N) == 0
 
 
 def frame_runs(zero_cols, cfg):
@@ -222,17 +235,24 @@ def frame_runs(zero_cols, cfg):
     one frame each side for the time difference; runs that share a frame
     merge, modulo N at the file ends.  The terms other frames form are
     constant.  A run that would reach round the circle onto itself (see
-    ``_reach``) becomes the whole circle.
+    ``_reach``) becomes the whole circle.  A run moves when one of its gaps
+    has a free sample: every sample a gap frame does not touch has d_rel 1.
     """
-    gaps = find_gaps(zero_cols)
+    return _frame_runs(_reliable(zero_cols, cfg.n_frames), cfg)
+
+
+def _frame_runs(reliable, cfg):
+    """``frame_runs`` of the gap columns that ``reliable`` does not flag."""
+    gaps = find_gaps(np.flatnonzero(~reliable))
     W, a, N = cfg.window_len, cfg.hop, cfg.n_frames
-    reliable = np.bincount(_zero_cols(zero_cols), minlength=N) == 0
-    spans = []
+    spans, moving = [], set()
     for gap in gaps:
         _, frames, span = _reach(gap.start, len(gap), cfg)
-        moving = _free(reliable[frames], span, cfg, False)[2]
-        lo = gap.start + min(0, moving.start)
-        hi = gap.start + max(len(gap), moving.stop) - 1
+        hull = _free(reliable[frames], span, cfg, False)[2]
+        if hull.stop > hull.start:
+            moving.add(gap)
+        lo = gap.start + min(0, hull.start)
+        hi = gap.start + max(len(gap), hull.stop) - 1
         spans.append([lo - 1, hi + 1])
 
     merged = []
@@ -245,22 +265,23 @@ def frame_runs(zero_cols, cfg):
         merged[-1][1] = max(merged[-1][1], merged.pop(0)[1] + N)
     r = _overlap(cfg)
     if any(hi - lo + 1 >= N or a * (hi - lo + 2 * r) + W > cfg.signal_len for lo, hi in merged):
-        return [FrameRun(0, N, tuple(gaps))]
-    return [FrameRun(lo % N, hi - lo + 1,
-                     tuple(sorted((g for g in gaps if (g.start - lo) % N <= hi - lo),
-                                  key=lambda g: (g.start - lo) % N)))
+        return [FrameRun(0, N, tuple(gaps), bool(moving))]
+    runs = [(lo % N, hi - lo + 1, tuple(sorted((g for g in gaps if (g.start - lo) % N <= hi - lo),
+                                               key=lambda g: (g.start - lo) % N)))
             for lo, hi in merged]
+    return [FrameRun(start, count, run_gaps, not moving.isdisjoint(run_gaps))
+            for start, count, run_gaps in runs]
 
 
 @dataclass
 class _Run:
-    """A FrameRun set up for the solvers (see ``_observe``): Xc, reliable,
+    """A FrameRun set up for the iteration (see ``_set_up``): Xc, reliable,
     gaps (positions) and ramp over its frames (Xc and ramp frames-major);
     free, x_det and x0 over its span; moving, the slice of its frames that
-    touch a free sample (their contiguous hull, the whole circle, or none);
-    cols, the grid columns of its gaps; cut, the position of its pair
-    N-1 -> 0, which is no difference term (or an empty slice); peak, the
-    scale its data was divided by; start, the run's first frame."""
+    touch a free sample (their contiguous hull, or on the circle every
+    frame); cols, the grid columns of its gaps; cut, the position of its
+    pair N-1 -> 0, which is no difference term (or an empty slice); peak,
+    the scale its data was divided by; start, the run's first frame."""
 
     cfg: object
     circular: bool
@@ -277,26 +298,88 @@ class _Run:
     peak: float
     start: int
 
-    @property
-    def moves(self):
-        """Whether a frame of the run touches a free sample, so that an
-        iteration can move x."""
-        return self.moving.stop > self.moving.start
+
+@dataclass
+class _Fixed:
+    """A FrameRun that cannot move, restored by ``_observe``: cols, the grid
+    columns of its gaps, values, their coefficients (M rows), and source,
+    the (X_corr, reliable, run) a trace sets up again with ``_set_up``."""
+
+    cols: np.ndarray
+    values: np.ndarray
+    source: tuple
 
 
-def _observe(X_corr, zero, run):
-    """Set up a FrameRun of X_corr from the columns that reach it, scaled so
-    the synthesized observation, its start, peaks at 1 on its span (lam
-    keeps its scale).  Its gap columns are set to 0, whatever X_corr holds;
-    a non-finite coefficient in a reliable column it reads raises ValueError.
+def _gather(X_corr, frames, rel):
+    """Rows 0..M//2 of the conjugate-symmetric part of the columns
+    ``frames`` of X_corr, frames-major, with those not flagged ``rel`` set
+    to 0 whatever X_corr holds; a non-finite coefficient in a reliable
+    column raises ValueError."""
+    unwrapped = frames[-1] - frames[0] == len(frames) - 1  # then a column slice, not a copy
+    with np.errstate(over="ignore", invalid="ignore"):  # whatever the gap columns hold
+        Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped
+                                         else frames])
+        Xh[~rel] = 0.0  # assigned, so +0 as apply_mask writes it
+        if not _finite(Xh):
+            bad = frames[~np.all(np.isfinite(Xh), axis=1)].tolist()
+            raise ValueError(f"reliable column(s) {bad} of the run on columns {frames[0]}.."
+                             f"{frames[-1]} hold a non-finite coefficient")
+    return Xh
+
+
+def _gap_coeffs(x, gaps, ramp, cfg):
+    """All M rows of the coefficients of the frames at positions ``gaps``
+    (ascending) of those whose samples x holds, ramp their phase rows: only
+    the gap frames' hull is analysed (wrapping round x on the circle), a
+    frame's rFFT being its own row."""
+    g0, a = gaps[0], cfg.hop
+    hull = np.take(x, a * g0 + np.arange(a * (gaps[-1] - g0) + cfg.window_len), mode="wrap")
+    A = _rfft_frames(hull, default_window(cfg), cfg, False)[gaps - g0]
+    return _expand(A * ramp[gaps], cfg.channels)
+
+
+def _observe(X_corr, reliable, run):
+    """Set up a FrameRun of X_corr from the columns that reach it (reliable
+    flags every column): one that moves as ``_set_up`` does, one that
+    cannot move restored at once, as a ``_Fixed``.
 
     syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
-    the reliable frames (``_d_rel``; the mask removes whole frames, M >= W).
-    So a signal agreeing with the observation Xc on the reliable columns has
-    d_rel*x = b with b = syn(P_rel Xc), and the run's x_det = b / d_rel
-    wherever d_rel > 0.  The samples ``_free`` leaves free, where the
-    division would amplify errors in Xc too much, are not fixed; the frames
-    that touch them are the run's ``moving``.
+    the reliable frames (``_d_rel``; the mask removes whole frames, M >= W:
+    the frame operator is diagonal).  So a signal agreeing with X on the
+    reliable columns has d_rel*x = b with b = syn(P_rel X), and x_det =
+    b / d_rel wherever d_rel > 0.  A run with no free sample is that: x_det
+    is synthesized once, at the scale of X, on its g gap frames (its first
+    gap column to its last) from the g + 2r frames that reach them (r of
+    ``_overlap``), and those g frames are analysed; no peak, x0 or
+    iteration.  A non-finite coefficient in a reliable column it reads
+    raises ValueError.
+    """
+    if run.moves:
+        return _set_up(X_corr, reliable, run)
+    cfg = X_corr.config
+    N = cfg.n_frames
+    g0 = run.gaps[0].start
+    gaps = np.concatenate([(g.start - g0) % N + np.arange(len(g)) for g in run.gaps])
+    count = int(gaps[-1]) + 1
+    circular = count == N
+    reach, frames, span = _reach(g0, count, cfg)
+    rel = reliable[frames]
+    ramp = _frame_plan(cfg, g0 - reach, len(frames))
+    V = np.conj(ramp)
+    V *= _gather(X_corr, frames, rel)
+    x_det = _irfft_frames(V, default_window(cfg), cfg, circular)[span]
+    x_det /= _d_rel(rel, cfg, circular)[span]
+    values = _gap_coeffs(x_det, gaps, ramp[reach:], cfg)
+    return _Fixed((g0 + gaps) % N, values, (X_corr, reliable, run))
+
+
+def _set_up(X_corr, reliable, run):
+    """Set up a FrameRun of X_corr as a ``_Run`` for the iteration, scaled
+    so the synthesized observation, its start x0, peaks at 1 on its span
+    (lam keeps its scale).  x_det = b / d_rel (``_observe``) holds where
+    ``_free`` fixes a sample; the samples it leaves free, where the division
+    would amplify errors in Xc too much, are not fixed, and the frames that
+    touch them are the run's ``moving``.
     """
     cfg = X_corr.config
     N = cfg.n_frames
@@ -304,16 +387,8 @@ def _observe(X_corr, zero, run):
     start, count = run.start, run.count
     circular = count == N
     reach, frames, span = _reach(start, count, cfg)
-    unwrapped = frames[-1] - frames[0] == len(frames) - 1  # then a column slice, not a copy
-    reliable = np.bincount(_zero_cols(zero), minlength=N)[frames] == 0
-    with np.errstate(over="ignore", invalid="ignore"):  # whatever the gap columns hold
-        Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped
-                                         else frames])
-        Xh[~reliable] = 0.0  # assigned, so +0 as apply_mask writes it
-        if not _finite(Xh):
-            bad = frames[~np.all(np.isfinite(Xh), axis=1)].tolist()
-            raise ValueError(f"reliable column(s) {bad} of the run on columns {frames[0]}.."
-                             f"{frames[-1]} hold a non-finite coefficient")
+    rel = reliable[frames]
+    Xh = _gather(X_corr, frames, rel)
 
     ramp = _frame_plan(cfg, start - reach, len(frames))
     cr = np.conj(ramp)
@@ -321,14 +396,14 @@ def _observe(X_corr, zero, run):
     x0 = _irfft_frames(cr * Xh, w, cfg, circular)[span]
     peak = float(np.max(np.abs(x0))) or 1.0
     Xh, x0 = Xh / peak, x0 / peak
-    d_rel, free, moving = _free(reliable, span, cfg, circular)
+    d_rel, free, moving = _free(rel, span, cfg, circular)
     x_det = _irfft_frames(Xh * cr, w, cfg, circular)[span]
     x_det /= np.maximum(d_rel, FREE_DREL)
 
     inner = slice(reach, reach + count)
-    gaps = np.flatnonzero(~reliable[inner])
+    gaps = np.flatnonzero(~rel[inner])
     cut = N - 1 - start if start + count > N and not circular else slice(0)
-    return _Run(cfg, circular, Xh[inner], reliable[inner], gaps, frames[inner][gaps],
+    return _Run(cfg, circular, Xh[inner], rel[inner], gaps, frames[inner][gaps],
                 free, x_det, ramp[inner], moving, cut, x0, peak, start)
 
 
@@ -358,7 +433,7 @@ def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
 def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega -> (x, Z).
 
-    run is one frame run as ``_observe`` sets it up; the primal x0 lives on
+    run is a frame run that moves, set up by ``_set_up``; the primal x0 lives on
     its span, the dual Z0 on rows 0..M//2 of its k - 1 frame pairs,
     frames-major (k - 1, M//2 + 1), as the returned ones do; omega lives on
     its k frames.  x0 and Z0 are not mutated.
@@ -380,18 +455,15 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     Chambolle-Pock on min lam*||D R_omega ana(x)||_1 over the free samples.
     The primal step moves only the free samples and holds the others at
     x_det; the start is reset to x_det there too, so every iterate is
-    feasible.  A gap of one or two columns at hop W/4 leaves no free sample
-    and comes back as x_det.
+    feasible.  A run with no free sample (a gap of one or two columns at
+    hop W/4) never comes here: ``_observe`` restores it as x_det.
 
     Moving frames.  Only the frames that touch a free sample (the run's
     ``moving`` hull) are transformed in the loop, and this is exact: on a
     fixed sample 2*x_det - x_det == x_det and x - 0*v == x in floating
     point, so every other frame's analysis is the one at x_det, taken once
     per call, and a frame that touches no free sample adds nothing to a
-    free sample in the overlap-add.  A run with no moving frame (a
-    1-2-column gap at hop W/4) cannot move x from x_det, and only x reaches
-    the outputs, so it takes zero steps: it returns x_det and its starting
-    dual, and uses omega only for a trace, which repeats the row at x_det.
+    free sample in the overlap-add.
 
     Half spectrum.  A real primal sees only the conjugate-symmetric part of
     a coefficient matrix, so the observation enters through that part, and
@@ -406,17 +478,9 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
 
     x = np.where(run.free, x0, run.x_det)
     Z = Z0.copy()
-    # with no moving frame, x stays x_det and no output depends on the
-    # dual: skip its steps, and omega unless a trace needs it
-    if not run.moves and rows is None:
-        return x, Z
     rot = correction_factors(omega[: M // 2 + 1], a, M).T
-    F = _rfft_frames(x, w, scfg, circular)  # the fixed frames read x_det alone
-    if not run.moves:  # zero steps: every row is the one at x_det
-        rows[:] = _trace_terms(F * run.ramp, rot, run.Xc, run.reliable, M, cfg.lam, cut)
-        return x, Z
     ramp_rot_sigma = run.ramp * rot * cfg.sigma  # corrected analysis, dual step folded
-    A2 = F * ramp_rot_sigma
+    A2 = _rfft_frames(x, w, scfg, circular) * ramp_rot_sigma  # the fixed frames read x_det alone
     if rows is not None:
         # T = sigma*D(R_omega A x) over the pairs, C = A2 over the reliable
         # moving frames; rot has unit modulus, so |A - Xc| = |C - Xs| / sigma
@@ -476,6 +540,42 @@ def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     return x, Z
 
 
+def _omega_source(run, method, x_true):
+    """The IF of a round of ``method`` on a ``_Run``, as a function of the
+    current reconstruction (x_true, a whole signal, is read over the span)."""
+    scfg = run.cfg
+    estimate = lambda x: estimate_if(x, scfg, circular=run.circular)
+    if method == "bphain_oracle":
+        # one round, so the oracle's estimate is taken at most once
+        truth = np.take(x_true, scfg.hop * run.start + np.arange(len(run.x0)), mode="wrap")
+        return lambda x: estimate(truth)
+    if method == "tf_only":
+        return lambda x: np.zeros((scfg.channels, len(run.reliable)))
+    return estimate
+
+
+def _held(obs, cfg, method, x_true, traced, rounds):
+    """info of a ``_Fixed`` run: at x_det from the first round on, so a
+    second round changes nothing and stops.  Traced, the run is set up as
+    one that moves (x0, peak and omega, which nothing else reads), and each
+    round's rows repeat the terms at x_det, at the normalized scale."""
+    used = min(rounds, 2)
+    info = {"outer_iters_used": used, "stopped_early": used == 2,
+            "final_change": 0.0 if used == 2 else None}
+    if traced:
+        run = _set_up(*obs.source)
+        scfg, M = run.cfg, run.cfg.channels
+        F = _rfft_frames(run.x_det, default_window(scfg), scfg, run.circular) * run.ramp
+        omega_of = _omega_source(run, method, x_true)
+        rows = []
+        for x in (run.x0, run.x_det)[:used]:  # round j starts from the output of round j - 1
+            rot = correction_factors(omega_of(x)[: M // 2 + 1], scfg.hop, M).T
+            terms = _trace_terms(F, rot, run.Xc, run.reliable, M, cfg.lam, run.cut)
+            rows.append(np.tile(terms, (cfg.inner_iters, 1)))
+        info["trace"] = np.concatenate(rows)
+    return info
+
+
 def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
     """Restore the gaps of a FrameRun ``_observe`` has set up with one of
     ``METHODS`` (x_true, a whole signal, is read over the run's span): up to
@@ -484,28 +584,21 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
     move less than cfg.epsilon in l2.  Returns (the grid columns of the
     run's gaps, their coefficients (M rows), info); traced, info["trace"]
     holds the (objective, feasibility) row of every inner iteration run, an
-    (outer_iters_used * inner_iters, 2) array.  A run with no moving frame,
-    untraced, takes no IF estimate, which ``gcpa_inner`` would not read.
-    Only the gap frames' hull is analysed: a frame's rFFT is its own row."""
-    scfg = obs.cfg
-    estimate = lambda x: estimate_if(x, scfg, circular=obs.circular)
-    omega_of = estimate
-    if method == "bphain_oracle":
-        # one round, so the oracle's estimate is taken at most once
-        truth = np.take(x_true, scfg.hop * obs.start + np.arange(len(obs.x0)), mode="wrap")
-        omega_of = lambda xhat: estimate(truth)
-    elif method == "tf_only":
-        omega_of = lambda xhat: np.zeros((scfg.channels, len(obs.reliable)))
+    (outer_iters_used * inner_iters, 2) array.  A run that cannot move is
+    already restored: it takes no IF estimate and no iteration, and reports
+    the rounds and rows the loop would have (``_held``).  Only the gap
+    frames' hull is analysed: a frame's rFFT is its own row."""
     rounds = cfg.outer_iters + 1 if method == "uphain" else 1
+    if isinstance(obs, _Fixed):
+        return obs.cols, obs.values, _held(obs, cfg, method, x_true, traced, rounds)
+    omega_of = _omega_source(obs, method, x_true)
     x, Z = obs.x0, np.zeros_like(obs.Xc[1:])  # a zero dual on the k - 1 pairs
     rows = np.empty((rounds, cfg.inner_iters, 2)) if traced else None  # round j's in rows[j]
     info = {"outer_iters_used": 0, "stopped_early": False, "final_change": None}
 
     for j in range(rounds):
         prev = x
-        omega = omega_of(prev) if obs.moves or traced else None
-        sub = rows[j] if traced else None
-        x, Z = gcpa_inner(x, Z, obs, omega, cfg, sub)
+        x, Z = gcpa_inner(x, Z, obs, omega_of(prev), cfg, rows[j] if traced else None)
         info["outer_iters_used"] = j + 1
         # the starting synthesis is not an output: the first change compared
         # is the one between the first two inner runs
@@ -518,10 +611,7 @@ def solve_observed(obs, cfg, method="uphain", x_true=None, traced=False):
 
     if traced:
         info["trace"] = rows[: info["outer_iters_used"]].reshape(-1, 2)
-    g0, a = obs.gaps[0], scfg.hop  # wrap: the circle's last frames reach round to its start
-    hull = np.take(x, a * g0 + np.arange(a * (obs.gaps[-1] - g0) + scfg.window_len), mode="wrap")
-    A = _rfft_frames(hull, default_window(scfg), scfg, False)[obs.gaps - g0]
-    return obs.cols, _expand(A * obs.ramp[obs.gaps], scfg.channels) * obs.peak, info
+    return obs.cols, _gap_coeffs(x, obs.gaps, obs.ramp, obs.cfg) * obs.peak, info
 
 
 def operator_norm_estimate(apply, apply_adjoint, probe_shape, iters=50, seed=0):

@@ -232,7 +232,10 @@ def test_option_defaults_are_the_library_defaults():
     args = parser.parse_args(["inpaint", "--in", "a", "--mask", "m", "--out", "b"])
     assert solver_config(args) == SolverConfig()
     frame = {f.name: f.default for f in dataclasses.fields(StftConfig)}
-    assert (args.window, args.channels) == (frame["window_len"], frame["channels"])
+    # --window and --channels default to None, so a .spgm header can set them;
+    # the WAV route and the suite read StftConfig's in their place
+    assert (args.window, args.channels) == (None, None)
+    assert cli._frame(args) == (frame["window_len"], frame["channels"])
     for command in (["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", "m"],
                     ["compare", "--out", "c"]):
         assert parser.parse_args(command).hop == frame["hop"]
@@ -241,7 +244,7 @@ def test_option_defaults_are_the_library_defaults():
 # Each subcommand's options and their defaults, beside its required ones.
 SOLVER_DEFAULTS = {"lam": 0.01, "inner": 500, "outer": 10, "eps": 0.001,
                    "threshold": "soft", "p": 0.9, "alpha": 0.01, "jobs": None,
-                   "window": 2048, "channels": 2048, "force": False}
+                   "window": None, "channels": None, "force": False}
 GRID_DEFAULTS = {**SOLVER_DEFAULTS, "seconds": 5.0, "sr": 16000, "hop": 512, "seed": 0,
                  "kinds": "multitone,chirp,tone", "placement": "per-second-center",
                  "json": None}
@@ -251,7 +254,7 @@ PARSER_INVENTORY = {
                    "placement": "per-second-center", "seed": None, "force": False}),
     "corrupt": (["--in", "a", "--mask", "m", "--out", "b"],
                 {"infile": "a", "mask": "m", "out": "b", "spec_out": None,
-                 "window": 2048, "channels": 2048, "force": False}),
+                 "window": None, "channels": None, "force": False}),
     "inpaint": (["--in", "a", "--mask", "m", "--out", "b"],
                 {**SOLVER_DEFAULTS, "infile": "a", "mask": "m", "out": "b", "spec_out": None,
                  "method": "uphain", "truth": None, "trace": None, "sr": 16000}),
@@ -863,6 +866,30 @@ def test_inpaint_rejects_nonfinite_spectrogram(tmp_path, capsys):
                  "--inner", "5", "--outer", "1"]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_inpaint_refuses_frame_flags_that_differ_from_the_spectrogram(tmp_path, capsys):
+    # a .spgm header sets the window and channels: a flag that says otherwise
+    # exits 2 before any work, naming the flag and both values, and writes
+    # nothing; the header's own values run
+    clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=16))
+    mask = str(tmp_path / "m.json")
+    spgm = str(tmp_path / "c.spgm")
+    assert main(["make-mask", "--seconds", "1", "--gap-cols", "1", "--out", mask]) == 0
+    assert main(["corrupt", "--in", clean, "--mask", mask,
+                 "--out", str(tmp_path / "cc.wav"), "--spec-out", spgm]) == 0
+    capsys.readouterr()
+    out, spec, trace = (tmp_path / name for name in ("r.wav", "r.spgm", "t.csv"))
+    base = ["inpaint", "--in", spgm, "--mask", mask, "--out", str(out),
+            "--spec-out", str(spec), "--trace", str(trace), "--inner", "5", "--outer", "1"]
+    for flags, named in ((["--window", "1024"], "--window 1024 .* 2048"),
+                         (["--channels", "4096"], "--channels 4096 .* 2048"),
+                         (["--window", "2048", "--channels", "1024"], "--channels 1024 .* 2048")):
+        assert main(base + flags) == 2
+        assert re.search(named, capsys.readouterr().err)
+        assert not any(p.exists() for p in (out, spec, trace))
+    assert main(base + ["--window", "2048", "--channels", "2048"]) == 0
+    assert out.exists()
 
 
 def test_inpaint_rejects_nonsymmetric_spectrogram(tmp_path, capsys):

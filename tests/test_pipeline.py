@@ -24,6 +24,7 @@ from tfpaint.solver import (
     FrameRun,
     SolverConfig,
     _observe,
+    _reliable,
     default_window,
     frame_runs,
 )
@@ -178,7 +179,7 @@ def observed_run(X, zero):
     Xm = Spectrogram(X.data.copy(), X.config)
     Xm.data[:, zero] = 0.0
     (run,) = frame_runs(zero, X.config)
-    return _observe(Xm, zero, run), run, Xm
+    return _observe(Xm, _reliable(zero, X.config.n_frames), run), run, Xm
 
 
 def test_peak_normalize_basics():
