@@ -243,7 +243,7 @@ def cmd_inpaint(args):
         raise ValueError(f"--sr must be a positive integer below 2**31, not {args.sr}")
     _ensure_writable(args.force, args.out, args.spec_out, args.trace)
     mask, hop = read_mask(args.mask)
-    if args.infile.endswith(".wav"):
+    if args.infile.lower().endswith(".wav"):  # .wav in any case; anything else is .spgm
         rate, Xc = _wav_analysis(args.infile, mask, hop, args)
     else:
         rate = args.sr

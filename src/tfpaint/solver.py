@@ -13,13 +13,14 @@ frame operator of ``stft``.  The loop uses the tight default window and one
 dual step, ``_dual_step``, whose block norms count the mirrored rows.
 
 ``frame_runs`` groups the gaps of a mask into independent runs of frames
-on the full-length grid and finds which of them move, ``_observe`` sets one
-up on its own sample span (a run that reaches round the circle is the
-whole circle), and ``solve_observed`` solves it with one of ``METHODS``.
-A run with no free sample (a gap of one or two columns at hop W/4) cannot
-move: ``_observe`` restores it in closed form, with one synthesis of the
-frames that reach its gap frames and one analysis of those, and it takes
-no iteration, IF estimate or dual.  The runs that move are solved by:
+on the full-length grid and finds which of them move, ``_observe`` sets up
+a run of either kind from one gather and synthesis of the frames that reach
+it (a run that reaches round the circle is the whole circle), and
+``solve_observed`` solves it with one of ``METHODS``.  A run with no free
+sample (a gap of one or two columns at hop W/4) cannot move: ``_observe``
+restores it in closed form from that synthesis and one analysis of its gap
+frames, and it takes no iteration, IF estimate or dual.  The runs that move
+are solved by:
 
 * ``uphain``  -- re-estimates the instantaneous frequency from the
   current reconstruction before every inner run (the full iterated method).
@@ -37,7 +38,7 @@ number of rounds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -275,7 +276,7 @@ def _frame_runs(reliable, cfg):
 
 @dataclass
 class _Run:
-    """A FrameRun set up for the iteration (see ``_set_up``): Xc, reliable,
+    """A FrameRun that moves, set up by ``_observe``: Xc, reliable,
     gaps (positions) and ramp over its frames (Xc and ramp frames-major);
     free, x_det and x0 over its span; moving, the slice of its frames that
     touch a free sample (their contiguous hull, or on the circle every
@@ -303,28 +304,11 @@ class _Run:
 class _Fixed:
     """A FrameRun that cannot move, restored by ``_observe``: cols, the grid
     columns of its gaps, values, their coefficients (M rows), and source,
-    the (X_corr, reliable, run) a trace sets up again with ``_set_up``."""
+    the (X_corr, reliable, run) a trace sets up again, as a run that moves."""
 
     cols: np.ndarray
     values: np.ndarray
     source: tuple
-
-
-def _gather(X_corr, frames, rel):
-    """Rows 0..M//2 of the conjugate-symmetric part of the columns
-    ``frames`` of X_corr, frames-major, with those not flagged ``rel`` set
-    to 0 whatever X_corr holds; a non-finite coefficient in a reliable
-    column raises ValueError."""
-    unwrapped = frames[-1] - frames[0] == len(frames) - 1  # then a column slice, not a copy
-    with np.errstate(over="ignore", invalid="ignore"):  # whatever the gap columns hold
-        Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped
-                                         else frames])
-        Xh[~rel] = 0.0  # assigned, so +0 as apply_mask writes it
-        if not _finite(Xh):
-            bad = frames[~np.all(np.isfinite(Xh), axis=1)].tolist()
-            raise ValueError(f"reliable column(s) {bad} of the run on columns {frames[0]}.."
-                             f"{frames[-1]} hold a non-finite coefficient")
-    return Xh
 
 
 def _gap_coeffs(x, gaps, ramp, cfg):
@@ -340,62 +324,56 @@ def _gap_coeffs(x, gaps, ramp, cfg):
 
 def _observe(X_corr, reliable, run):
     """Set up a FrameRun of X_corr from the columns that reach it (reliable
-    flags every column): one that moves as ``_set_up`` does, one that
-    cannot move restored at once, as a ``_Fixed``.
+    flags every column): one that moves as a ``_Run`` for the iteration, one
+    that cannot move restored at once, as a ``_Fixed``.
 
     syn o P_rel o ana multiplies by d_rel, the overlap-add of M*w**2 over
     the reliable frames (``_d_rel``; the mask removes whole frames, M >= W:
     the frame operator is diagonal).  So a signal agreeing with X on the
     reliable columns has d_rel*x = b with b = syn(P_rel X), and x_det =
-    b / d_rel wherever d_rel > 0.  A run with no free sample is that: x_det
-    is synthesized once, at the scale of X, on its g gap frames (its first
-    gap column to its last) from the g + 2r frames that reach them (r of
-    ``_overlap``), and those g frames are analysed; no peak, x0 or
-    iteration.  A non-finite coefficient in a reliable column it reads
-    raises ValueError.
-    """
-    if run.moves:
-        return _set_up(X_corr, reliable, run)
-    cfg = X_corr.config
-    N = cfg.n_frames
-    g0 = run.gaps[0].start
-    gaps = np.concatenate([(g.start - g0) % N + np.arange(len(g)) for g in run.gaps])
-    count = int(gaps[-1]) + 1
-    circular = count == N
-    reach, frames, span = _reach(g0, count, cfg)
-    rel = reliable[frames]
-    ramp = _frame_plan(cfg, g0 - reach, len(frames))
-    V = np.conj(ramp)
-    V *= _gather(X_corr, frames, rel)
-    x_det = _irfft_frames(V, default_window(cfg), cfg, circular)[span]
-    x_det /= _d_rel(rel, cfg, circular)[span]
-    values = _gap_coeffs(x_det, gaps, ramp[reach:], cfg)
-    return _Fixed((g0 + gaps) % N, values, (X_corr, reliable, run))
-
-
-def _set_up(X_corr, reliable, run):
-    """Set up a FrameRun of X_corr as a ``_Run`` for the iteration, scaled
-    so the synthesized observation, its start x0, peaks at 1 on its span
-    (lam keeps its scale).  x_det = b / d_rel (``_observe``) holds where
-    ``_free`` fixes a sample; the samples it leaves free, where the division
-    would amplify errors in Xc too much, are not fixed, and the frames that
-    touch them are the run's ``moving``.
+    b / d_rel wherever d_rel > 0.  A run with no free sample is that: b is
+    synthesized once, at the scale of X, on its g gap frames (its first gap
+    column to its last) from the g + 2r frames that reach them (r of
+    ``_overlap``), and those g frames of x_det are analysed; no peak, x0 or
+    iteration.  A run that moves is set up on its own frames and scaled so
+    b, its start x0, peaks at 1 on its span (lam keeps its scale); x_det
+    holds where ``_free`` fixes a sample, and the samples it leaves free,
+    where the division would amplify errors in Xc too much, are not fixed:
+    the frames that touch them are the run's ``moving``.  A non-finite
+    coefficient in a reliable column it reads raises ValueError.
     """
     cfg = X_corr.config
     N = cfg.n_frames
     w = default_window(cfg)
-    start, count = run.start, run.count
+    if run.moves:
+        start, count = run.start, run.count
+    else:
+        start = run.gaps[0].start
+        gaps = np.concatenate([(g.start - start) % N + np.arange(len(g)) for g in run.gaps])
+        count = int(gaps[-1]) + 1
     circular = count == N
     reach, frames, span = _reach(start, count, cfg)
     rel = reliable[frames]
-    Xh = _gather(X_corr, frames, rel)
+    unwrapped = frames[-1] - frames[0] == len(frames) - 1  # then a column slice, not a copy
+    with np.errstate(over="ignore", invalid="ignore"):  # whatever the gap columns hold
+        Xh = _hermitian_half(X_corr.data[:, slice(frames[0], frames[-1] + 1) if unwrapped
+                                         else frames])
+        Xh[~rel] = 0.0  # assigned, so +0 as apply_mask writes it
+        if not _finite(Xh):
+            bad = frames[~np.all(np.isfinite(Xh), axis=1)].tolist()
+            raise ValueError(f"reliable column(s) {bad} of the run on columns {frames[0]}.."
+                             f"{frames[-1]} hold a non-finite coefficient")
 
     ramp = _frame_plan(cfg, start - reach, len(frames))
     cr = np.conj(ramp)
     # cr * Xh at every size: numpy's temporary elision swaps the operands from 256 KiB on
-    x0 = _irfft_frames(cr * Xh, w, cfg, circular)[span]
-    peak = float(np.max(np.abs(x0))) or 1.0
-    Xh, x0 = Xh / peak, x0 / peak
+    b = _irfft_frames(cr * Xh, w, cfg, circular)[span]
+    if not run.moves:
+        b /= _d_rel(rel, cfg, circular)[span]
+        return _Fixed((start + gaps) % N, _gap_coeffs(b, gaps, ramp[reach:], cfg),
+                      (X_corr, reliable, run))
+    peak = float(np.max(np.abs(b))) or 1.0
+    Xh, x0 = Xh / peak, b / peak
     d_rel, free, moving = _free(rel, span, cfg, circular)
     x_det = _irfft_frames(Xh * cr, w, cfg, circular)[span]
     x_det /= np.maximum(d_rel, FREE_DREL)
@@ -433,10 +411,10 @@ def _trace_terms(A, rot, Xc, reliable, M, lam, cut=slice(0)):
 def gcpa_inner(x0, Z0, run, omega, cfg, rows=None):
     """Run ``cfg.inner_iters`` primal-dual iterations at fixed omega -> (x, Z).
 
-    run is a frame run that moves, set up by ``_set_up``; the primal x0 lives on
-    its span, the dual Z0 on rows 0..M//2 of its k - 1 frame pairs,
-    frames-major (k - 1, M//2 + 1), as the returned ones do; omega lives on
-    its k frames.  x0 and Z0 are not mutated.
+    run is a frame run that moves, a ``_Run`` of ``_observe``; the primal
+    x0 lives on its span, the dual Z0 on rows 0..M//2 of its k - 1 frame
+    pairs, frames-major (k - 1, M//2 + 1), as the returned ones do; omega
+    lives on its k frames.  x0 and Z0 are not mutated.
     ``rows``, if given, is a (cfg.inner_iters, 2) float array; row i - 1
     receives (objective, feasibility_residual) after iteration i, as
     ``_trace_terms`` gives them at x.
@@ -563,7 +541,8 @@ def _held(obs, cfg, method, x_true, traced, rounds):
     info = {"outer_iters_used": used, "stopped_early": used == 2,
             "final_change": 0.0 if used == 2 else None}
     if traced:
-        run = _set_up(*obs.source)
+        X_corr, reliable, run = obs.source
+        run = _observe(X_corr, reliable, replace(run, moves=True))
         scfg, M = run.cfg, run.cfg.channels
         F = _rfft_frames(run.x_det, default_window(scfg), scfg, run.circular) * run.ramp
         omega_of = _omega_source(run, method, x_true)

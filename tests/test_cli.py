@@ -469,11 +469,12 @@ def test_corrupt_then_inpaint_end_to_end(tmp_path, capsys):
     assert restored_snr > 30.0
 
 
-def wav_route(tmp_path, gap_cols):
-    """(corrupted, restored) samples of the corrupt-then-inpaint WAV route."""
+def wav_route(tmp_path, gap_cols, name="cc.wav"):
+    """(corrupted, restored) samples of the corrupt-then-inpaint WAV route,
+    through a corrupted file called ``name``."""
     clean = wav_path(tmp_path, "c.wav", make_test_signal("multitone", 1.0, SR, seed=8))
     mask = str(tmp_path / "m.json")
-    corrupted = str(tmp_path / "cc.wav")
+    corrupted = str(tmp_path / name)
     restored = str(tmp_path / "r.wav")
     assert main(["make-mask", "--seconds", "1", "--gap-cols", str(gap_cols),
                  "--out", mask]) == 0
@@ -484,8 +485,12 @@ def wav_route(tmp_path, gap_cols):
 
 
 def test_inpaint_from_wav_route_runs(tmp_path):
-    broken, fixed = wav_route(tmp_path, 4)  # four columns leave samples free
-    assert not np.array_equal(broken, fixed)
+    # the route goes by a .wav suffix in any case: cc.WAV is no spectrogram
+    for i, name in enumerate(("cc.wav", "cc.WAV")):
+        where = tmp_path / str(i)
+        where.mkdir()
+        broken, fixed = wav_route(where, 4, name)  # four columns leave samples free
+        assert not np.array_equal(broken, fixed)
 
 
 def test_inpaint_from_wav_route_narrow_gap_comes_back_unchanged(tmp_path):

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from tfpaint.solver import (
     _observe,
     _reach,
     _reliable,
-    _set_up,
     _trace_terms,
     default_window,
     find_gaps,
@@ -327,14 +327,20 @@ def test_uphain_reliable_columns_bit_exact():
 
 
 def test_uphain_stop_check_starts_at_second_round():
-    zero = np.array([8])
-    (run,) = frame_runs(zero, SEG)
     # an enormous epsilon trips the criterion at its first evaluation, which
-    # by construction happens after the second inner run, not the first
-    *_, info = solve_observed(observe(corrupted(three_tone(), zero), zero, run),
-                              SolverConfig(inner_iters=5, epsilon=1e9))
-    assert info["stopped_early"]
-    assert info["outer_iters_used"] == 2
+    # by construction happens after the second inner run, not the first: on
+    # a run that cannot move (as _held reports it) and on one that moves; a
+    # tiny one lets the run that moves take every outer_iters + 1 round
+    for zero, epsilon, moves, rounds in (([8], 1e9, False, 2), ([7, 8, 9], 1e9, True, 2),
+                                         ([7, 8, 9], 1e-300, True, 11)):
+        zero = np.array(zero)
+        (run,) = frame_runs(zero, SEG)
+        assert run.moves == moves
+        *_, info = solve_observed(observe(corrupted(three_tone(), zero), zero, run),
+                                  SolverConfig(inner_iters=5, epsilon=epsilon))
+        assert info["stopped_early"] == (rounds == 2)
+        assert info["outer_iters_used"] == rounds
+        assert (info["final_change"] > 0.0) == moves
 
 
 def test_uphain_deterministic():
@@ -754,7 +760,7 @@ def test_run_without_moving_frames_runs_no_dual_step(monkeypatch):
     assert not calls
     assert info["outer_iters_used"] == 2 and info["stopped_early"]
     assert info["final_change"] == 0.0
-    full = _set_up(*obs.source)  # the run as a trace sets it up
+    full = _observe(*obs.source[:2], replace(run, moves=True))  # the run as a trace sets it up
     assert full.moving.stop == full.moving.start and not np.any(full.free)
     terms = [fresh_trace_terms(full.x_det, full, estimate_if(x, RUNS, circular=False), cfg.lam)
              for x in (full.x0, full.x_det)]
@@ -1102,7 +1108,8 @@ def test_run_start_takes_one_product_order_at_any_size(width):
     X[:, zero] = 0.0
     (run,) = frame_runs(zero, WIDE)
     # the set-up that takes x0: a run that moves, or one that cannot when traced
-    obs = _set_up(Spectrogram(X, WIDE), _reliable(zero, WIDE.n_frames), run)
+    obs = _observe(Spectrogram(X, WIDE), _reliable(zero, WIDE.n_frames),
+                   replace(run, moves=True))
     assert run.moves == (width == 6)
     reach, frames, span = _reach(run.start, run.count, WIDE)
     Xh = _hermitian_half(X[:, frames])
